@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import random
 import sys
@@ -136,17 +135,15 @@ def _cmd_oracle_tightness(args: argparse.Namespace) -> int:
     return 0
 
 
-def _opt_tractable(instance: model.BgtInstance, cap: int) -> bool:
-    ceiling = Fraction(12, 7) * model.lower_bound(instance, "max-rule")
-    space = 1
-    for h in instance.rates:
-        space *= math.floor(ceiling / h) + 1
-        if space > cap:
-            return False
-    return True
-
-
 def _cmd_bench(args: argparse.Namespace) -> int:
+    if args.seeds < 0:
+        raise InvalidInstance(f"--seeds must be >= 0, got {args.seeds}")
+    if args.n < 1:
+        raise InvalidInstance(f"--n must be >= 1, got {args.n}")
+    if args.rate_min < 1:
+        raise InvalidInstance(f"--rate-min must be >= 1, got {args.rate_min}")
+    if args.rate_min > args.rate_max:
+        raise InvalidInstance(f"--rate-min {args.rate_min} exceeds --rate-max {args.rate_max}")
     config = _config(args)
     cap = _state_cap()
     rows = []
@@ -172,7 +169,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             "ratio": str(ratio),
         }
         if args.opt:
-            if _opt_tractable(instance, cap):
+            if oracle.opt_tractable(instance, cap):
                 opt = oracle.bgt_opt(instance, cap=cap)
                 vs_opt = sol.height_bound / opt
                 worst_opt = max(worst_opt, vs_opt)

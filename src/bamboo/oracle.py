@@ -192,6 +192,18 @@ def bgt_opt(instance: BgtInstance, cap: int = DEFAULT_STATE_CAP) -> Fraction:
     raise RuntimeError("no candidate up to the pipeline guarantee was feasible; this cannot happen")
 
 
+def opt_tractable(instance: BgtInstance, cap: int = DEFAULT_STATE_CAP) -> bool:
+    """Whether `bgt_opt` stays within `cap` states: its largest search is
+    bounded by the deadline vectors at the 12/7 ceiling."""
+    ceiling = Fraction(12, 7) * lower_bound(instance, "max-rule")
+    space = 1
+    for h in instance.rates:
+        space *= math.floor(ceiling / h) + 1
+        if space > cap:
+            return False
+    return True
+
+
 def tightness_examples(
     epsilon: Fraction = Fraction(1, 100),
     big_m: Fraction = Fraction(100),

@@ -2,10 +2,10 @@
 
 A multiset of periods where each distinct value divides the next (a
 divides chain) with density at most 1 always admits a collision-free
-schedule in which every job's cycle equals its period. The construction
-packs jobs into at most p_min bins of density 1/p_min each, hands bin j
-the days congruent to j mod p_min, scales the bin's periods down by
-p_min, and recurses.
+schedule in which every job's cycle equals its period. Sorted densest
+first, the jobs cut into at most p_min consecutive bins of density 1/p_min,
+each exactly full except the last. Bin j takes the days congruent to j mod
+p_min, and its own jobs are cut the same way within those days.
 
 Rounded two-grid states are combined by parity: the B' chain (after
 halving) runs on odd days, the C' chain on even days. The certificate
@@ -22,7 +22,6 @@ from .model import (
     JobPeriod,
     PeriodicSchedule,
     ScheduleEntry,
-    density,
     lower_bound,
 )
 from .reduction import ReductionConfig, bgt_to_pseudo
@@ -49,8 +48,10 @@ class Overdense(ValueError):
 class ChainInstance:
     """Jobs with integral periods forming a divides chain of density <= 1.
 
-    Stored sorted by (period, job id); validation happens on construction
-    so the scheduling recursion below can take both properties for granted.
+    Stored sorted by (period, job id); validation happens on construction,
+    in integers, so the scheduling pass below can take both properties for
+    granted. With P the largest period, density <= 1 reads
+    sum(P // p) <= P, exact because every period divides P.
     """
 
     jobs: tuple[JobPeriod, ...]
@@ -61,69 +62,69 @@ class ChainInstance:
         for jp in jobs:
             if not isinstance(jp.period, int) or jp.period < 1:
                 raise NotAChain(f"period {jp.period!r} is not a positive integer")
-        distinct = sorted({jp.period for jp in jobs})
-        for small, big in zip(distinct, distinct[1:]):
-            if big % small != 0:
-                raise NotAChain(f"{small} does not divide {big}")
-        if self.density > 1:
-            raise Overdense(f"density {self.density} exceeds 1")
+        for small, big in zip(jobs, jobs[1:]):
+            if big.period % small.period != 0:
+                raise NotAChain(f"{small.period} does not divide {big.period}")
+        p_max = jobs[-1].period if jobs else 1
+        weight = sum(p_max // jp.period for jp in jobs)
+        if weight > p_max:
+            raise Overdense(f"density {Fraction(weight, p_max)} exceeds 1")
 
-    @property
-    def density(self) -> Fraction:
-        return density(jp.period for jp in self.jobs)
+
+def _cut(jobs: tuple[JobPeriod, ...]) -> list[tuple[JobPeriod, ...]]:
+    # jobs is a sorted divides chain: weigh job p as P // p against the bin
+    # capacity P // p_min. Each weight divides every earlier one and the
+    # capacity, so the open bin's load never overshoots: it fills exactly
+    # and the next bin starts right after it.
+    p_max = jobs[-1].period
+    cap = p_max // jobs[0].period
+    bins = []
+    start = load = 0
+    for i, jp in enumerate(jobs):
+        load += p_max // jp.period
+        if load == cap:
+            bins.append(jobs[start : i + 1])
+            start, load = i + 1, 0
+    if start < len(jobs):
+        bins.append(jobs[start:])
+    return bins
 
 
 def partition_bins(chain: ChainInstance) -> tuple[tuple[JobPeriod, ...], ...]:
-    """First-fit the jobs (densest first) into bins of density 1/p_min.
+    """Cut the jobs (densest first) into consecutive bins of density 1/p_min.
 
-    Because every job density divides the bin capacity, a bin is either
-    exactly full or has room for the current job, so at most p_min bins
-    ever open.
+    Every job density divides the bin capacity, so every bin but the last
+    is exactly full; this is what first-fit would build, without the
+    search. Density <= 1 leaves at most p_min bins.
     """
     if not chain.jobs:
         return ()
-    p_min = chain.jobs[0].period
-    cap = Fraction(1, p_min)
-    bins: list[list[JobPeriod]] = []
-    loads: list[Fraction] = []
-    for jp in chain.jobs:
-        size = Fraction(1, jp.period)
-        for k in range(len(bins)):
-            if loads[k] + size <= cap:
-                bins[k].append(jp)
-                loads[k] += size
-                break
-        else:
-            bins.append([jp])
-            loads.append(size)
-    assert len(bins) <= p_min
-    return tuple(tuple(b) for b in bins)
-
-
-def _chain_offsets(jobs: tuple[JobPeriod, ...]) -> dict[int, tuple[int, int]]:
-    if not jobs:
-        return {}
-    if len(jobs) == 1:
-        jp = jobs[0]
-        return {jp.job: (1, jp.period)}
-    chain = ChainInstance(jobs)
-    p_min = chain.jobs[0].period
-    out: dict[int, tuple[int, int]] = {}
-    for j, bin_jobs in enumerate(partition_bins(chain), start=1):
-        scaled = tuple(JobPeriod(jp.job, jp.period // p_min) for jp in bin_jobs)
-        for job, (o, t) in _chain_offsets(scaled).items():
-            out[job] = (j + (o - 1) * p_min, t * p_min)
-    return out
+    bins = tuple(_cut(chain.jobs))
+    assert len(bins) <= chain.jobs[0].period
+    return bins
 
 
 def schedule_chain(chain: ChainInstance) -> PeriodicSchedule:
-    """Collision-free schedule with cycle == period for every chain job."""
-    offsets = _chain_offsets(chain.jobs)
-    entries = tuple(ScheduleEntry(job, o, t) for job, (o, t) in sorted(offsets.items()))
-    schedule = PeriodicSchedule(entries)
-    for e in schedule.entries:
-        assert e.offset <= e.cycle
-    return schedule
+    """Collision-free schedule with cycle == period for every chain job.
+
+    One pass over a stack of (jobs, offset, step) frames: a frame owns the
+    days congruent to offset mod step, and bin j of its jobs takes the days
+    offset + j * step mod the period of the frame's first job. A job alone
+    in its bin owns those days outright.
+    """
+    p_min = chain.jobs[0].period if chain.jobs else 1
+    frames = [(b, 1 + j, p_min) for j, b in enumerate(partition_bins(chain))]
+    # entries are made once the pass is over: made inside it, they end up
+    # scattered among the freed frames and pin part-empty memory arenas
+    leaves: list[tuple[JobPeriod, int]] = []
+    while frames:
+        jobs, offset, step = frames.pop()
+        if len(jobs) == 1:
+            assert offset <= jobs[0].period
+            leaves.append((jobs[0], offset))
+        else:
+            frames.extend((b, offset + j * step, jobs[0].period) for j, b in enumerate(_cut(jobs)))
+    return PeriodicSchedule(tuple(ScheduleEntry(jp.job, offset, jp.period) for jp, offset in leaves))
 
 
 def interleave(norm: NormalizedState) -> PeriodicSchedule:

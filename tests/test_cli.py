@@ -233,3 +233,16 @@ def test_instance_with_floats_rejected(tmp_path, capsys):
     code, _, err = run(capsys, "solve", "-i", str(path))
     assert code == 2
     assert "0.1" in err
+
+
+def test_bench_rejects_bad_arguments(capsys):
+    for argv in (
+        ["--rate-min", "10", "--rate-max", "5"],
+        ["--seeds", "-1"],
+        ["--n", "0"],
+        ["--rate-min", "0"],
+    ):
+        code, out, err = run(capsys, "bench", *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith("error:"), argv

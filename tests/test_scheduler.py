@@ -73,7 +73,11 @@ def test_partition_bins_respects_capacity(exponents):
     assert len(bins) <= periods[0]
     for b in bins:
         assert sum(Fraction(1, jp.period) for jp in b) <= cap
-    assert sorted(jp.job for b in bins for jp in b) == list(range(len(periods)))
+    # consecutive slices of the sorted chain, every bin but the last full
+    assert tuple(jp for b in bins for jp in b) == ch.jobs
+    p_min, p_max = periods[0], periods[-1]
+    for b in bins[:-1]:
+        assert sum(p_max // jp.period for jp in b) == p_max // p_min
 
 
 def test_schedule_chain_examples():
@@ -85,6 +89,17 @@ def test_schedule_chain_examples():
 
     s = schedule_chain(chain(3, 6, 6))
     assert entry_triples(s) == [(0, 1, 3), (1, 2, 6), (2, 5, 6)]
+
+    # bins holding bins: [4], [8, 8] on days 2 mod 4, [16] * 4 on days 3 mod 4
+    s = schedule_chain(chain(4, 8, 8, 16, 16, 16, 16))
+    assert entry_triples(s) == [(0, 1, 4), (1, 2, 8), (2, 6, 8), (3, 3, 16), (4, 7, 16), (5, 11, 16), (6, 15, 16)]
+    assert day_letters(s, 16) == "ABD.ACE.ABF.ACG."
+
+    # four levels of bins: the pair of 32s and the pair of 64s split only at the fourth
+    s = schedule_chain(chain(2, 4, 16, 16, 32, 32, 64, 64))
+    assert entry_triples(s) == [
+        (0, 1, 2), (1, 2, 4), (2, 4, 16), (3, 8, 16), (4, 12, 32), (5, 28, 32), (6, 16, 64), (7, 32, 64),
+    ]
 
 
 @given(st.data())
