@@ -35,9 +35,12 @@ def _state_cap() -> int:
     if raw is None:
         return oracle.DEFAULT_STATE_CAP
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError as exc:
         raise InvalidInstance(f"BAMBOO_STATE_CAP must be an integer, got {raw!r}") from exc
+    if cap < 1:
+        raise InvalidInstance(f"BAMBOO_STATE_CAP must be at least 1, got {cap}")
+    return cap
 
 
 def _config(args: argparse.Namespace) -> ReductionConfig:
@@ -58,18 +61,6 @@ def solution_to_obj(sol: scheduler.Solution, include_trace: bool = False) -> dic
     return obj
 
 
-def _derive_pseudo(instance: model.BgtInstance, config: ReductionConfig) -> model.PseudoInstance:
-    # For a single bamboo the reduction is skipped by the solver; its window
-    # is the bare factor, whose floor of 1 demands the promised daily cut.
-    if instance.n == 1:
-        return model.PseudoInstance(
-            (config.factor,),
-            factor=config.factor,
-            lower_bound=model.lower_bound(instance, config.lb_mode),
-        )
-    return reduction.bgt_to_pseudo(instance, config)
-
-
 def _cmd_solve(args: argparse.Namespace) -> int:
     instance = model.instance_from_obj(_read_json(args.input))
     sol = scheduler.solve(instance, _config(args))
@@ -88,7 +79,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     instance = model.instance_from_obj(_read_json(args.input))
     schedule = model.schedule_from_obj(_read_json(args.schedule))
     config = _config(args)
-    pseudo = _derive_pseudo(instance, config)
+    pseudo = reduction.bgt_to_pseudo(instance, config)
     report = verifier.evaluate(
         instance,
         schedule,

@@ -1,15 +1,16 @@
 """Exact-arithmetic domain types shared by every stage of the solver.
 
-Growth rates, periods, densities, and heights are `fractions.Fraction`
-values throughout. Control flow repeatedly hinges on exact comparisons
-(is a density equal to 7/12? does a period sit on a grid boundary?), so
-binary floating point is rejected at the parsing boundary instead of
-being silently converted.
+Rates, fractional periods, densities and heights are `fractions.Fraction`
+values; rounded periods, offsets and cycles are plain `int`. Control flow
+hinges on exact comparisons (is a density equal to 7/12? does a period sit
+on a grid boundary?), so binary floating point is rejected at the parsing
+boundary instead of being silently converted.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -34,8 +35,15 @@ def parse_rational(value: object) -> Fraction:
             f"binary float {value!r} rejected; pass the value as a string such as \"0.1\""
         )
     if isinstance(value, str):
+        text = value.strip()
+        _, marker, exponent = text.lower().partition("e")
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
         try:
-            return Fraction(value.strip())
+            # refuse 1e5000 as int() refuses 5001 written-out digits, before
+            # Fraction builds the power of ten (a bad exponent fails either way)
+            if marker and limit and abs(int(exponent)) >= limit:
+                raise ValueError(f"exponent {exponent} gives over {limit} digits")
+            return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise InvalidInstance(f"cannot parse a rational from {value!r}") from exc
     raise InvalidInstance(f"cannot parse a rational from a {type(value).__name__}")

@@ -16,9 +16,9 @@ from .model import BgtInstance, InvalidInstance, PseudoInstance, lower_bound
 
 
 class PeriodBelowTwo(ValueError):
-    """The reduction produced a period below 2, which the rounding grids
-    cannot absorb. Happens under ("sum" mode, factor 12/7) when one rate
-    dominates the garden, and always for a single bamboo."""
+    """The reduction produced a period below 2 for a garden of two or more
+    bamboos, which the rounding grids cannot absorb. Happens under ("sum"
+    mode, factor 12/7) when one rate dominates the garden."""
 
 
 @dataclass(frozen=True)
@@ -44,13 +44,16 @@ def bgt_to_pseudo(instance: BgtInstance, config: ReductionConfig | None = None) 
     """Map rates to fractional periods p_i = factor * L / h_i.
 
     With the default (12/7, max-rule) config and n >= 2 every period is at
-    least 24/7 > 3. Raises PeriodBelowTwo when any period lands below 2.
+    least 24/7 > 3. Raises PeriodBelowTwo when n >= 2 and any period lands
+    below 2. A single bamboo gets the bare factor in both bound modes (L is
+    its own rate); a window of floor(factor) days, 1 at 12/7, asks for the
+    daily cut that the solver gives it.
     """
     config = config or ReductionConfig()
     bound = lower_bound(instance, config.lb_mode)
     periods = tuple(config.factor * bound / h for h in instance.rates)
     smallest = min(periods)
-    if smallest < 2:
+    if smallest < 2 and instance.n > 1:
         raise PeriodBelowTwo(
             f"reduced period {smallest} is below 2 (factor {config.factor}, "
             f"lower bound {bound}, mode {config.lb_mode})"

@@ -12,6 +12,8 @@ cases chosen so that the ceiling certificate
 
 stays at most 1 whenever the input density is at most 7/12. y <= 1 is
 exactly what the odd/even interleaving of the two grids needs.
+On one grid every period divides the largest, so densities are weighed
+as integers over it; `Fraction` only appears in the values reported out.
 """
 
 from __future__ import annotations
@@ -19,9 +21,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable
 
-from .model import InvalidInstance, JobPeriod, PseudoInstance, density
+from .model import InvalidInstance, JobPeriod, PseudoInstance
 
 
 class UnroundablePeriod(ValueError):
@@ -59,16 +61,25 @@ def on_three_grid(v: int) -> bool:
 
 
 def specialize_single(p: Fraction | int, x: int) -> int:
-    """The largest x * 2^j (j >= 0) that does not exceed p. Needs p >= x."""
+    """The largest x * 2^j (j >= 0) that does not exceed p. Grid points are
+    integers, so 2^j is the top bit of floor(p) // x. Needs p >= x."""
     if not isinstance(x, int) or x < 1:
         raise ValueError(f"grid base must be a positive integer, got {x!r}")
-    p = Fraction(p)
-    if p < x:
+    m = math.floor(p)
+    if m < x:
         raise UnroundablePeriod(f"period {p} lies below the smallest {{{x}, {2*x}, {4*x}, ...}} grid point")
-    v = x
-    while v * 2 <= p:
-        v *= 2
-    return v
+    return x << ((m // x).bit_length() - 1)
+
+
+def _grid_weight(items: Iterable[JobPeriod]) -> tuple[int, int]:
+    """Density of a multiset on one grid as (weight, top): rho = weight / top.
+
+    top is the largest period; on one grid every period divides it, so each
+    1/p is exactly (top // p) / top. Empty input weighs (0, 1).
+    """
+    periods = [jp.period for jp in items]
+    top = max(periods, default=1)
+    return sum(top // p for p in periods), top
 
 
 def specialize_instance(pseudo: PseudoInstance, x: int) -> tuple[JobPeriod, ...]:
@@ -80,11 +91,10 @@ def specialize_instance(pseudo: PseudoInstance, x: int) -> tuple[JobPeriod, ...]
 @dataclass(frozen=True)
 class SpecializedState:
     """Outcome of the two-grid split: B on powers of two, C on 3 * powers of
-    two, plus the original fractional period of every job."""
+    two."""
 
     b: tuple[JobPeriod, ...]
     c: tuple[JobPeriod, ...]
-    origin: Mapping[int, Fraction]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "b", tuple(sorted(self.b, key=lambda jp: (jp.period, jp.job))))
@@ -98,11 +108,11 @@ class SpecializedState:
 
     @property
     def rho_b(self) -> Fraction:
-        return density(jp.period for jp in self.b)
+        return Fraction(*_grid_weight(self.b))
 
     @property
     def rho_c(self) -> Fraction:
-        return density(jp.period for jp in self.c)
+        return Fraction(*_grid_weight(self.c))
 
 
 def split_23(pseudo: PseudoInstance) -> SpecializedState:
@@ -110,22 +120,22 @@ def split_23(pseudo: PseudoInstance) -> SpecializedState:
 
     A period in [2*2^j, 3*2^j) rounds to 2*2^j and joins B; one in
     [3*2^j, 4*2^j) rounds to 3*2^j and joins C. The bands tile [2, oo), so
-    membership is decided by whichever grid offers the larger rounding.
+    2*2^j is the top bit of floor(p), and the band is C exactly when floor(p)
+    reaches 3*2^j (grid points are integers, so floor(p) decides as p would).
     """
     b: list[JobPeriod] = []
     c: list[JobPeriod] = []
-    origin: dict[int, Fraction] = {}
     for job, p in enumerate(pseudo.periods):
-        if p < 2:
+        m = math.floor(p)
+        if m < 2:
             raise UnroundablePeriod(f"period {p} of job {job} is below 2 and cannot be banded")
-        origin[job] = p
-        g2 = specialize_single(p, 2)
-        g3 = specialize_single(p, 3) if p >= 3 else None
-        if g3 is None or g2 > g3:
-            b.append(JobPeriod(job, g2))
+        two = 1 << (m.bit_length() - 1)
+        three = two + (two >> 1)
+        if m < three:
+            b.append(JobPeriod(job, two))
         else:
-            c.append(JobPeriod(job, g3))
-    return SpecializedState(b=tuple(b), c=tuple(c), origin=origin)
+            c.append(JobPeriod(job, three))
+    return SpecializedState(b=tuple(b), c=tuple(c))
 
 
 @dataclass(frozen=True)
@@ -140,40 +150,35 @@ class Decomposition:
 
     @property
     def rho_p(self) -> Fraction:
-        return density(jp.period for jp in self.p)
+        return Fraction(*_grid_weight(self.p))
 
     @property
     def rho_q(self) -> Fraction:
-        return density(jp.period for jp in self.q)
+        return Fraction(*_grid_weight(self.q))
 
 
-def _extract_units(items: tuple[JobPeriod, ...], unit: Fraction) -> tuple[int, tuple[JobPeriod, ...]]:
-    """Peel off whole `unit`-sized chunks of density, densest jobs first.
+def _extract_units(items: tuple[JobPeriod, ...], x: int) -> tuple[int, tuple[JobPeriod, ...]]:
+    """Peel off whole chunks of density 1/x from sorted jobs on the x * 2^j
+    grid, densest first.
 
-    Grid densities all divide the unit (1/(x*2^j) divides 1/x), so walking
-    jobs in ascending-period order fills every chunk exactly before the next
-    one starts, and the leftover is the suffix of largest periods.
+    Over the top period a chunk weighs top // x and each job weight divides
+    the weights before it, so the prefix sums hit count * top // x exactly
+    and the leftover is the suffix of largest periods.
     """
-    order = sorted(items, key=lambda jp: (jp.period, jp.job))
-    total = sum((Fraction(1, jp.period) for jp in order), Fraction(0))
-    count = math.floor(total / unit)
-    need = unit
-    i = 0
-    done = 0
-    while done < count:
-        d = Fraction(1, order[i].period)
-        assert d <= need, "grid divisibility violated"
-        need -= d
+    weight, top = _grid_weight(items)
+    count = x * weight // top
+    need = count * top // x
+    i = taken = 0
+    while taken < need:
+        taken += top // items[i].period
         i += 1
-        if need == 0:
-            done += 1
-            need = unit
-    return count, tuple(order[i:])
+    assert taken == need, "grid divisibility violated"
+    return count, items[i:]
 
 
 def decompose(state: SpecializedState) -> Decomposition:
-    r, p = _extract_units(state.b, Fraction(1, 2))
-    s, q = _extract_units(state.c, Fraction(1, 3))
+    r, p = _extract_units(state.b, 2)
+    s, q = _extract_units(state.c, 3)
     return Decomposition(r=r, p=p, s=s, q=q)
 
 
@@ -203,11 +208,11 @@ class NormalizedState:
 
     @property
     def rho_bp(self) -> Fraction:
-        return density(jp.period for jp in self.bp)
+        return Fraction(*_grid_weight(self.bp))
 
     @property
     def rho_cp(self) -> Fraction:
-        return density(jp.period for jp in self.cp)
+        return Fraction(*_grid_weight(self.cp))
 
 
 def _without(items: tuple[JobPeriod, ...], removed: tuple[JobPeriod, ...]) -> tuple[JobPeriod, ...]:
@@ -220,9 +225,10 @@ def _regrid(items: Iterable[JobPeriod], x: int) -> tuple[JobPeriod, ...]:
 
 
 def certificate_value(bp: Iterable[JobPeriod], cp: Iterable[JobPeriod]) -> Fraction:
-    rho_b = density(jp.period for jp in bp)
-    rho_c = density(jp.period for jp in cp)
-    return Fraction(math.ceil(2 * rho_b), 2) + Fraction(math.ceil(3 * rho_c), 3)
+    """y for B' on the {2, 4, 8, ...} grid and C' on the {3, 6, 12, ...} grid."""
+    wb, tb = _grid_weight(bp)
+    wc, tc = _grid_weight(cp)
+    return Fraction(-(-2 * wb // tb), 2) + Fraction(-(-3 * wc // tc), 3)
 
 
 def normalize(dec: Decomposition, state: SpecializedState) -> NormalizedState:
@@ -231,29 +237,26 @@ def normalize(dec: Decomposition, state: SpecializedState) -> NormalizedState:
     would cost after crossing grids (a move from {2}-land to {3}-land
     multiplies density by at most 4/3, the other direction by at most 3/2).
     """
-    rho_p, rho_q = dec.rho_p, dec.rho_q
-    if rho_p + rho_q == 0:
+    # over den = top(P) * top(Q), rho(P) = p_num / den and rho(Q) = q_num / den;
+    # then 3 * den * v and 2 * den * w are the integers v3 and w2 below, so
+    # v <= 1/3, v <= 2/3 and w <= 1/2 read v3 <= den, v3 <= 2 * den, w2 <= den
+    wp, tp = _grid_weight(dec.p)
+    wq, tq = _grid_weight(dec.q)
+    p_num, q_num, den = wp * tq, wq * tp, tp * tq
+    v3, w2 = 4 * p_num + 3 * q_num, 2 * p_num + 3 * q_num
+    if v3 == 0:
         case = "none"
-        bp, cp = state.b, state.c
+    elif v3 <= den:
+        case = "a"
+    elif v3 <= 2 * den:
+        case = "b" if w2 <= den else "c"
     else:
-        v = Fraction(4, 3) * rho_p + rho_q
-        w = rho_p + Fraction(3, 2) * rho_q
-        if v <= Fraction(1, 3):
-            case = "a"
-            bp = _without(state.b, dec.p)
-            cp = state.c + _regrid(dec.p, 3)
-        elif v <= Fraction(2, 3):
-            if w <= Fraction(1, 2):
-                case = "b"
-                bp = state.b + _regrid(dec.q, 2)
-                cp = _without(state.c, dec.q)
-            else:
-                case = "c"
-                bp = _without(state.b, dec.p)
-                cp = state.c + _regrid(dec.p, 3)
-        else:
-            case = "d"
-            bp, cp = state.b, state.c
+        case = "d"
+    bp, cp = state.b, state.c
+    if case in ("a", "c"):
+        bp, cp = _without(state.b, dec.p), state.c + _regrid(dec.p, 3)
+    elif case == "b":
+        bp, cp = state.b + _regrid(dec.q, 2), _without(state.c, dec.q)
     return NormalizedState(bp=bp, cp=cp, case=case, y=certificate_value(bp, cp), r=dec.r, s=dec.s)
 
 
@@ -274,14 +277,16 @@ class CertificateReport:
 
 
 def certificate(norm: NormalizedState, original_density: Fraction) -> CertificateReport:
-    """Recompute y and the chunk counts of B'/C', and, when the original
-    density is within the 7/12 budget, assert everything theory promises:
-    y <= 1, and (r, s) inside the reachable set for the case that fired.
-    Any failure there raises CertificateViolation rather than returning.
+    """Report normalize's y with the chunk counts of B'/C', and, when the
+    original density is within the 7/12 budget, assert everything theory
+    promises: y <= 1, and (r, s) inside the reachable set for the case that
+    fired. Any failure there raises CertificateViolation rather than
+    returning.
     """
     original_density = Fraction(original_density)
-    r_post = math.floor(2 * norm.rho_bp)
-    s_post = math.floor(3 * norm.rho_cp)
+    wb, tb = _grid_weight(norm.bp)
+    wc, tc = _grid_weight(norm.cp)
+    r_post, s_post = 2 * wb // tb, 3 * wc // tc
     checked = original_density <= SEVEN_TWELFTHS
     if checked:
         if norm.y > 1:

@@ -34,6 +34,7 @@ from .rounding import (
     specialize_instance,
     split_23,
 )
+from .verifier import max_heights
 
 
 class NotAChain(ValueError):
@@ -191,63 +192,50 @@ def solve(instance: BgtInstance, config: ReductionConfig | None = None) -> Solut
 
     if instance.n == 1:
         schedule = PeriodicSchedule((ScheduleEntry(0, 1, 1),))
+        trace = {"path": "single-bamboo", "lower_bound": str(bound), "factor": str(config.factor)}
+        guarantee = bound
+    else:
+        guarantee = config.factor * bound
+        pseudo = bgt_to_pseudo(instance, config)
+        rho = pseudo.density
         trace = {
-            "path": "single-bamboo",
             "lower_bound": str(bound),
             "factor": str(config.factor),
+            "pseudo_periods": [str(p) for p in pseudo.periods],
+            "density": str(rho),
         }
-        return Solution(
-            schedule=schedule,
-            lower_bound=bound,
-            height_bound=instance.max_rate,
-            guarantee=bound,
-            config=config,
-            trace=trace,
-        )
+        if config.factor == 2:
+            rounded = specialize_instance(pseudo, 2)
+            schedule = schedule_chain(ChainInstance(rounded))
+            trace["path"] = "power-of-two"
+            trace["rounded"] = _jp_list(rounded)
+        else:
+            state = split_23(pseudo)
+            dec = decompose(state)
+            norm = normalize(dec, state)
+            cert = certificate(norm, rho)
+            schedule = interleave(norm)
+            trace.update(
+                {
+                    "path": "two-three",
+                    "a2_jobs": sorted(jp.job for jp in state.b),
+                    "a3_jobs": sorted(jp.job for jp in state.c),
+                    "b": _jp_list(state.b),
+                    "c": _jp_list(state.c),
+                    "r": dec.r,
+                    "s": dec.s,
+                    "p": _jp_list(dec.p),
+                    "q": _jp_list(dec.q),
+                    "case": norm.case,
+                    "b_prime": _jp_list(norm.bp),
+                    "c_prime": _jp_list(norm.cp),
+                    "y": str(norm.y),
+                    "certificate_checked": cert.checked,
+                }
+            )
 
-    pseudo = bgt_to_pseudo(instance, config)
-    trace = {
-        "lower_bound": str(bound),
-        "factor": str(config.factor),
-        "pseudo_periods": [str(p) for p in pseudo.periods],
-        "density": str(pseudo.density),
-    }
-
-    if config.factor == 2:
-        rounded = specialize_instance(pseudo, 2)
-        schedule = schedule_chain(ChainInstance(rounded))
-        trace["path"] = "power-of-two"
-        trace["rounded"] = _jp_list(rounded)
-    else:
-        state = split_23(pseudo)
-        dec = decompose(state)
-        norm = normalize(dec, state)
-        cert = certificate(norm, pseudo.density)
-        schedule = interleave(norm)
-        trace.update(
-            {
-                "path": "two-three",
-                "a2_jobs": sorted(jp.job for jp in state.b),
-                "a3_jobs": sorted(jp.job for jp in state.c),
-                "b": _jp_list(state.b),
-                "c": _jp_list(state.c),
-                "r": dec.r,
-                "s": dec.s,
-                "p": _jp_list(dec.p),
-                "q": _jp_list(dec.q),
-                "case": norm.case,
-                "b_prime": _jp_list(norm.bp),
-                "c_prime": _jp_list(norm.cp),
-                "y": str(norm.y),
-                "certificate_checked": cert.checked,
-            }
-        )
-
-    height = Fraction(0)
-    for e in schedule.entries:
-        assert e.offset <= e.cycle
-        height = max(height, instance.rates[e.job] * max(e.offset, e.cycle))
-    guarantee = config.factor * bound
+    assert all(e.offset <= e.cycle for e in schedule.entries)
+    height = max(max_heights(schedule, instance))
     assert height <= guarantee
     return Solution(
         schedule=schedule,

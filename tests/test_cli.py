@@ -105,6 +105,16 @@ def test_solve_then_verify_round_trip(tmp_path, capsys):
     assert report["ratio_vs_lower_bound"] == "8/5"
 
 
+def test_solve_then_verify_single_bamboo(tmp_path, capsys):
+    inst = write_json(tmp_path, "inst.json", {"rates": ["7/2"]})
+    for mode in ("max-rule", "sum"):
+        _, out, _ = run(capsys, "solve", "-i", inst, "--lower-bound", mode)
+        sched = write_json(tmp_path, "sched.json", json.loads(out)["entries"])
+        code, out, _ = run(capsys, "verify", "-i", inst, "--schedule", sched, "--lower-bound", mode)
+        assert code == 0
+        assert json.loads(out)["ok"] is True
+
+
 def test_verify_flags_tampered_schedule(tmp_path, capsys):
     inst = write_json(tmp_path, "inst.json", WORKED)
     _, out, _ = run(capsys, "solve", "-i", inst)
@@ -179,6 +189,13 @@ def test_state_cap_env(capsys, monkeypatch):
     assert code == 2
     assert "BAMBOO_STATE_CAP" in err
 
+    # a cap below 1 would make bench --opt skip every garden and still pass
+    for raw in ("0", "-3"):
+        monkeypatch.setenv("BAMBOO_STATE_CAP", raw)
+        code, out, err = run(capsys, "bench", "--seeds", "1", "--n", "2", "--opt")
+        assert code == 2 and out == ""
+        assert "BAMBOO_STATE_CAP" in err
+
 
 # ---------------------------------------------------------------- bench
 
@@ -233,6 +250,14 @@ def test_instance_with_floats_rejected(tmp_path, capsys):
     code, _, err = run(capsys, "solve", "-i", str(path))
     assert code == 2
     assert "0.1" in err
+
+
+def test_solve_rejects_huge_decimal_exponent(tmp_path, capsys):
+    for rate in ("1e3000000", "1e-5000"):
+        path = write_json(tmp_path, "inst.json", {"rates": [rate]})
+        code, out, err = run(capsys, "solve", "-i", path)
+        assert code == 2 and out == ""
+        assert err.startswith("error:")
 
 
 def test_bench_rejects_bad_arguments(capsys):

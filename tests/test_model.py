@@ -47,6 +47,11 @@ def test_parse_rational_rejects_garbage():
         parse_rational("three")
     with pytest.raises(InvalidInstance):
         parse_rational(None)
+    # exponents past the integer-string digit limit fail like a written-out
+    # number of that length does, before any huge power of ten is built
+    for huge in ("1e5000", "1e-5000", "1" + "0" * 5000):
+        with pytest.raises(InvalidInstance):
+            parse_rational(huge)
 
 
 # ---------------------------------------------------------------- density

@@ -57,12 +57,12 @@ def test_max_rule_default_keeps_periods_above_24_sevenths(rates):
 
 
 @given(
-    st.lists(st.integers(min_value=1, max_value=100), min_size=2, max_size=12),
+    st.lists(st.integers(min_value=1, max_value=100), min_size=1, max_size=12),
     st.booleans(),
 )
 def test_density_is_total_rate_over_scaled_bound(rates, use_sum):
-    # n = 1 is excluded: there the reduced period is the bare factor < 2
-    # in both modes, which is why the solver special-cases single bamboos
+    # n = 1 is included: its period is the bare factor, below 2 at 12/7 but
+    # never refused, and its density 1/factor is exactly 7/12
     inst = BgtInstance.from_values(sorted(rates, reverse=True))
     mode = "sum" if use_sum else "max-rule"
     cfg = ReductionConfig(lb_mode=mode)
@@ -75,6 +75,15 @@ def test_density_is_total_rate_over_scaled_bound(rates, use_sum):
     assert ps.density == inst.total_rate / (cfg.factor * lb)
     if mode == "max-rule":
         assert ps.density <= Fraction(7, 12)
+
+
+def test_single_bamboo_reduces_to_the_bare_factor():
+    inst = BgtInstance.from_values(["7/2"])
+    for mode in ("sum", "max-rule"):
+        for factor in (Fraction(12, 7), Fraction(2)):
+            ps = bgt_to_pseudo(inst, ReductionConfig(factor=factor, lb_mode=mode))
+            assert ps.periods == (factor,)
+            assert ps.lower_bound == Fraction(7, 2)
 
 
 def test_ps_to_bgt_examples():
