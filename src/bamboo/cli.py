@@ -291,6 +291,15 @@ def main(argv: list[str] | None = None) -> int:
     except CertificateViolation as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 2
+    except ValueError as exc:
+        # str() of an int past sys.get_int_max_str_digits() raises a plain
+        # ValueError; exact arithmetic can grow a result that far from input
+        # that parsed within the limit
+        if "integer string conversion" not in str(exc):
+            raise
+        limit = sys.get_int_max_str_digits()
+        print(f"error: a result has more than {limit} digits and cannot be printed", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

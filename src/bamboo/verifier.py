@@ -2,11 +2,16 @@
 
 Nothing here trusts the builders: collisions are decided by congruence
 arithmetic, heights by the closed form h * max(offset, cycle), and both
-are cross-checked by an event-driven replay of the actual cut sequence.
+are cross-checked by a simulation over a finite horizon. The simulation
+marks every cut on a calendar of one byte per day, so a day cut twice is
+seen directly, and reads each bamboo's peak off its cut gaps (first
+offset, then cycle, then the tail up to the horizon), so its memory is
+one byte per day whatever the number of cuts.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -14,6 +19,9 @@ from fractions import Fraction
 from .model import BgtInstance, InvalidInstance, PeriodicSchedule, PseudoInstance
 
 DEFAULT_HORIZON_CAP = 10**6
+
+# translate table for one more cut on a calendar day: 0 -> 1, 1 and up -> 2
+_INC = bytes([1] + [2] * 255)
 
 
 class HorizonOverflow(ValueError):
@@ -56,14 +64,36 @@ def _earliest_shared_day(o1: int, t1: int, o2: int, t2: int) -> int | None:
 
 
 def check_collisions(schedule: PeriodicSchedule) -> CollisionReport:
-    found = []
+    """Every pair of entries that ever cuts on the same day, in entry order,
+    each with the earliest such day.
+
+    Two entries meet iff their offsets agree modulo the gcd of their cycles,
+    so entries are grouped by cycle and then by offset % cycle: within a
+    cycle, equal residues collide; across two cycles, residues are matched
+    modulo their gcd. That costs O(K^2 * n + collisions) for K distinct
+    cycles instead of one test per pair.
+    """
     entries = schedule.entries
-    for i in range(len(entries)):
-        for j in range(i + 1, len(entries)):
-            a, b = entries[i], entries[j]
-            day = _earliest_shared_day(a.offset, a.cycle, b.offset, b.cycle)
-            if day is not None:
-                found.append(Collision(a.job, b.job, day))
+    groups: dict[int, dict[int, list[int]]] = {}
+    for i, e in enumerate(entries):
+        groups.setdefault(e.cycle, {}).setdefault(e.offset % e.cycle, []).append(i)
+    pairs: list[tuple[int, int]] = []
+    for residues in groups.values():
+        for bucket in residues.values():
+            pairs.extend(itertools.combinations(bucket, 2))
+    for (c1, residues1), (c2, residues2) in itertools.combinations(groups.items(), 2):
+        g = math.gcd(c1, c2)
+        by_class: dict[int, list[int]] = {}
+        for r, bucket in residues1.items():
+            by_class.setdefault(r % g, []).extend(bucket)
+        for r, bucket in residues2.items():
+            for i in by_class.get(r % g, ()):
+                pairs.extend((i, j) if i < j else (j, i) for j in bucket)
+    pairs.sort()
+    found = []
+    for i, j in pairs:
+        a, b = entries[i], entries[j]
+        found.append(Collision(a.job, b.job, _earliest_shared_day(a.offset, a.cycle, b.offset, b.cycle)))
     return CollisionReport(tuple(found))
 
 
@@ -112,11 +142,20 @@ def simulate(
     horizon: int,
     cap: int = DEFAULT_HORIZON_CAP,
 ) -> SimReport:
-    """Replay the cut calendar day by day (event-compressed) up to `horizon`.
+    """Cut the garden up to `horizon` days and report the tallest bamboo.
 
     Heights are observed at the end of each day just before cutting, so a
     bamboo's local maxima occur exactly at its own cut days and at the
-    horizon; days with two cuts are reported instead of silently merged.
+    horizon. Every cut is marked on a calendar of one byte per day, and a
+    day holding two or more cuts is reported instead of silently merged.
+    A job's gaps between cuts are its offset (the first cut), then its
+    cycle (from the second cut on, if that falls within the horizon), then
+    the tail from its last cut to the horizon; a job with no cut up to the
+    horizon, or none in the schedule, has a tail of `horizon`.
+
+    Ties: `argmax` is the first (day, job) in calendar order whose cut
+    reaches the maximum; a tail wins only if strictly higher than every
+    cut, and among tails the lowest job id wins.
     """
     if horizon < 1:
         raise InvalidInstance(f"horizon must be at least 1, got {horizon}")
@@ -126,36 +165,36 @@ def simulate(
         if e.job >= instance.n:
             raise InvalidInstance(f"schedule mentions job {e.job} outside the instance")
 
-    events: list[tuple[int, int]] = []
-    for e in schedule.entries:
-        events.extend((day, e.job) for day in range(e.offset, horizon + 1, e.cycle))
-    events.sort()
-
-    last_cut = {job: 0 for job in range(instance.n)}
+    cal = bytearray(horizon + 1)
+    tails = [horizon] * instance.n
     best = Fraction(0)
     best_day = 0
     best_job: int | None = None
-    doubled: list[int] = []
-    i = 0
-    while i < len(events):
-        j = i
-        day = events[i][0]
-        while j < len(events) and events[j][0] == day:
-            j += 1
-        if j - i > 1:
-            doubled.append(day)
-        for _, job in events[i:j]:
-            h = instance.rates[job] * (day - last_cut[job])
-            if h > best:
-                best, best_day, best_job = h, day, job
-            last_cut[job] = day
-        i = j
-    for job in range(instance.n):
-        gap = horizon - last_cut[job]
-        if gap > 0:
-            h = instance.rates[job] * gap
+    for e in schedule.entries:
+        o, c = e.offset, e.cycle
+        if o > horizon:
+            continue
+        cal[o::c] = cal[o::c].translate(_INC)
+        cuts_after_first = (horizon - o) // c
+        gap, day = (c, o + c) if cuts_after_first and c > o else (o, o)
+        h = instance.rates[e.job] * gap
+        # entries come in job order, so an equal cut wins only on an earlier day
+        if h > best or (h == best and day < best_day):
+            best, best_day, best_job = h, day, e.job
+        tail = horizon - o - cuts_after_first * c
+        # a tail no longer than the job's own cut gap cannot beat every cut
+        tails[e.job] = tail if tail > gap else 0
+    for job, tail in enumerate(tails):
+        if tail:
+            h = instance.rates[job] * tail
             if h > best:
                 best, best_day, best_job = h, horizon, job
+
+    doubled: list[int] = []
+    day = cal.find(2)
+    while day != -1:
+        doubled.append(day)
+        day = cal.find(2, day + 1)
     return SimReport(
         max_height=best,
         argmax_day=best_day,

@@ -1,4 +1,4 @@
-"""Shared generators for the test suite.
+"""Shared generators and reference implementations for the test suite.
 
 Everything here hands back exact rationals; the tests compare with ``==``
 on purpose, so no helper is allowed to introduce a float anywhere.
@@ -10,6 +10,15 @@ import random
 from fractions import Fraction
 
 from bamboo import BgtInstance, PseudoInstance
+from bamboo.model import InvalidInstance, PeriodicSchedule, ScheduleEntry
+from bamboo.verifier import (
+    DEFAULT_HORIZON_CAP,
+    Collision,
+    CollisionReport,
+    HorizonOverflow,
+    SimReport,
+    _earliest_shared_day,
+)
 
 
 def random_instance(
@@ -60,3 +69,83 @@ def pseudo_with_density(total: Fraction, parts: int, rng: random.Random) -> Pseu
     """
     shares = split_density(total, parts, rng)
     return PseudoInstance(tuple(1 / s for s in shares))
+
+
+def tampered(schedule: PeriodicSchedule) -> PeriodicSchedule:
+    """The last entry moved onto the first entry's offset: a planted
+    same-day pair, or, for a single job, a first cut one day late."""
+    first, last = schedule.entries[0], schedule.entries[-1]
+    offset = first.offset if len(schedule.entries) > 1 else first.offset + 1
+    return PeriodicSchedule(schedule.entries[:-1] + (ScheduleEntry(last.job, offset, last.cycle),))
+
+
+# ------------------------------------------------- verifier references
+#
+# The verifier's first implementations, kept as they were: one CRT test per
+# pair of entries, and a replay of the sorted list of every (day, job) cut.
+# The verifier must report exactly what these report.
+
+
+def reference_check_collisions(schedule: PeriodicSchedule) -> CollisionReport:
+    found = []
+    entries = schedule.entries
+    for i in range(len(entries)):
+        for j in range(i + 1, len(entries)):
+            a, b = entries[i], entries[j]
+            day = _earliest_shared_day(a.offset, a.cycle, b.offset, b.cycle)
+            if day is not None:
+                found.append(Collision(a.job, b.job, day))
+    return CollisionReport(tuple(found))
+
+
+def reference_simulate(
+    schedule: PeriodicSchedule,
+    instance: BgtInstance,
+    horizon: int,
+    cap: int = DEFAULT_HORIZON_CAP,
+) -> SimReport:
+    if horizon < 1:
+        raise InvalidInstance(f"horizon must be at least 1, got {horizon}")
+    if horizon > cap:
+        raise HorizonOverflow(f"horizon {horizon} exceeds the cap of {cap} days")
+    for e in schedule.entries:
+        if e.job >= instance.n:
+            raise InvalidInstance(f"schedule mentions job {e.job} outside the instance")
+
+    events: list[tuple[int, int]] = []
+    for e in schedule.entries:
+        events.extend((day, e.job) for day in range(e.offset, horizon + 1, e.cycle))
+    events.sort()
+
+    last_cut = {job: 0 for job in range(instance.n)}
+    best = Fraction(0)
+    best_day = 0
+    best_job: int | None = None
+    doubled: list[int] = []
+    i = 0
+    while i < len(events):
+        j = i
+        day = events[i][0]
+        while j < len(events) and events[j][0] == day:
+            j += 1
+        if j - i > 1:
+            doubled.append(day)
+        for _, job in events[i:j]:
+            h = instance.rates[job] * (day - last_cut[job])
+            if h > best:
+                best, best_day, best_job = h, day, job
+            last_cut[job] = day
+        i = j
+    for job in range(instance.n):
+        gap = horizon - last_cut[job]
+        if gap > 0:
+            h = instance.rates[job] * gap
+            if h > best:
+                best, best_day, best_job = h, horizon, job
+    return SimReport(
+        max_height=best,
+        argmax_day=best_day,
+        argmax_job=best_job,
+        double_booked_days=tuple(doubled),
+        horizon=horizon,
+    )

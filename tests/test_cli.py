@@ -7,6 +7,8 @@ these double as schema tests for downstream tooling.
 import io
 import json
 
+import pytest
+
 from bamboo.cli import main
 
 
@@ -258,6 +260,29 @@ def test_solve_rejects_huge_decimal_exponent(tmp_path, capsys):
         code, out, err = run(capsys, "solve", "-i", path)
         assert code == 2 and out == ""
         assert err.startswith("error:")
+
+
+def test_solve_rejects_results_too_long_to_print(tmp_path, capsys):
+    # each input parses within the digit limit; the results grow past it
+    big = 10**2200
+    for rates, mode in (
+        (["9" * 4000 + "e1000"], "max-rule"),
+        ([f"1/{big + 1}", f"1/{big + 3}"], "sum"),
+    ):
+        path = write_json(tmp_path, "inst.json", {"rates": rates})
+        code, out, err = run(capsys, "solve", "-i", path, "--lower-bound", mode)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_other_value_errors_still_raise(tmp_path, monkeypatch):
+    def boom(*args, **kwargs):
+        raise ValueError("boom")
+
+    monkeypatch.setattr("bamboo.scheduler.solve", boom)
+    path = write_json(tmp_path, "inst.json", WORKED)
+    with pytest.raises(ValueError, match="boom"):
+        main(["solve", "-i", path])
 
 
 def test_bench_rejects_bad_arguments(capsys):

@@ -7,8 +7,11 @@ and bounds, so any rewrite of the pipeline must reproduce them byte for
 byte. A second digest covers the same solves with `include_trace=True`,
 so it also pins the pipeline's internals: the B/C split, r, s, P, Q, the
 normalization case (the corpus reaches all five), B', C', y and the
-density. If a change to the output is intended, recompute the values with
-`golden_digest()` and say why in the change log.
+density. A third digest pins `bamboo verify` output: the canonical
+`evaluate(...).to_obj()` JSON of every corpus solve, as built and with one
+tampered copy. If a change to the output is intended, recompute the values
+with `golden_digest()` or `golden_verify_digest()` and say why in the change
+log.
 """
 
 import hashlib
@@ -17,9 +20,11 @@ import random
 from fractions import Fraction
 
 from bamboo.cli import solution_to_obj
-from bamboo.model import BgtInstance
-from bamboo.reduction import ReductionConfig
+from bamboo.model import BgtInstance, lower_bound
+from bamboo.reduction import ReductionConfig, bgt_to_pseudo
 from bamboo.scheduler import solve
+from bamboo.verifier import evaluate
+from helpers import tampered
 
 SIZES = (1, 2, 3, 5, 8, 50, 200)
 RATE_MAXES = (100, 10**6)
@@ -28,6 +33,7 @@ CONFIGS = (ReductionConfig(Fraction(12, 7), "max-rule"), ReductionConfig(Fractio
 
 GOLDEN_SHA256 = "33b9836ee0dadd858987a67a132504b0dec2fee022715022614e5249f19a3c04"
 GOLDEN_TRACE_SHA256 = "1f80f64eb1efb0d4c61818775cab6cbb0e42283a27c9670817f7e7b5544db09b"
+GOLDEN_VERIFY_SHA256 = "e6431d13602cdcc659c457352de9faefc56452d71b53193670a97aa6a030bf2d"
 
 
 def corpus():
@@ -48,9 +54,31 @@ def golden_digest(include_trace: bool = False) -> str:
     return h.hexdigest()
 
 
+def golden_verify_digest() -> str:
+    """Digest of the `bamboo verify` JSON for every corpus solve, evaluated
+    with the CLI's arguments (pseudo-instance, lower bound, default horizon)."""
+    h = hashlib.sha256()
+    for instance in corpus():
+        for config in CONFIGS:
+            schedule = solve(instance, config).schedule
+            for s in (schedule, tampered(schedule)):
+                report = evaluate(
+                    instance,
+                    s,
+                    pseudo=bgt_to_pseudo(instance, config),
+                    lower_bound_value=lower_bound(instance, config.lb_mode),
+                )
+                h.update((json.dumps(report.to_obj(), indent=2) + "\n").encode("utf-8"))
+    return h.hexdigest()
+
+
 def test_solve_output_matches_golden_digest():
     assert golden_digest() == GOLDEN_SHA256
 
 
 def test_solve_trace_matches_golden_digest():
     assert golden_digest(include_trace=True) == GOLDEN_TRACE_SHA256
+
+
+def test_verify_output_matches_golden_digest():
+    assert golden_verify_digest() == GOLDEN_VERIFY_SHA256

@@ -2,14 +2,17 @@
 
 The gcd/CRT collision test is the part most worth distrusting, so it gets a
 brute-force shadow: enumerate days over a couple of hyperperiods and compare.
+The grouped collision check and the calendar simulation must also report
+exactly what the all-pairs and sorted-event references in `helpers` report.
 """
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bamboo.model import (
     BgtInstance,
@@ -29,6 +32,7 @@ from bamboo.verifier import (
     max_heights,
     simulate,
 )
+from helpers import random_instance, reference_check_collisions, reference_simulate, tampered
 
 
 def sched(*triples):
@@ -139,6 +143,22 @@ def test_simulate_flags_double_booking():
     assert rep.double_booked_days == (3, 7)
 
 
+def test_simulate_memory_is_one_byte_per_day():
+    # 64 jobs share cycle 64 at offsets 1..64: no collisions, about 10**6
+    # cuts, and a calendar of 10**6 + 1 bytes
+    s = PeriodicSchedule(tuple(ScheduleEntry(j, j + 1, 64) for j in range(64)))
+    inst = BgtInstance.from_values([1] * 64)
+    tracemalloc.start()
+    try:
+        rep = simulate(s, inst, 10**6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert rep.double_booked_days == ()
+    assert rep.max_height == 64
+
+
 def test_simulate_rejects_huge_horizons():
     with pytest.raises(HorizonOverflow):
         simulate(sched((0, 1, 1)), BgtInstance.from_values([1]), 10**7)
@@ -159,6 +179,88 @@ def test_simulation_equals_analytic_on_solved_instances(seed):
     rep = simulate(s, inst, horizon)
     assert rep.max_height == max(max_heights(s, inst))
     assert rep.max_height == sol.height_bound
+
+
+# ------------------------------------------------- equality with references
+
+# fractional rates from a small pool, so ties between bamboos are common
+RATES = st.sampled_from([Fraction(3), Fraction(2), Fraction(3, 2), Fraction(1), Fraction(2, 3), Fraction(1, 2)])
+
+
+@st.composite
+def small_schedules(draw, max_jobs=6, max_offset=15, max_cycle=8):
+    """(instance, schedule, horizon) with some jobs left out, offsets past
+    their cycle and past the horizon, and horizons down to 1."""
+    n = draw(st.integers(min_value=1, max_value=max_jobs))
+    rates = sorted(draw(st.lists(RATES, min_size=n, max_size=n)), reverse=True)
+    jobs = draw(st.lists(st.integers(min_value=0, max_value=n - 1), min_size=1, max_size=n, unique=True))
+    entries = tuple(
+        ScheduleEntry(
+            j,
+            draw(st.integers(min_value=1, max_value=max_offset)),
+            draw(st.integers(min_value=1, max_value=max_cycle)),
+        )
+        for j in jobs
+    )
+    horizon = draw(st.integers(min_value=1, max_value=30))
+    return BgtInstance(tuple(rates)), PeriodicSchedule(entries), horizon
+
+
+# days 6 and 12 are cut three times
+TRIPLE = (BgtInstance.from_values([1, 1, 1]), sched((0, 2, 2), (1, 3, 3), (2, 6, 6)), 12)
+
+
+@given(small_schedules())
+@example(TRIPLE)
+@example((BgtInstance.from_values([1]), sched((0, 1, 1)), 1))
+@example((BgtInstance.from_values([1, 1]), sched(), 3))  # no job in the schedule
+@example((BgtInstance.from_values([1, 1]), sched((0, 3, 3), (1, 3, 3)), 3))  # a double-booked day ties
+@example((BgtInstance.from_values([1, 1]), sched((0, 6, 6)), 6))  # a cut ties the missing job's tail
+@example((BgtInstance.from_values([1, 1, 1]), sched((0, 1, 7)), 5))  # two tails tie
+@example((BgtInstance.from_values([2, 1, 1]), sched((0, 2, 2), (1, 4, 8), (2, 8, 4)), 20))  # cuts tie
+@example((BgtInstance.from_values(["1/2", "1/2"]), sched((1, 5, 2)), 1))
+@settings(max_examples=600, deadline=None)
+def test_simulate_equals_reference(case):
+    instance, schedule, horizon = case
+    assert simulate(schedule, instance, horizon) == reference_simulate(schedule, instance, horizon)
+
+
+@given(small_schedules(max_jobs=30, max_offset=40, max_cycle=24))
+@example(TRIPLE)
+@settings(max_examples=400, deadline=None)
+def test_check_collisions_equals_reference(case):
+    _, schedule, _ = case
+    assert check_collisions(schedule) == reference_check_collisions(schedule)
+
+
+def test_triple_cut_day_is_reported_once():
+    instance, schedule, horizon = TRIPLE
+    rep = simulate(schedule, instance, horizon)
+    assert rep.double_booked_days == (6, 12)
+    assert len(check_collisions(schedule).collisions) == 3
+
+
+def test_simulate_rejects_what_the_reference_rejects():
+    inst = BgtInstance.from_values([1, 1])
+    for schedule, horizon in ((sched((0, 1, 1)), 0), (sched((0, 1, 1)), 10**6 + 1), (sched((0, 1, 1), (2, 1, 3)), 5)):
+        with pytest.raises(ValueError) as new:
+            simulate(schedule, inst, horizon)
+        with pytest.raises(ValueError) as ref:
+            reference_simulate(schedule, inst, horizon)
+        assert type(new.value) is type(ref.value) and str(new.value) == str(ref.value)
+
+
+@given(st.integers(min_value=0, max_value=10**9))
+@settings(max_examples=25, deadline=None)
+def test_solver_schedules_equal_reference(seed):
+    rng = random.Random(seed)
+    inst = random_instance(rng, n_lo=2, n_hi=200, rate_hi=rng.choice([100, 10**6]))
+    schedule = solve(inst).schedule
+    horizon = min(20_000, max(e.offset + e.cycle for e in schedule.entries))
+    for s in (schedule, tampered(schedule)):
+        assert check_collisions(s) == reference_check_collisions(s)
+        assert simulate(s, inst, horizon) == reference_simulate(s, inst, horizon)
+    assert not check_collisions(tampered(schedule)).ok
 
 
 # ---------------------------------------------------------------- evaluate
