@@ -19,11 +19,23 @@ from .scheduler import NotAChain, Overdense
 from .verifier import HorizonOverflow
 
 
+def _over_digit_limit(exc: ValueError) -> bool:
+    # int() and str() raise this past sys.get_int_max_str_digits() digits
+    return "integer string conversion" in str(exc)
+
+
 def _read_json(path: str) -> object:
-    if path == "-":
-        return json.load(sys.stdin)
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        if path == "-":
+            return json.load(sys.stdin)
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except ValueError as exc:
+        if not _over_digit_limit(exc):
+            raise
+        source = "stdin" if path == "-" else path
+        limit = sys.get_int_max_str_digits()
+        raise InvalidInstance(f"{source} holds an integer of more than {limit} digits") from exc
 
 
 def _emit(obj: object) -> None:
@@ -76,6 +88,8 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    if args.input == "-" and args.schedule == "-":
+        raise InvalidInstance("--input and --schedule are both stdin; only one of them can read it")
     instance = model.instance_from_obj(_read_json(args.input))
     schedule = model.schedule_from_obj(_read_json(args.schedule))
     config = _config(args)
@@ -292,10 +306,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"internal error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
-        # str() of an int past sys.get_int_max_str_digits() raises a plain
-        # ValueError; exact arithmetic can grow a result that far from input
-        # that parsed within the limit
-        if "integer string conversion" not in str(exc):
+        # exact arithmetic can grow a result past the digit limit from input
+        # that parsed within it
+        if not _over_digit_limit(exc):
             raise
         limit = sys.get_int_max_str_digits()
         print(f"error: a result has more than {limit} digits and cannot be printed", file=sys.stderr)

@@ -266,8 +266,6 @@ class CertificateReport:
     case: str
     r_pre: int
     s_pre: int
-    r_post: int
-    s_post: int
     density: Fraction
     checked: bool
 
@@ -277,16 +275,13 @@ class CertificateReport:
 
 
 def certificate(norm: NormalizedState, original_density: Fraction) -> CertificateReport:
-    """Report normalize's y with the chunk counts of B'/C', and, when the
-    original density is within the 7/12 budget, assert everything theory
-    promises: y <= 1, and (r, s) inside the reachable set for the case that
-    fired. Any failure there raises CertificateViolation rather than
-    returning.
+    """Report normalize's y with the pre-normalization chunk counts, and,
+    when the original density is within the 7/12 budget, assert everything
+    theory promises: y <= 1, and (r, s) inside the reachable set for the
+    case that fired. Any failure there raises CertificateViolation rather
+    than returning.
     """
     original_density = Fraction(original_density)
-    wb, tb = _grid_weight(norm.bp)
-    wc, tc = _grid_weight(norm.cp)
-    r_post, s_post = 2 * wb // tb, 3 * wc // tc
     checked = original_density <= SEVEN_TWELFTHS
     if checked:
         if norm.y > 1:
@@ -306,8 +301,6 @@ def certificate(norm: NormalizedState, original_density: Fraction) -> Certificat
         case=norm.case,
         r_pre=norm.r,
         s_pre=norm.s,
-        r_post=r_post,
-        s_post=s_post,
         density=original_density,
         checked=checked,
     )

@@ -7,9 +7,10 @@ first, the jobs cut into at most p_min consecutive bins of density 1/p_min,
 each exactly full except the last. Bin j takes the days congruent to j mod
 p_min, and its own jobs are cut the same way within those days.
 
-Rounded two-grid states are combined by parity: the B' chain (after
-halving) runs on odd days, the C' chain on even days. The certificate
-y <= 1 guarantees both sides fit their half of the calendar.
+Rounded two-grid states are combined by parity: the same pass places the
+B' chain on the odd days and the C' chain on the even days, each job at
+its own period. The certificate y <= 1 guarantees both sides fit their
+half of the calendar.
 """
 
 from __future__ import annotations
@@ -17,13 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import (
-    BgtInstance,
-    JobPeriod,
-    PeriodicSchedule,
-    ScheduleEntry,
-    lower_bound,
-)
+from .model import BgtInstance, JobPeriod, PeriodicSchedule, ScheduleEntry
 from .reduction import ReductionConfig, bgt_to_pseudo
 from .rounding import (
     CertificateViolation,
@@ -105,16 +100,13 @@ def partition_bins(chain: ChainInstance) -> tuple[tuple[JobPeriod, ...], ...]:
     return bins
 
 
-def schedule_chain(chain: ChainInstance) -> PeriodicSchedule:
-    """Collision-free schedule with cycle == period for every chain job.
-
-    One pass over a stack of (jobs, offset, step) frames: a frame owns the
-    days congruent to offset mod step, and bin j of its jobs takes the days
-    offset + j * step mod the period of the frame's first job. A job alone
-    in its bin owns those days outright.
-    """
-    p_min = chain.jobs[0].period if chain.jobs else 1
-    frames = [(b, 1 + j, p_min) for j, b in enumerate(partition_bins(chain))]
+def _place(chain: ChainInstance, first: int, spacing: int) -> list[ScheduleEntry]:
+    # One pass over a stack of (jobs, offset, step) frames: a frame owns the
+    # days congruent to offset mod step, and bin j of its jobs takes the days
+    # offset + j * step mod the period of the frame's first job. Top-level
+    # bin j starts on day first + j * spacing and repeats every p_min days.
+    # A job alone in its bin owns those days outright.
+    frames = [(b, first + j * spacing, chain.jobs[0].period) for j, b in enumerate(partition_bins(chain))]
     # entries are made once the pass is over: made inside it, they end up
     # scattered among the freed frames and pin part-empty memory arenas
     leaves: list[tuple[JobPeriod, int]] = []
@@ -125,21 +117,26 @@ def schedule_chain(chain: ChainInstance) -> PeriodicSchedule:
             leaves.append((jobs[0], offset))
         else:
             frames.extend((b, offset + j * step, jobs[0].period) for j, b in enumerate(_cut(jobs)))
-    return PeriodicSchedule(tuple(ScheduleEntry(jp.job, offset, jp.period) for jp, offset in leaves))
+    return [ScheduleEntry(jp.job, offset, jp.period) for jp, offset in leaves]
+
+
+def schedule_chain(chain: ChainInstance) -> PeriodicSchedule:
+    """Collision-free schedule with cycle == period for every chain job."""
+    return PeriodicSchedule(tuple(_place(chain, 1, 1)))
 
 
 def interleave(norm: NormalizedState) -> PeriodicSchedule:
     """Schedule B' on odd days and C' on even days.
 
-    When either side is empty the other side's chain gets the whole
-    calendar. A lone period-3 job in C' (the only way a 3 survives the
-    density budget) is pinned to every even day.
+    Each side runs the chain pass at its own periods, B' from day 1 and C'
+    from day 2, its top-level bins every other day. When either side is
+    empty the other side's chain gets the whole calendar. A lone period-3
+    job in C' (the only way a 3 survives the density budget) is pinned to
+    every even day.
     """
     if norm.y > 1:
         raise CertificateViolation(f"certificate y = {norm.y} exceeds 1; interleave has no calendar for this")
     bp, cp = norm.bp, norm.cp
-    if not bp and not cp:
-        return PeriodicSchedule(())
     if not cp:
         return schedule_chain(ChainInstance(bp))
     if not bp:
@@ -148,17 +145,12 @@ def interleave(norm: NormalizedState) -> PeriodicSchedule:
         raise CertificateViolation(
             f"mixed state too dense to interleave: rho(B') = {norm.rho_bp}, rho(C') = {norm.rho_cp}"
         )
-    entries: list[ScheduleEntry] = []
-    halved_b = ChainInstance(tuple(JobPeriod(jp.job, jp.period // 2) for jp in bp))
-    for e in schedule_chain(halved_b).entries:
-        entries.append(ScheduleEntry(e.job, 2 * e.offset - 1, 2 * e.cycle))
+    entries = _place(ChainInstance(bp), 1, 2)
     if any(jp.period == 3 for jp in cp):
         assert len(cp) == 1, "a period-3 job only fits the density budget alone"
         entries.append(ScheduleEntry(cp[0].job, 2, 2))
     else:
-        halved_c = ChainInstance(tuple(JobPeriod(jp.job, jp.period // 2) for jp in cp))
-        for e in schedule_chain(halved_c).entries:
-            entries.append(ScheduleEntry(e.job, 2 * e.offset, 2 * e.cycle))
+        entries += _place(ChainInstance(cp), 2, 2)
     return PeriodicSchedule(tuple(entries))
 
 
@@ -188,7 +180,8 @@ def solve(instance: BgtInstance, config: ReductionConfig | None = None) -> Solut
     every day).
     """
     config = config or ReductionConfig()
-    bound = lower_bound(instance, config.lb_mode)
+    pseudo = bgt_to_pseudo(instance, config)
+    bound = pseudo.lower_bound
 
     if instance.n == 1:
         schedule = PeriodicSchedule((ScheduleEntry(0, 1, 1),))
@@ -196,7 +189,6 @@ def solve(instance: BgtInstance, config: ReductionConfig | None = None) -> Solut
         guarantee = bound
     else:
         guarantee = config.factor * bound
-        pseudo = bgt_to_pseudo(instance, config)
         rho = pseudo.density
         trace = {
             "lower_bound": str(bound),

@@ -10,7 +10,9 @@ import random
 from fractions import Fraction
 
 from bamboo import BgtInstance, PseudoInstance
-from bamboo.model import InvalidInstance, PeriodicSchedule, ScheduleEntry
+from bamboo.model import InvalidInstance, JobPeriod, PeriodicSchedule, ScheduleEntry
+from bamboo.rounding import CertificateViolation, NormalizedState
+from bamboo.scheduler import ChainInstance, schedule_chain
 from bamboo.verifier import (
     DEFAULT_HORIZON_CAP,
     Collision,
@@ -149,3 +151,38 @@ def reference_simulate(
         double_booked_days=tuple(doubled),
         horizon=horizon,
     )
+
+
+# ------------------------------------------------ interleave reference
+#
+# The first interleave, kept as it was: halve both sides, schedule each
+# halved chain on its own calendar, then map day o to 2o - 1 (B') or 2o
+# (C') and double every cycle. interleave must build exactly this.
+
+
+def reference_interleave(norm: NormalizedState) -> PeriodicSchedule:
+    if norm.y > 1:
+        raise CertificateViolation(f"certificate y = {norm.y} exceeds 1; interleave has no calendar for this")
+    bp, cp = norm.bp, norm.cp
+    if not bp and not cp:
+        return PeriodicSchedule(())
+    if not cp:
+        return schedule_chain(ChainInstance(bp))
+    if not bp:
+        return schedule_chain(ChainInstance(cp))
+    if norm.rho_bp > Fraction(1, 2) or norm.rho_cp > Fraction(1, 3):
+        raise CertificateViolation(
+            f"mixed state too dense to interleave: rho(B') = {norm.rho_bp}, rho(C') = {norm.rho_cp}"
+        )
+    entries: list[ScheduleEntry] = []
+    halved_b = ChainInstance(tuple(JobPeriod(jp.job, jp.period // 2) for jp in bp))
+    for e in schedule_chain(halved_b).entries:
+        entries.append(ScheduleEntry(e.job, 2 * e.offset - 1, 2 * e.cycle))
+    if any(jp.period == 3 for jp in cp):
+        assert len(cp) == 1, "a period-3 job only fits the density budget alone"
+        entries.append(ScheduleEntry(cp[0].job, 2, 2))
+    else:
+        halved_c = ChainInstance(tuple(JobPeriod(jp.job, jp.period // 2) for jp in cp))
+        for e in schedule_chain(halved_c).entries:
+            entries.append(ScheduleEntry(e.job, 2 * e.offset, 2 * e.cycle))
+    return PeriodicSchedule(tuple(entries))

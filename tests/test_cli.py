@@ -131,6 +131,14 @@ def test_verify_flags_tampered_schedule(tmp_path, capsys):
     assert report["double_booked_days"][:1] == [2]
 
 
+def test_verify_refuses_two_inputs_on_stdin(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(WORKED)))
+    code, out, err = run(capsys, "verify", "--schedule", "-")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "stdin" in err
+
+
 def test_verify_horizon_cap(tmp_path, capsys):
     inst = write_json(tmp_path, "inst.json", WORKED)
     _, out, _ = run(capsys, "solve", "-i", inst)
@@ -273,6 +281,24 @@ def test_solve_rejects_results_too_long_to_print(tmp_path, capsys):
         code, out, err = run(capsys, "solve", "-i", path, "--lower-bound", mode)
         assert code == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_input_integer_over_digit_limit_names_the_input(tmp_path, capsys):
+    digits = "9" * 5000
+    inst = write_json(tmp_path, "inst.json", WORKED)
+    garden = tmp_path / "garden.json"
+    garden.write_text('{"rates": [%s]}' % digits, encoding="utf-8")
+    sched = tmp_path / "sched.json"
+    sched.write_text('[{"job": 0, "offset": 1, "cycle": %s}]' % digits, encoding="utf-8")
+    for argv, named in (
+        (["solve", "-i", str(garden)], garden),
+        (["verify", "-i", str(garden), "--schedule", inst], garden),
+        (["verify", "-i", inst, "--schedule", str(sched)], sched),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error:") and err.count("\n") == 1, argv
+        assert str(named) in err and "printed" not in err, argv
 
 
 def test_other_value_errors_still_raise(tmp_path, monkeypatch):

@@ -1,5 +1,6 @@
 """Divides-chain scheduling, the odd/even interleave, and the full solver."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from bamboo.model import BgtInstance, JobPeriod, PseudoInstance
 from bamboo.reduction import ReductionConfig, bgt_to_pseudo
-from bamboo.rounding import decompose, normalize, split_23
+from bamboo.rounding import NormalizedState, certificate_value, decompose, normalize, split_23
 from bamboo.scheduler import (
     ChainInstance,
     NotAChain,
@@ -19,7 +20,7 @@ from bamboo.scheduler import (
     solve,
 )
 from bamboo.verifier import evaluate
-from helpers import random_instance
+from helpers import random_instance, reference_interleave
 
 
 def chain(*periods):
@@ -151,10 +152,35 @@ def test_interleave_single_side_runs_direct_chain():
 def test_interleave_case_d_witness():
     s = interleave(norm_of([4, 8, 16, 32, 12]))
     assert entry_triples(s) == [(0, 1, 4), (1, 3, 8), (2, 7, 16), (3, 15, 32), (4, 2, 12)]
-    # odd days carry the doubled power-of-two chain, even days the 12
+    # odd days carry the power-of-two chain, even days the 12
     letters = day_letters(s, 16)
     assert letters[0::2] == "ABACABAD"  # days 1,3,5,...,15
     assert letters[1] == "E"  # day 2
+
+
+
+def _outcome(build, norm):
+    try:
+        return entry_triples(build(norm))
+    except Exception as exc:  # compared by type and message below
+        return type(exc), str(exc)
+
+
+def test_interleave_matches_reference_on_every_small_state():
+    # every B' multiset over {2..32} and C' multiset over {3..48}, five jobs
+    # at most: 3003 states, dense ones included, so both the schedules and
+    # the refusals must agree with the halve-and-double reference
+    grid = [2, 4, 8, 16, 32, 3, 6, 12, 24, 48]
+    states = 0
+    for size in range(6):
+        for periods in itertools.combinations_with_replacement(grid, size):
+            jobs = [JobPeriod(i, p) for i, p in enumerate(periods)]
+            bp = tuple(jp for jp in jobs if jp.period % 3)
+            cp = tuple(jp for jp in jobs if jp.period % 3 == 0)
+            norm = NormalizedState(bp=bp, cp=cp, case="none", y=certificate_value(bp, cp), r=0, s=0)
+            assert _outcome(interleave, norm) == _outcome(reference_interleave, norm), periods
+            states += 1
+    assert states == 3003
 
 
 # ---------------------------------------------------------------- full solver
