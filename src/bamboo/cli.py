@@ -11,7 +11,7 @@ import sys
 from fractions import Fraction
 
 from . import model, oracle, reduction, scheduler, verifier
-from .model import InvalidInstance, parse_rational
+from .model import InvalidInstance, JobPeriod, parse_rational
 from .oracle import StateSpaceTooLarge
 from .reduction import PeriodBelowTwo, ReductionConfig
 from .rounding import CertificateViolation, UnroundablePeriod
@@ -59,6 +59,39 @@ def _config(args: argparse.Namespace) -> ReductionConfig:
     return ReductionConfig(factor=parse_rational(args.factor), lb_mode=args.lower_bound)
 
 
+def _jp_list(items: tuple[JobPeriod, ...]) -> list[dict]:
+    return [{"job": jp.job, "period": jp.period} for jp in items]
+
+
+def trace_to_obj(sol: scheduler.Solution) -> dict:
+    """The `--explain` trace, rendered from the stage values `solve` kept."""
+    head = {"lower_bound": str(sol.lower_bound), "factor": str(sol.config.factor)}
+    if sol.pseudo.n == 1:
+        return {"path": "single-bamboo", **head}
+    head["pseudo_periods"] = [str(p) for p in sol.pseudo.periods]
+    head["density"] = str(sol.density)
+    if sol.rounded is not None:
+        return {**head, "path": "power-of-two", "rounded": _jp_list(sol.rounded)}
+    split, dec, norm = sol.split, sol.decomposition, sol.normalized
+    return {
+        **head,
+        "path": "two-three",
+        "a2_jobs": sorted(jp.job for jp in split.b),
+        "a3_jobs": sorted(jp.job for jp in split.c),
+        "b": _jp_list(split.b),
+        "c": _jp_list(split.c),
+        "r": dec.r,
+        "s": dec.s,
+        "p": _jp_list(dec.p),
+        "q": _jp_list(dec.q),
+        "case": norm.case,
+        "b_prime": _jp_list(norm.bp),
+        "c_prime": _jp_list(norm.cp),
+        "y": str(norm.y),
+        "certificate_checked": sol.certified,
+    }
+
+
 def solution_to_obj(sol: scheduler.Solution, include_trace: bool = False) -> dict:
     obj = {
         "lower_bound": str(sol.lower_bound),
@@ -69,7 +102,7 @@ def solution_to_obj(sol: scheduler.Solution, include_trace: bool = False) -> dic
         "entries": model.entries_to_obj(sol.schedule),
     }
     if include_trace:
-        obj["trace"] = sol.trace
+        obj["trace"] = trace_to_obj(sol)
     return obj
 
 
@@ -77,13 +110,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     instance = model.instance_from_obj(_read_json(args.input))
     sol = scheduler.solve(instance, _config(args))
     _emit(solution_to_obj(sol, include_trace=args.explain))
-    return 0
-
-
-def _cmd_explain(args: argparse.Namespace) -> int:
-    instance = model.instance_from_obj(_read_json(args.input))
-    sol = scheduler.solve(instance, _config(args))
-    _emit(sol.trace)
     return 0
 
 
@@ -98,7 +124,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         instance,
         schedule,
         pseudo=pseudo,
-        lower_bound_value=model.lower_bound(instance, config.lb_mode),
+        lower_bound_value=pseudo.lower_bound,
         horizon=args.horizon,
     )
     _emit(report.to_obj())
@@ -237,11 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p_solve)
     p_solve.add_argument("--explain", action="store_true", help="include the pipeline trace")
     p_solve.set_defaults(func=_cmd_solve)
-
-    p_explain = sub.add_parser("explain", help="print only the pipeline trace for an instance")
-    p_explain.add_argument("--input", "-i", default="-")
-    _add_config_flags(p_explain)
-    p_explain.set_defaults(func=_cmd_explain)
 
     p_verify = sub.add_parser("verify", help="check a schedule against an instance")
     p_verify.add_argument("--input", "-i", default="-", help="instance JSON path, or - for stdin")

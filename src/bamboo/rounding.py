@@ -260,26 +260,13 @@ def normalize(dec: Decomposition, state: SpecializedState) -> NormalizedState:
     return NormalizedState(bp=bp, cp=cp, case=case, y=certificate_value(bp, cp), r=dec.r, s=dec.s)
 
 
-@dataclass(frozen=True)
-class CertificateReport:
-    y: Fraction
-    case: str
-    r_pre: int
-    s_pre: int
-    density: Fraction
-    checked: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.y <= 1
-
-
-def certificate(norm: NormalizedState, original_density: Fraction) -> CertificateReport:
-    """Report normalize's y with the pre-normalization chunk counts, and,
-    when the original density is within the 7/12 budget, assert everything
-    theory promises: y <= 1, and (r, s) inside the reachable set for the
-    case that fired. Any failure there raises CertificateViolation rather
-    than returning.
+def certificate(norm: NormalizedState, original_density: Fraction) -> bool:
+    """Check normalize's y and pre-normalization chunk counts (`norm.y`,
+    `norm.r`, `norm.s`) against what theory promises once the original
+    density is within the 7/12 budget: y <= 1, and (r, s) inside the
+    reachable set for the case that fired. Any failure there raises
+    CertificateViolation rather than returning. Returns whether the checks
+    ran, i.e. whether the density was within budget.
     """
     original_density = Fraction(original_density)
     checked = original_density <= SEVEN_TWELFTHS
@@ -296,11 +283,4 @@ def certificate(norm: NormalizedState, original_density: Fraction) -> Certificat
             raise CertificateViolation(
                 f"(r, s) = ({norm.r}, {norm.s}) is unreachable in case {norm.case!r}"
             )
-    return CertificateReport(
-        y=norm.y,
-        case=norm.case,
-        r_pre=norm.r,
-        s_pre=norm.s,
-        density=original_density,
-        checked=checked,
-    )
+    return checked

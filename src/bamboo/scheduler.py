@@ -11,6 +11,9 @@ Rounded two-grid states are combined by parity: the same pass places the
 B' chain on the odd days and the C' chain on the even days, each job at
 its own period. The certificate y <= 1 guarantees both sides fit their
 half of the calendar.
+
+`solve` keeps each stage's value as a typed field of its `Solution`; only
+the CLI renders them, for `--explain`.
 """
 
 from __future__ import annotations
@@ -18,11 +21,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import BgtInstance, JobPeriod, PeriodicSchedule, ScheduleEntry
+from .model import BgtInstance, JobPeriod, PeriodicSchedule, PseudoInstance, ScheduleEntry
 from .reduction import ReductionConfig, bgt_to_pseudo
 from .rounding import (
     CertificateViolation,
+    Decomposition,
     NormalizedState,
+    SpecializedState,
     certificate,
     decompose,
     normalize,
@@ -158,73 +163,54 @@ def interleave(norm: NormalizedState) -> PeriodicSchedule:
 class Solution:
     """A schedule plus its exact accounting: the lower bound L used, the
     analytic max height actually reached, and the promised ceiling
-    guarantee = factor * L (equal to L itself for a single bamboo)."""
+    guarantee = factor * L (equal to L itself for a single bamboo).
+
+    Stage values: `pseudo` and its `density` always; `rounded` on the
+    factor-2 path; `split`, `decomposition`, `normalized` and `certified`
+    (density <= 7/12, so the certificate checks ran) on the two-grid path.
+    Fields a path does not reach stay None or False."""
 
     schedule: PeriodicSchedule
     lower_bound: Fraction
     height_bound: Fraction
     guarantee: Fraction
     config: ReductionConfig
-    trace: dict
-
-
-def _jp_list(items: tuple[JobPeriod, ...]) -> list[dict]:
-    return [{"job": jp.job, "period": jp.period} for jp in items]
+    pseudo: PseudoInstance
+    density: Fraction
+    rounded: tuple[JobPeriod, ...] | None = None
+    split: SpecializedState | None = None
+    decomposition: Decomposition | None = None
+    normalized: NormalizedState | None = None
+    certified: bool = False
 
 
 def solve(instance: BgtInstance, config: ReductionConfig | None = None) -> Solution:
     """Full pipeline: reduce, round, normalize, certify, interleave.
 
     factor 2 skips the two-grid machinery and rounds everything onto
-    powers of two; a single bamboo skips the reduction entirely (cut it
+    powers of two; a single bamboo skips the rounding entirely (cut it
     every day).
     """
     config = config or ReductionConfig()
     pseudo = bgt_to_pseudo(instance, config)
     bound = pseudo.lower_bound
+    # p_i = factor * L / h_i, so sum(1 / p_i) = sum(h_i) / (factor * L) exactly
+    rho = instance.total_rate / (config.factor * bound)
+    guarantee = bound if instance.n == 1 else config.factor * bound
+    rounded = split = dec = norm = None
+    certified = False
 
     if instance.n == 1:
         schedule = PeriodicSchedule((ScheduleEntry(0, 1, 1),))
-        trace = {"path": "single-bamboo", "lower_bound": str(bound), "factor": str(config.factor)}
-        guarantee = bound
+    elif config.factor == 2:
+        rounded = specialize_instance(pseudo, 2)
+        schedule = schedule_chain(ChainInstance(rounded))
     else:
-        guarantee = config.factor * bound
-        rho = pseudo.density
-        trace = {
-            "lower_bound": str(bound),
-            "factor": str(config.factor),
-            "pseudo_periods": [str(p) for p in pseudo.periods],
-            "density": str(rho),
-        }
-        if config.factor == 2:
-            rounded = specialize_instance(pseudo, 2)
-            schedule = schedule_chain(ChainInstance(rounded))
-            trace["path"] = "power-of-two"
-            trace["rounded"] = _jp_list(rounded)
-        else:
-            state = split_23(pseudo)
-            dec = decompose(state)
-            norm = normalize(dec, state)
-            cert = certificate(norm, rho)
-            schedule = interleave(norm)
-            trace.update(
-                {
-                    "path": "two-three",
-                    "a2_jobs": sorted(jp.job for jp in state.b),
-                    "a3_jobs": sorted(jp.job for jp in state.c),
-                    "b": _jp_list(state.b),
-                    "c": _jp_list(state.c),
-                    "r": dec.r,
-                    "s": dec.s,
-                    "p": _jp_list(dec.p),
-                    "q": _jp_list(dec.q),
-                    "case": norm.case,
-                    "b_prime": _jp_list(norm.bp),
-                    "c_prime": _jp_list(norm.cp),
-                    "y": str(norm.y),
-                    "certificate_checked": cert.checked,
-                }
-            )
+        split = split_23(pseudo)
+        dec = decompose(split)
+        norm = normalize(dec, split)
+        certified = certificate(norm, rho)
+        schedule = interleave(norm)
 
     assert all(e.offset <= e.cycle for e in schedule.entries)
     height = max(max_heights(schedule, instance))
@@ -235,5 +221,11 @@ def solve(instance: BgtInstance, config: ReductionConfig | None = None) -> Solut
         height_bound=height,
         guarantee=guarantee,
         config=config,
-        trace=trace,
+        pseudo=pseudo,
+        density=rho,
+        rounded=rounded,
+        split=split,
+        decomposition=dec,
+        normalized=norm,
+        certified=certified,
     )

@@ -111,12 +111,12 @@ def test_criterion_4_certificate_at_exact_budget():
         ps = pseudo_with_density(Fraction(7, 12), rng.randint(2, 9), rng)
         state = split_23(ps)
         norm = normalize(decompose(state), state)
-        report = certificate(norm, ps.density)  # raises CertificateViolation on any breach
+        checked = certificate(norm, ps.density)  # raises CertificateViolation on any breach
         if not (
-            report.checked
-            and report.y <= 1
-            and (report.r_pre, report.s_pre) in GENERAL_RS
-            and (report.r_pre, report.s_pre) in CASE_RS[report.case]
+            checked
+            and norm.y <= 1
+            and (norm.r, norm.s) in GENERAL_RS
+            and (norm.r, norm.s) in CASE_RS[norm.case]
         ):
             failures += 1
     verdict(4, failures == 0, "500 pseudo-instances at density exactly 7/12")

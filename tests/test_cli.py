@@ -60,18 +60,11 @@ def test_solve_explain_flag_includes_trace(tmp_path, capsys):
     code, out, _ = run(capsys, "solve", "-i", path, "--explain")
     assert code == 0
     trace = json.loads(out)["trace"]
+    assert trace["path"] == "two-three"
+    assert trace["pseudo_periods"] == ["24/7", "32/7", "960/7"]
     assert trace["case"] == "b"
     assert trace["y"] == "5/6"
     assert trace["certificate_checked"] is True
-
-
-def test_explain_subcommand(tmp_path, capsys):
-    path = write_json(tmp_path, "inst.json", WORKED)
-    code, out, _ = run(capsys, "explain", "-i", path)
-    assert code == 0
-    trace = json.loads(out)
-    assert trace["path"] == "two-three"
-    assert trace["pseudo_periods"] == ["24/7", "32/7", "960/7"]
 
 
 def test_solve_reads_stdin(capsys, monkeypatch):

@@ -222,10 +222,9 @@ def test_normalize_case_none_when_no_leftover():
 def test_certificate_worked_example_passes():
     ps = PseudoInstance((Fraction(24, 7), Fraction(32, 7), Fraction(960, 7)))
     _, _, norm = run_pipeline(ps)
-    report = certificate(norm, ps.density)
-    assert report.checked and report.ok
-    assert report.y == Fraction(5, 6)
-    assert (report.r_pre, report.s_pre) == (0, 1)
+    assert certificate(norm, ps.density)
+    assert norm.y == Fraction(5, 6)
+    assert (norm.r, norm.s) == (0, 1)
 
 
 def test_certificate_empty_instance():
@@ -235,19 +234,17 @@ def test_certificate_empty_instance():
 def test_certificate_case_d_chunk_counts():
     state = split_state([4, 8, 16, 32], [12])
     norm = normalize(decompose(state), state)
-    report = certificate(norm, Fraction(53, 96))
-    assert report.checked and report.ok
-    assert (report.r_pre, report.s_pre) == (0, 0)
-    assert report.y == Fraction(5, 6)
+    assert certificate(norm, Fraction(53, 96))
+    assert (norm.r, norm.s) == (0, 0)
+    assert norm.y == Fraction(5, 6)
 
 
 def test_certificate_skips_assertions_above_budget():
     # density 1 > 7/12: y may exceed 1 and nothing should raise
     state = split_state([2, 4, 8, 8], [3])
     norm = normalize(decompose(state), state)
-    report = certificate(norm, Fraction(2))
-    assert not report.checked
-    assert report.y > 1 and not report.ok
+    assert not certificate(norm, Fraction(2))
+    assert norm.y > 1
 
 
 def test_certificate_violation_on_fabricated_state():
@@ -265,11 +262,10 @@ def test_certificate_theorem_on_exact_budget_splits(seed, parts):
     rng = random.Random(seed)
     ps = pseudo_with_density(Fraction(7, 12), parts, rng)
     state, dec, norm = run_pipeline(ps)
-    report = certificate(norm, ps.density)
-    assert report.checked
-    assert report.y <= 1
-    assert (report.r_pre, report.s_pre) in GENERAL_RS
-    assert (report.r_pre, report.s_pre) in CASE_RS[report.case]
+    assert certificate(norm, ps.density)
+    assert norm.y <= 1
+    assert (norm.r, norm.s) in GENERAL_RS
+    assert (norm.r, norm.s) in CASE_RS[norm.case]
 
 
 @given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=1, max_value=10))

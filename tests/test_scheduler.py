@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bamboo.model import BgtInstance, JobPeriod, PseudoInstance
 from bamboo.reduction import ReductionConfig, bgt_to_pseudo
@@ -192,23 +192,37 @@ def test_solve_worked_example():
     assert sol.guarantee == Fraction(96, 7)
     assert sol.height_bound == Fraction(64, 5)
     assert entry_triples(sol.schedule) == [(0, 2, 2), (1, 1, 4), (2, 3, 128)]
-    assert sol.trace["case"] == "b"
-    assert sol.trace["y"] == "5/6"
-    assert sol.trace["path"] == "two-three"
+    assert sol.normalized.case == "b"
+    assert sol.normalized.y == Fraction(5, 6)
+    assert sol.rounded is None and sol.certified
 
 
 def test_solve_single_bamboo():
     sol = solve(BgtInstance.from_values(["1"]))
     assert entry_triples(sol.schedule) == [(0, 1, 1)]
     assert sol.height_bound == 1 and sol.guarantee == 1
-    assert sol.trace["path"] == "single-bamboo"
+    assert sol.pseudo.n == 1
+    assert sol.rounded is None and sol.normalized is None
 
 
 def test_solve_factor_two_pipeline():
     sol = solve(BgtInstance.from_values([1, 1]), ReductionConfig(Fraction(2), "sum"))
     assert entry_triples(sol.schedule) == [(0, 1, 4), (1, 2, 4)]
     assert sol.height_bound == 4 == 2 * 2
-    assert sol.trace["path"] == "power-of-two"
+    assert sol.rounded == (JobPeriod(0, 4), JobPeriod(1, 4))
+    assert sol.normalized is None
+
+
+@given(st.lists(st.builds(Fraction, st.integers(1, 10**6), st.integers(1, 10**6)), min_size=1, max_size=8))
+@example([Fraction(1, 2), Fraction(2, 3), Fraction(4, 5), Fraction(1, 999_983), Fraction(3, 1_000_003)])
+@example([Fraction(7, 1_000_003)])
+@settings(max_examples=100, deadline=None)
+def test_solve_density_is_the_reduced_density(rates):
+    # solve takes the density in closed form, sum(h) / (factor * L); it must
+    # equal the sum of reciprocal periods of the reduction, in both configs
+    inst = BgtInstance(tuple(sorted(rates, reverse=True)))
+    for cfg in (ReductionConfig(), ReductionConfig(Fraction(2), "sum")):
+        assert solve(inst, cfg).density == bgt_to_pseudo(inst, cfg).density
 
 
 @given(st.integers(min_value=0, max_value=10**9))
