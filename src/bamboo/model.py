@@ -13,6 +13,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable
 
 
@@ -98,8 +99,10 @@ class BgtInstance:
     def max_rate(self) -> Fraction:
         return self.rates[0]
 
-    @property
+    @cached_property
     def total_rate(self) -> Fraction:
+        # summed once per instance: a solve reads it for the lower bound
+        # and again for the density
         return sum(self.rates, Fraction(0))
 
 

@@ -4,17 +4,32 @@
 must be scheduled again within d_i days, scheduling resets d_i to p_i, and
 everything else ticks down. The state graph is finite, so an infinite
 schedule exists iff the search finds a lasso (a path back to a state
-already on the stack); dead states are memoized and visited once. Jobs
-with identical periods are interchangeable, so states keep the deadlines
-of each equal-period block sorted, which collapses all permutations of
-twins into one state.
+already on the stack). Jobs with identical periods are interchangeable, so
+states list the jobs by period and keep the deadlines of each equal-period
+block sorted, which collapses all permutations of twins into one state.
+A child is built from the parent by slicing: every deadline drops by one
+and the job served moves to the end of its block with its full period,
+which keeps the block sorted.
 
-`bgt_opt` turns that decision procedure into the exact trimming optimum by
-scanning the finite grid of heights any schedule can peak at.
+A dead state (one with no infinite schedule) stays dead when any deadline
+shrinks, and on sorted blocks that comparison is componentwise. The search
+keeps a dominance index: for each prefix (every coordinate but the last,
+which holds the largest period) the highest last deadline of a dead state,
+and it skips every child at or below that. States on the stack lie on no
+dead subtree, so the search follows the same path to the same lasso as a
+plain dead-state memo would, visiting fewer dead states on the way.
+
+`bgt_opt` turns that decision procedure into the exact trimming optimum.
+It scales the garden to integers and searches the finite grid of heights
+any schedule can peak at by bisection, since feasibility is monotone
+along the grid.
 """
 
 from __future__ import annotations
 
+import bisect
+import heapq
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -47,86 +62,88 @@ def pinwheel_feasible(periods: Sequence[int], cap: int = DEFAULT_STATE_CAP) -> P
         ps.append(p)
     if not ps:
         raise InvalidInstance("need at least one job")
-    if density(ps) > 1:
-        return PinwheelResult(False, None)
-    space = 1
-    for p in ps:
-        space *= p + 1
-        if space > cap:
-            raise StateSpaceTooLarge(
-                f"state space of {'x'.join(str(q + 1) for q in ps)} exceeds the cap of {cap}"
-            )
-
-    # canonical arrangement: positions sorted by period; the slice holding
-    # each equal-period block keeps its deadlines sorted
-    order = sorted(range(len(ps)), key=lambda i: (ps[i], i))
-    cps = tuple(ps[i] for i in order)
-    blocks: list[tuple[int, int]] = []
-    lo = 0
-    for i in range(1, len(cps) + 1):
-        if i == len(cps) or cps[i] != cps[lo]:
-            blocks.append((lo, i))
-            lo = i
-
-    def canon(state: tuple[int, ...]) -> tuple[int, ...]:
-        out = list(state)
-        for a, b in blocks:
-            if b - a > 1:
-                out[a:b] = sorted(out[a:b])
-        return tuple(out)
-
-    def successors(state: tuple[int, ...]) -> list[tuple[tuple[int, int], tuple[int, ...]]]:
-        urgent = [i for i, d in enumerate(state) if d == 1]
-        if len(urgent) > 1:
-            return []  # two jobs due today, only one slot
-        if urgent:
-            picks = urgent
-        else:
-            picks = []
-            seen = set()
-            for i, d in enumerate(state):
-                key = (cps[i], d)
-                if key not in seen:
-                    seen.add(key)
-                    picks.append(i)
-            picks.sort(key=lambda i: (state[i], cps[i]))  # most urgent first
-        out = []
-        for i in picks:
-            nxt = [d - 1 for d in state]
-            nxt[i] = cps[i]
-            out.append(((cps[i], state[i]), canon(tuple(nxt))))
-        return out
-
-    start = canon(cps)
-    dead: set[tuple[int, ...]] = set()
-    on_path: dict[tuple[int, ...], int] = {start: 0}
-    frames: list[list] = [[start, successors(start), 0]]
-    chosen: list[tuple[int, int]] = []  # move taken out of each stacked state
-    lasso: tuple[list, list] | None = None
-    while frames:
-        state, succ, idx = frames[-1]
-        if idx >= len(succ):
-            frames.pop()
-            dead.add(state)
-            del on_path[state]
-            if chosen:
-                chosen.pop()
-            continue
-        frames[-1][2] += 1
-        move, child = succ[idx]
-        if child in dead:
-            continue
-        if child in on_path:
-            depth = on_path[child]
-            lasso = (chosen[:depth], chosen[depth:] + [move])
-            break
-        on_path[child] = len(frames)
-        chosen.append(move)
-        frames.append([child, successors(child), 0])
+    lasso = _lasso(ps, cap)
     if lasso is None:
         return PinwheelResult(False, None)
     stem, cycle = lasso
     return PinwheelResult(True, _replay_witness(ps, stem, cycle))
+
+
+def _overdense(ps: Sequence[int]) -> bool:
+    top = math.lcm(*ps)
+    return sum(top // p for p in ps) > top
+
+
+def _too_large(ps: Sequence[int], cap: int) -> StateSpaceTooLarge | None:
+    """The refusal of a search over `ps`, or None when its deadline-vector
+    space fits under `cap`."""
+    space = 1
+    for p in ps:
+        space *= p + 1
+        if space > cap:
+            return StateSpaceTooLarge(f"state space of {'x'.join(str(q + 1) for q in ps)} exceeds the cap of {cap}")
+    return None
+
+
+def _lasso(ps: Sequence[int], cap: int) -> tuple[list[tuple[int, int]], list[tuple[int, int]]] | None:
+    """The moves of a schedule's stem and of its repeating cycle, each the
+    (period, deadline) of the job served that day, or None when no infinite
+    schedule exists. `ps` holds positive integers."""
+    if _overdense(ps):
+        return None
+    refusal = _too_large(ps, cap)
+    if refusal is not None:
+        raise refusal
+
+    cps = tuple(sorted(ps))
+    n = len(cps)
+    # end[i]: one past the last position of i's equal-period block
+    end = [n] * n
+    for i in range(n - 2, -1, -1):
+        end[i] = end[i + 1] if cps[i] == cps[i + 1] else i + 1
+    starts = [i == 0 or cps[i] != cps[i - 1] for i in range(n)]
+
+    def successors(state: tuple[int, ...]) -> list[tuple[tuple[int, int], tuple[int, ...]]]:
+        urgent = state.count(1)
+        if urgent > 1:
+            return []  # two jobs due today, only one slot
+        if urgent:
+            picks = [state.index(1)]
+        else:
+            # one job per distinct (period, deadline), most urgent first
+            picks = [i for i in range(n) if starts[i] or state[i] != state[i - 1]]
+            picks.sort(key=lambda i: (state[i], cps[i]))
+        dec = tuple(d - 1 for d in state)
+        return [((cps[i], state[i]), dec[:i] + dec[i + 1 : end[i]] + (cps[i],) + dec[end[i] :]) for i in picks]
+
+    # reach[prefix]: the highest last deadline of a dead state with that prefix
+    reach: dict[tuple[int, ...], int] = {}
+    on_path: dict[tuple[int, ...], int] = {cps: 0}
+    frames: list[list] = [[cps, successors(cps), 0]]
+    chosen: list[tuple[int, int]] = []  # move taken out of each stacked state
+    while frames:
+        frame = frames[-1]
+        state, succ, idx = frame
+        if idx >= len(succ):
+            frames.pop()
+            prefix = state[:-1]
+            if state[-1] > reach.get(prefix, 0):
+                reach[prefix] = state[-1]
+            del on_path[state]
+            if chosen:
+                chosen.pop()
+            continue
+        frame[2] = idx + 1
+        move, child = succ[idx]
+        if child[-1] <= reach.get(child[:-1], 0):
+            continue
+        if child in on_path:
+            depth = on_path[child]
+            return chosen[:depth], chosen[depth:] + [move]
+        on_path[child] = len(frames)
+        chosen.append(move)
+        frames.append([child, successors(child), 0])
+    return None
 
 
 def _replay_witness(ps: list[int], stem: list[tuple[int, int]], cycle: list[tuple[int, int]]) -> tuple[int, ...]:
@@ -165,6 +182,18 @@ def _replay_witness(ps: list[int], stem: list[tuple[int, int]], cycle: list[tupl
         passes.append(record)
 
 
+def _grid(instance: BgtInstance) -> tuple[int, list[int], int, int]:
+    """The candidate grid of `bgt_opt` in integers: the common denominator
+    D of the rates and the lower bound L, the scaled rates a_i = h_i * D,
+    and the scaled range [L * D, floor(12/7 * L * D)]. The periods of a
+    scaled height V are V // a_i."""
+    bound = lower_bound(instance, "max-rule")
+    scale = math.lcm(bound.denominator, *(h.denominator for h in instance.rates))
+    rates = [h.numerator * (scale // h.denominator) for h in instance.rates]
+    low = bound.numerator * (scale // bound.denominator)
+    return scale, rates, low, 12 * low // 7
+
+
 def bgt_opt(instance: BgtInstance, cap: int = DEFAULT_STATE_CAP) -> Fraction:
     """Exact minimum, over all schedules, of the tallest height ever seen.
 
@@ -172,36 +201,46 @@ def bgt_opt(instance: BgtInstance, cap: int = DEFAULT_STATE_CAP) -> Fraction:
     or below a height V is pinwheel feasibility of floor(V / h_i). That makes
     feasibility monotone in V along a finite candidate grid, bounded below by
     the instance lower bound and above by the 12/7 pipeline guarantee.
+
+    The grid is searched in integers (see `_grid`). Overdensity and the
+    state-space size are monotone along it too, so the searchable
+    candidates are those after the overdense ones and before the first one
+    over the cap. The first is probed, as it is often the optimum, then
+    the rest are bisected. `StateSpaceTooLarge`, with the message of the
+    first candidate over the cap, means none of the searchable candidates
+    was feasible. Every period is at least 1, since L >= h_0.
     """
-    bound = lower_bound(instance, "max-rule")
-    ceiling = Fraction(12, 7) * bound
-    candidates: set[Fraction] = set()
-    for h in instance.rates:
-        v = max(math.ceil(bound / h), 1) * h
-        while v <= ceiling:
-            candidates.add(v)
-            v += h
-    for v in sorted(candidates):
-        periods = [math.floor(v / h) for h in instance.rates]
-        if any(p < 1 for p in periods):
+    scale, rates, low, high = _grid(instance)
+    grid = heapq.merge(*(range(-(-low // a) * a, high + 1, a) for a in rates))
+    searchable: list[int] = []
+    refusal = None
+    for v, _ in itertools.groupby(grid):
+        periods = [v // a for a in rates]
+        if _overdense(periods):
             continue
-        if density(periods) > 1:
-            continue
-        if pinwheel_feasible(periods, cap).feasible:
-            return v
+        refusal = _too_large(periods, cap)
+        if refusal is not None:
+            break
+        searchable.append(v)
+
+    def feasible(v: int) -> bool:
+        return _lasso([v // a for a in rates], cap) is not None
+
+    if searchable and feasible(searchable[0]):
+        return Fraction(searchable[0], scale)
+    first = bisect.bisect_left(searchable, True, lo=1, key=feasible)
+    if first < len(searchable):
+        return Fraction(searchable[first], scale)
+    if refusal is not None:
+        raise refusal
     raise RuntimeError("no candidate up to the pipeline guarantee was feasible; this cannot happen")
 
 
 def opt_tractable(instance: BgtInstance, cap: int = DEFAULT_STATE_CAP) -> bool:
     """Whether `bgt_opt` stays within `cap` states: its largest search is
     bounded by the deadline vectors at the 12/7 ceiling."""
-    ceiling = Fraction(12, 7) * lower_bound(instance, "max-rule")
-    space = 1
-    for h in instance.rates:
-        space *= math.floor(ceiling / h) + 1
-        if space > cap:
-            return False
-    return True
+    _, rates, _, high = _grid(instance)
+    return _too_large([high // a for a in rates], cap) is None
 
 
 def tightness_examples(

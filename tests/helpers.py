@@ -6,11 +6,14 @@ on purpose, so no helper is allowed to introduce a float anywhere.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
+from typing import Sequence
 
 from bamboo import BgtInstance, PseudoInstance
-from bamboo.model import InvalidInstance, JobPeriod, PeriodicSchedule, ScheduleEntry
+from bamboo.model import InvalidInstance, JobPeriod, PeriodicSchedule, ScheduleEntry, density, lower_bound
+from bamboo.oracle import DEFAULT_STATE_CAP, PinwheelResult, StateSpaceTooLarge, _replay_witness
 from bamboo.rounding import CertificateViolation, NormalizedState
 from bamboo.scheduler import ChainInstance, schedule_chain
 from bamboo.verifier import (
@@ -186,3 +189,122 @@ def reference_interleave(norm: NormalizedState) -> PeriodicSchedule:
         for e in schedule_chain(halved_c).entries:
             entries.append(ScheduleEntry(e.job, 2 * e.offset, 2 * e.cycle))
     return PeriodicSchedule(tuple(entries))
+
+
+# ------------------------------------------------------ oracle references
+#
+# The first exhaustive search, kept as it was: a lasso DFS that memoizes
+# every dead state and canonicalizes each successor by sorting its blocks,
+# and an optimum that tries every candidate height in increasing order.
+# The oracle must return exactly what these return, witnesses and
+# refusal messages included.
+
+
+def reference_pinwheel_feasible(periods: Sequence[int], cap: int = DEFAULT_STATE_CAP) -> PinwheelResult:
+    ps: list[int] = []
+    for p in periods:
+        if not isinstance(p, int) or isinstance(p, bool) or p < 1:
+            raise InvalidInstance(f"period {p!r} is not a positive integer")
+        ps.append(p)
+    if not ps:
+        raise InvalidInstance("need at least one job")
+    if density(ps) > 1:
+        return PinwheelResult(False, None)
+    space = 1
+    for p in ps:
+        space *= p + 1
+        if space > cap:
+            raise StateSpaceTooLarge(
+                f"state space of {'x'.join(str(q + 1) for q in ps)} exceeds the cap of {cap}"
+            )
+
+    # canonical arrangement: positions sorted by period; the slice holding
+    # each equal-period block keeps its deadlines sorted
+    order = sorted(range(len(ps)), key=lambda i: (ps[i], i))
+    cps = tuple(ps[i] for i in order)
+    blocks: list[tuple[int, int]] = []
+    lo = 0
+    for i in range(1, len(cps) + 1):
+        if i == len(cps) or cps[i] != cps[lo]:
+            blocks.append((lo, i))
+            lo = i
+
+    def canon(state: tuple[int, ...]) -> tuple[int, ...]:
+        out = list(state)
+        for a, b in blocks:
+            if b - a > 1:
+                out[a:b] = sorted(out[a:b])
+        return tuple(out)
+
+    def successors(state: tuple[int, ...]) -> list[tuple[tuple[int, int], tuple[int, ...]]]:
+        urgent = [i for i, d in enumerate(state) if d == 1]
+        if len(urgent) > 1:
+            return []  # two jobs due today, only one slot
+        if urgent:
+            picks = urgent
+        else:
+            picks = []
+            seen = set()
+            for i, d in enumerate(state):
+                key = (cps[i], d)
+                if key not in seen:
+                    seen.add(key)
+                    picks.append(i)
+            picks.sort(key=lambda i: (state[i], cps[i]))  # most urgent first
+        out = []
+        for i in picks:
+            nxt = [d - 1 for d in state]
+            nxt[i] = cps[i]
+            out.append(((cps[i], state[i]), canon(tuple(nxt))))
+        return out
+
+    start = canon(cps)
+    dead: set[tuple[int, ...]] = set()
+    on_path: dict[tuple[int, ...], int] = {start: 0}
+    frames: list[list] = [[start, successors(start), 0]]
+    chosen: list[tuple[int, int]] = []  # move taken out of each stacked state
+    lasso: tuple[list, list] | None = None
+    while frames:
+        state, succ, idx = frames[-1]
+        if idx >= len(succ):
+            frames.pop()
+            dead.add(state)
+            del on_path[state]
+            if chosen:
+                chosen.pop()
+            continue
+        frames[-1][2] += 1
+        move, child = succ[idx]
+        if child in dead:
+            continue
+        if child in on_path:
+            depth = on_path[child]
+            lasso = (chosen[:depth], chosen[depth:] + [move])
+            break
+        on_path[child] = len(frames)
+        chosen.append(move)
+        frames.append([child, successors(child), 0])
+    if lasso is None:
+        return PinwheelResult(False, None)
+    stem, cycle = lasso
+    return PinwheelResult(True, _replay_witness(ps, stem, cycle))
+
+
+def reference_bgt_opt(instance: BgtInstance, cap: int = DEFAULT_STATE_CAP) -> Fraction:
+    bound = lower_bound(instance, "max-rule")
+    ceiling = Fraction(12, 7) * bound
+    candidates: set[Fraction] = set()
+    for h in instance.rates:
+        v = max(math.ceil(bound / h), 1) * h
+        while v <= ceiling:
+            candidates.add(v)
+            v += h
+    for v in sorted(candidates):
+        periods = [math.floor(v / h) for h in instance.rates]
+        if any(p < 1 for p in periods):
+            continue
+        if density(periods) > 1:
+            continue
+        if reference_pinwheel_feasible(periods, cap).feasible:
+            return v
+    raise RuntimeError("no candidate up to the pipeline guarantee was feasible; this cannot happen")

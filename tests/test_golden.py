@@ -9,9 +9,11 @@ so it also pins the pipeline's internals: the B/C split, r, s, P, Q, the
 normalization case (the corpus reaches all five), B', C', y and the
 density. A third digest pins `bamboo verify` output: the canonical
 `evaluate(...).to_obj()` JSON of every corpus solve, as built and with one
-tampered copy. If a change to the output is intended, recompute the values
-with `golden_digest()` or `golden_verify_digest()` and say why in the change
-log.
+tampered copy. A fourth digest pins the exact optimum: `str(bgt_opt(...))`,
+or the `StateSpaceTooLarge` message, for a separate corpus of small
+gardens at a state cap of 10^5. If a change to the output is intended,
+recompute the values with `golden_digest()`, `golden_verify_digest()` or
+`golden_opt_digest()` and say why in the change log.
 """
 
 import hashlib
@@ -21,6 +23,7 @@ from fractions import Fraction
 
 from bamboo.cli import solution_to_obj
 from bamboo.model import BgtInstance, lower_bound
+from bamboo.oracle import StateSpaceTooLarge, bgt_opt
 from bamboo.reduction import ReductionConfig, bgt_to_pseudo
 from bamboo.scheduler import solve
 from bamboo.verifier import evaluate
@@ -34,6 +37,11 @@ CONFIGS = (ReductionConfig(Fraction(12, 7), "max-rule"), ReductionConfig(Fractio
 GOLDEN_SHA256 = "33b9836ee0dadd858987a67a132504b0dec2fee022715022614e5249f19a3c04"
 GOLDEN_TRACE_SHA256 = "1f80f64eb1efb0d4c61818775cab6cbb0e42283a27c9670817f7e7b5544db09b"
 GOLDEN_VERIFY_SHA256 = "e6431d13602cdcc659c457352de9faefc56452d71b53193670a97aa6a030bf2d"
+GOLDEN_OPT_SHA256 = "c73eaa6f24b89f31aa04b0403d4cc598850d11de924bd3315d19dc380b70e2a2"
+
+OPT_CAP = 10**5
+OPT_GARDENS_PER_SIZE = 30
+OPT_RATIONAL_GARDENS = 20
 
 
 def corpus():
@@ -42,6 +50,19 @@ def corpus():
             for k in range(GARDENS_PER_CELL):
                 rng = random.Random(f"golden:{n}:{rate_max}:{k}")
                 yield BgtInstance.from_values(sorted((rng.randint(1, rate_max) for _ in range(n)), reverse=True))
+
+
+def opt_corpus():
+    """Integer gardens with n 2..6 and rates 1..9 (the sizes the exact
+    optimum is tractable for), then rational gardens with n 2..4."""
+    for n in range(2, 7):
+        for k in range(OPT_GARDENS_PER_SIZE):
+            rng = random.Random(f"golden-opt:{n}:{k}")
+            yield BgtInstance.from_values(sorted((rng.randint(1, 9) for _ in range(n)), reverse=True))
+    for k in range(OPT_RATIONAL_GARDENS):
+        rng = random.Random(f"golden-opt:rational:{k}")
+        rates = [Fraction(rng.randint(1, 9), rng.randint(1, 4)) for _ in range(rng.randint(2, 4))]
+        yield BgtInstance(tuple(sorted(rates, reverse=True)))
 
 
 def golden_digest(include_trace: bool = False) -> str:
@@ -72,6 +93,19 @@ def golden_verify_digest() -> str:
     return h.hexdigest()
 
 
+def golden_opt_digest() -> str:
+    """Digest of one line per `opt_corpus` garden: the exact optimum, or
+    the refusal message when the search would exceed `OPT_CAP` states."""
+    h = hashlib.sha256()
+    for instance in opt_corpus():
+        try:
+            record = str(bgt_opt(instance, OPT_CAP))
+        except StateSpaceTooLarge as exc:
+            record = str(exc)
+        h.update((record + "\n").encode("utf-8"))
+    return h.hexdigest()
+
+
 def test_solve_output_matches_golden_digest():
     assert golden_digest() == GOLDEN_SHA256
 
@@ -82,3 +116,7 @@ def test_solve_trace_matches_golden_digest():
 
 def test_verify_output_matches_golden_digest():
     assert golden_verify_digest() == GOLDEN_VERIFY_SHA256
+
+
+def test_exact_optimum_matches_golden_digest():
+    assert golden_opt_digest() == GOLDEN_OPT_SHA256

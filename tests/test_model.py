@@ -97,6 +97,16 @@ def test_instance_requires_sorted_positive_rates():
         BgtInstance((Fraction(4), 0.5))  # type: ignore[arg-type]
 
 
+@given(
+    st.lists(st.integers(min_value=1, max_value=10**6), min_size=1, max_size=12)
+    | st.lists(st.fractions(min_value=Fraction(1, 10**6), max_value=10**6, max_denominator=10**6), min_size=1, max_size=12)
+)
+def test_total_rate_is_the_sum_computed_once(rates):
+    inst = BgtInstance(tuple(sorted((Fraction(r) for r in rates), reverse=True)))
+    assert inst.total_rate == sum(inst.rates)
+    assert inst.total_rate is inst.total_rate
+
+
 def test_lower_bound_examples():
     inst = BgtInstance.from_values(["4", "3", "0.1"])
     assert lower_bound(inst, "max-rule") == 8

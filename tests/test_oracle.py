@@ -2,22 +2,28 @@
 
 The search is the ground truth everything else is judged against, so its
 own tests stick to instances small enough to check by hand, plus a witness
-validator that re-plays every claimed schedule.
+validator that re-plays every claimed schedule. The pruned search and the
+bisecting optimum must also return exactly what the first implementations
+(`reference_pinwheel_feasible`, `reference_bgt_opt` in helpers.py) return.
 """
 
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bamboo.model import BgtInstance, InvalidInstance
+from bamboo.model import BgtInstance, InvalidInstance, lower_bound
 from bamboo.oracle import (
     StateSpaceTooLarge,
     bgt_opt,
+    opt_tractable,
     pinwheel_feasible,
     tightness_examples,
 )
 from bamboo.scheduler import solve
+from helpers import reference_bgt_opt, reference_pinwheel_feasible
 
 
 def assert_valid_witness(periods, witness):
@@ -93,7 +99,44 @@ def test_two_three_m_family_is_never_feasible(m):
     assert not pinwheel_feasible([2, 3, m]).feasible
 
 
+def outcome(fn, *args):
+    """A result, or the refusal message, so refusals compare too."""
+    try:
+        return fn(*args)
+    except StateSpaceTooLarge as exc:
+        return f"refused: {exc}"
+
+
+def test_search_matches_reference_on_every_small_vector():
+    # every vector with n <= 4 and periods <= 10, and every sorted one with
+    # n = 5: same verdict, same witness
+    vectors = [ps for n in range(1, 5) for ps in itertools.product(range(1, 11), repeat=n)]
+    vectors += list(itertools.combinations_with_replacement(range(1, 11), 5))
+    assert len(vectors) == 11_110 + 2_002
+    for ps in vectors:
+        assert pinwheel_feasible(ps) == reference_pinwheel_feasible(ps), ps
+
+
+@given(
+    st.lists(st.integers(min_value=2, max_value=14), min_size=5, max_size=6),
+    st.sampled_from([10**4, 10**6, 10**7]),
+)
+@settings(max_examples=100, deadline=None)
+def test_search_matches_reference_on_unsorted_vectors(periods, cap):
+    # periods from 2 keep most draws at density <= 1, so they are searched
+    assert outcome(pinwheel_feasible, periods, cap) == outcome(reference_pinwheel_feasible, periods, cap)
+
+
 # ---------------------------------------------------------------- exact optimum
+
+
+def garden(rates):
+    return BgtInstance(tuple(sorted(rates, reverse=True)))
+
+
+rational_gardens = st.lists(
+    st.fractions(min_value=Fraction(1, 6), max_value=12, max_denominator=6), min_size=1, max_size=5
+).map(garden)
 
 
 def test_bgt_opt_two_equal_growers():
@@ -116,6 +159,36 @@ def test_bgt_opt_never_above_pipeline():
         opt = bgt_opt(inst)
         sol = solve(inst)
         assert opt <= sol.height_bound <= Fraction(12, 7) * opt
+
+
+def test_bgt_opt_refuses_a_tiny_rate_without_listing_its_candidates():
+    # rate 10^-9 puts about 1.4 * 10^9 multiples on the candidate grid;
+    # the first searchable one is already over the cap
+    inst = BgtInstance.from_values(["1", "1/1000000000"])
+    with pytest.raises(StateSpaceTooLarge, match="state space of 3x2000000001 exceeds the cap of 100000"):
+        bgt_opt(inst, 10**5)
+
+
+@given(rational_gardens, st.sampled_from([50, 500, 5000, 10**5]))
+@settings(max_examples=150, deadline=None)
+def test_bgt_opt_matches_reference(inst, cap):
+    assert outcome(bgt_opt, inst, cap) == outcome(reference_bgt_opt, inst, cap)
+
+
+@given(
+    rational_gardens
+    | st.lists(
+        st.fractions(min_value=Fraction(1, 10**6), max_value=10**6, max_denominator=10**6), min_size=1, max_size=5
+    ).map(garden),
+    st.sampled_from([50, 500, 5000, 10**5]),
+)
+@settings(max_examples=150, deadline=None)
+def test_opt_tractable_matches_fraction_formula_and_bounds_bgt_opt(inst, cap):
+    ceiling = Fraction(12, 7) * lower_bound(inst, "max-rule")
+    expected = math.prod(math.floor(ceiling / h) + 1 for h in inst.rates) <= cap
+    assert opt_tractable(inst, cap) == expected
+    if expected:
+        bgt_opt(inst, cap)  # raises nothing
 
 
 # ---------------------------------------------------------------- tightness
