@@ -18,6 +18,7 @@ Usage: python scripts/case_census.py --trials 20000 --seed 7
 from __future__ import annotations
 
 import argparse
+import math
 import random
 import sys
 from collections import Counter
@@ -37,7 +38,7 @@ CASES = ("none", "a", "b", "c", "d")
 
 
 def case_of(ps: PseudoInstance) -> str:
-    state = split_23(ps)
+    state = split_23([math.floor(p) for p in ps.periods])
     norm = normalize(decompose(state), state)
     certificate(norm, ps.density)  # raises if the theory is violated
     return norm.case

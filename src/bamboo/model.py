@@ -1,7 +1,8 @@
 """Exact-arithmetic domain types shared by every stage of the solver.
 
-Rates, fractional periods, densities and heights are `fractions.Fraction`
-values; rounded periods, offsets and cycles are plain `int`. Control flow
+Rates are plain `int` when integral and `fractions.Fraction` otherwise.
+Fractional periods, densities and reported heights are `Fraction` values;
+rounded periods, offsets and cycles are plain `int`. Control flow
 hinges on exact comparisons (is a density equal to 7/12? does a period sit
 on a grid boundary?), so binary floating point is rejected at the parsing
 boundary instead of being silently converted.
@@ -21,16 +22,24 @@ class InvalidInstance(ValueError):
     """An instance, pseudo-instance, or schedule violates a basic invariant."""
 
 
-def parse_rational(value: object) -> Fraction:
+def _int_if_integral(value: Fraction) -> int | Fraction:
+    return value.numerator if value.denominator == 1 else value
+
+
+def parse_rational(value: object) -> int | Fraction:
     """Parse an exact rational from an int, a decimal string, or a "p/q" string.
 
-    Floats are rejected on purpose: the float 0.1 is not the rational 1/10,
-    and a silently converted rate would shift every grid boundary downstream.
+    The result is an `int` when the value is integral ("12", "6/3", "2.0")
+    and a `Fraction` otherwise. Floats are rejected on purpose: the float
+    0.1 is not the rational 1/10, and a silently converted rate would shift
+    every grid boundary downstream.
     """
     if isinstance(value, bool):
         raise InvalidInstance(f"expected a rational value, got bool {value!r}")
-    if isinstance(value, (int, Fraction)):
-        return Fraction(value)
+    if isinstance(value, int):
+        return value
+    if isinstance(value, Fraction):
+        return _int_if_integral(value)
     if isinstance(value, float):
         raise InvalidInstance(
             f"binary float {value!r} rejected; pass the value as a string such as \"0.1\""
@@ -44,7 +53,7 @@ def parse_rational(value: object) -> Fraction:
             # Fraction builds the power of ten (a bad exponent fails either way)
             if marker and limit and abs(int(exponent)) >= limit:
                 raise ValueError(f"exponent {exponent} gives over {limit} digits")
-            return Fraction(text)
+            return _int_if_integral(Fraction(text))
         except (ValueError, ZeroDivisionError) as exc:
             raise InvalidInstance(f"cannot parse a rational from {value!r}") from exc
     raise InvalidInstance(f"cannot parse a rational from a {type(value).__name__}")
@@ -63,22 +72,25 @@ def density(periods: Iterable[Fraction | int]) -> Fraction:
     return total
 
 
+def _exact_rate(r: object) -> int | Fraction:
+    if isinstance(r, float):
+        raise InvalidInstance(f"binary float rate {r!r} rejected")
+    return _int_if_integral(Fraction(r))
+
+
 @dataclass(frozen=True)
 class BgtInstance:
     """A garden of bamboos: growth rates per day, sorted non-increasing.
 
-    Job ids are positions into `rates`, so job 0 is the fastest grower.
+    Each rate is an `int` when integral and a `Fraction` otherwise, so an
+    integer garden is validated, and later scaled, in plain `int`. Job ids
+    are positions into `rates`, so job 0 is the fastest grower.
     """
 
-    rates: tuple[Fraction, ...]
+    rates: tuple[int | Fraction, ...]
 
     def __post_init__(self) -> None:
-        clean = []
-        for r in self.rates:
-            if isinstance(r, float):
-                raise InvalidInstance(f"binary float rate {r!r} rejected")
-            clean.append(Fraction(r))
-        rates = tuple(clean)
+        rates = tuple(r if type(r) is int else _exact_rate(r) for r in self.rates)
         object.__setattr__(self, "rates", rates)
         if not rates:
             raise InvalidInstance("an instance needs at least one bamboo")
@@ -96,13 +108,12 @@ class BgtInstance:
         return len(self.rates)
 
     @property
-    def max_rate(self) -> Fraction:
+    def max_rate(self) -> int | Fraction:
         return self.rates[0]
 
     @cached_property
     def total_rate(self) -> Fraction:
-        # summed once per instance: a solve reads it for the lower bound
-        # and again for the density
+        # a Fraction even for an integer garden, as `lower_bound` reports it
         return sum(self.rates, Fraction(0))
 
 
@@ -114,8 +125,8 @@ def lower_bound(instance: BgtInstance, mode: str = "max-rule") -> Fraction:
     if mode == "sum":
         return instance.total_rate
     if instance.n == 1:
-        return instance.max_rate
-    return max(2 * instance.max_rate, instance.total_rate)
+        return Fraction(instance.max_rate)
+    return max(Fraction(2 * instance.max_rate), instance.total_rate)
 
 
 @dataclass(frozen=True)

@@ -35,8 +35,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .model import BgtInstance, InvalidInstance, density, lower_bound
-from .reduction import ReductionConfig, bgt_to_pseudo
+from .model import BgtInstance, InvalidInstance, density
+from .reduction import ReductionConfig, bgt_to_pseudo, scaled
 
 DEFAULT_STATE_CAP = 10**7
 
@@ -182,18 +182,6 @@ def _replay_witness(ps: list[int], stem: list[tuple[int, int]], cycle: list[tupl
         passes.append(record)
 
 
-def _grid(instance: BgtInstance) -> tuple[int, list[int], int, int]:
-    """The candidate grid of `bgt_opt` in integers: the common denominator
-    D of the rates and the lower bound L, the scaled rates a_i = h_i * D,
-    and the scaled range [L * D, floor(12/7 * L * D)]. The periods of a
-    scaled height V are V // a_i."""
-    bound = lower_bound(instance, "max-rule")
-    scale = math.lcm(bound.denominator, *(h.denominator for h in instance.rates))
-    rates = [h.numerator * (scale // h.denominator) for h in instance.rates]
-    low = bound.numerator * (scale // bound.denominator)
-    return scale, rates, low, 12 * low // 7
-
-
 def bgt_opt(instance: BgtInstance, cap: int = DEFAULT_STATE_CAP) -> Fraction:
     """Exact minimum, over all schedules, of the tallest height ever seen.
 
@@ -202,15 +190,19 @@ def bgt_opt(instance: BgtInstance, cap: int = DEFAULT_STATE_CAP) -> Fraction:
     feasibility monotone in V along a finite candidate grid, bounded below by
     the instance lower bound and above by the 12/7 pipeline guarantee.
 
-    The grid is searched in integers (see `_grid`). Overdensity and the
-    state-space size are monotone along it too, so the searchable
-    candidates are those after the overdense ones and before the first one
-    over the cap. The first is probed, as it is often the optimum, then
-    the rest are bisected. `StateSpaceTooLarge`, with the message of the
-    first candidate over the cap, means none of the searchable candidates
-    was feasible. Every period is at least 1, since L >= h_0.
+    The grid is searched in integers (`reduction.scaled`): with D the
+    common denominator of the rates and a_i = h_i * D, the candidates are
+    the multiples of some a_i in [L * D, floor(12/7 * L * D)], and a scaled
+    height V has periods V // a_i. Overdensity and the state-space size are
+    monotone along the grid too, so the searchable candidates are those
+    after the overdense ones and before the first one over the cap. The
+    first is probed, as it is often the optimum, then the rest are
+    bisected. `StateSpaceTooLarge`, with the message of the first candidate
+    over the cap, means none of the searchable candidates was feasible.
+    Every period is at least 1, since L >= h_0.
     """
-    scale, rates, low, high = _grid(instance)
+    garden = scaled(instance)
+    rates, low, high = garden.rates, garden.bound, garden.top
     grid = heapq.merge(*(range(-(-low // a) * a, high + 1, a) for a in rates))
     searchable: list[int] = []
     refusal = None
@@ -227,10 +219,10 @@ def bgt_opt(instance: BgtInstance, cap: int = DEFAULT_STATE_CAP) -> Fraction:
         return _lasso([v // a for a in rates], cap) is not None
 
     if searchable and feasible(searchable[0]):
-        return Fraction(searchable[0], scale)
+        return Fraction(searchable[0], garden.scale)
     first = bisect.bisect_left(searchable, True, lo=1, key=feasible)
     if first < len(searchable):
-        return Fraction(searchable[first], scale)
+        return Fraction(searchable[first], garden.scale)
     if refusal is not None:
         raise refusal
     raise RuntimeError("no candidate up to the pipeline guarantee was feasible; this cannot happen")
@@ -239,8 +231,7 @@ def bgt_opt(instance: BgtInstance, cap: int = DEFAULT_STATE_CAP) -> Fraction:
 def opt_tractable(instance: BgtInstance, cap: int = DEFAULT_STATE_CAP) -> bool:
     """Whether `bgt_opt` stays within `cap` states: its largest search is
     bounded by the deadline vectors at the 12/7 ceiling."""
-    _, rates, _, high = _grid(instance)
-    return _too_large([high // a for a in rates], cap) is None
+    return _too_large(scaled(instance).floors(), cap) is None
 
 
 def tightness_examples(

@@ -3,16 +3,21 @@
 A garden with rates h_i and a target height of `factor * L` (L being a
 height lower bound) turns into the pseudo pinwheel instance with periods
 p_i = factor * L / h_i: keeping bamboo i below the target is the same as
-cutting it at least once in every window of floor(p_i) days.
+cutting it at least once in every window of floor(p_i) days. Every
+decision after that needs only floor(p_i), the density and the peak
+height, each a ratio of integers once the rates are scaled to integers;
+`scaled` does that once, and `Fraction` periods are built only for the
+callers that read them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .model import BgtInstance, InvalidInstance, PseudoInstance, lower_bound
+from .model import BgtInstance, InvalidInstance, PseudoInstance
 
 
 class PeriodBelowTwo(ValueError):
@@ -40,6 +45,73 @@ class ReductionConfig:
             raise InvalidInstance(f"unknown lower-bound mode {self.lb_mode!r}")
 
 
+@dataclass(frozen=True)
+class ScaledGarden:
+    """A garden and a config in integers, the form the solver decides on.
+
+    With D (`scale`) the least common denominator of the rates (1 for an
+    integer garden), `rates` holds a_i = h_i * D, `total` holds A = sum(a_i)
+    and `bound` holds L * D: max(2 * a_0, A) in max-rule mode, A in sum
+    mode, a_0 for a single bamboo. With factor u/v the period
+    p_i = factor * L / h_i is u * bound / (v * a_i), so
+    floor(p_i) = `top` // a_i, where `top` = floor(factor * L * D).
+    """
+
+    scale: int
+    rates: tuple[int, ...]
+    total: int
+    bound: int
+    config: ReductionConfig
+
+    @property
+    def top(self) -> int:
+        return self.config.factor.numerator * self.bound // self.config.factor.denominator
+
+    def floors(self) -> list[int]:
+        """floor(p_i) for every job, in job-id order."""
+        top = self.top
+        return [top // a for a in self.rates]
+
+    @property
+    def lower_bound(self) -> Fraction:
+        return Fraction(self.bound, self.scale)
+
+    @property
+    def density(self) -> Fraction:
+        """sum(1 / p_i) = sum(h_i) / (factor * L)."""
+        factor = self.config.factor
+        return Fraction(factor.denominator * self.total, factor.numerator * self.bound)
+
+
+def scaled(instance: BgtInstance, config: ReductionConfig | None = None) -> ScaledGarden:
+    """Scale the garden to integers (see ScaledGarden).
+
+    Raises PeriodBelowTwo when n >= 2 and the shortest period, that of the
+    fastest grower, lands below 2: u * bound < 2 * v * a_0.
+    """
+    config = config or ReductionConfig()
+    rates = instance.rates
+    scale = math.lcm(*(h.denominator for h in rates))
+    if scale == 1:
+        scaled_rates = rates
+    else:
+        scaled_rates = tuple(h.numerator * (scale // h.denominator) for h in rates)
+    total = sum(scaled_rates)
+    if instance.n == 1:
+        bound = scaled_rates[0]
+    elif config.lb_mode == "sum":
+        bound = total
+    else:
+        bound = max(2 * scaled_rates[0], total)
+    u, v = config.factor.numerator, config.factor.denominator
+    if instance.n > 1 and u * bound < 2 * v * scaled_rates[0]:
+        raise PeriodBelowTwo(
+            f"reduced period {Fraction(u * bound, v * scaled_rates[0])} is below 2 (factor {config.factor}, "
+            f"lower bound {Fraction(bound, scale)}, mode {config.lb_mode})"
+        )
+    return ScaledGarden(scale, scaled_rates, total, bound, config)
+
+
 def bgt_to_pseudo(instance: BgtInstance, config: ReductionConfig | None = None) -> PseudoInstance:
     """Map rates to fractional periods p_i = factor * L / h_i.
 
@@ -50,15 +122,10 @@ def bgt_to_pseudo(instance: BgtInstance, config: ReductionConfig | None = None) 
     daily cut that the solver gives it.
     """
     config = config or ReductionConfig()
-    bound = lower_bound(instance, config.lb_mode)
-    periods = tuple(config.factor * bound / h for h in instance.rates)
-    smallest = min(periods)
-    if smallest < 2 and instance.n > 1:
-        raise PeriodBelowTwo(
-            f"reduced period {smallest} is below 2 (factor {config.factor}, "
-            f"lower bound {bound}, mode {config.lb_mode})"
-        )
-    return PseudoInstance(periods, factor=config.factor, lower_bound=bound)
+    bound = scaled(instance, config).lower_bound
+    target = config.factor * bound
+    # dividing by the rates as given keeps every gcd as small as the rates
+    return PseudoInstance(tuple(target / h for h in instance.rates), factor=config.factor, lower_bound=bound)
 
 
 def ps_to_bgt(periods: Sequence[int]) -> tuple[BgtInstance, tuple[int, ...]]:

@@ -21,9 +21,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
-from .model import InvalidInstance, JobPeriod, PseudoInstance
+from .model import InvalidInstance, JobPeriod
 
 
 class UnroundablePeriod(ValueError):
@@ -82,9 +82,11 @@ def _grid_weight(items: Iterable[JobPeriod]) -> tuple[int, int]:
     return sum(top // p for p in periods), top
 
 
-def specialize_instance(pseudo: PseudoInstance, x: int) -> tuple[JobPeriod, ...]:
-    """Round every period down onto the single grid {x, 2x, 4x, ...}."""
-    out = [JobPeriod(job, specialize_single(p, x)) for job, p in enumerate(pseudo.periods)]
+def specialize_instance(floors: Sequence[int], x: int) -> tuple[JobPeriod, ...]:
+    """Round every period down onto the single grid {x, 2x, 4x, ...}, given
+    floor(p_i) for each job in job-id order (grid points are integers, so
+    the floor decides as the period would)."""
+    out = [JobPeriod(job, specialize_single(m, x)) for job, m in enumerate(floors)]
     return tuple(sorted(out, key=lambda jp: (jp.period, jp.job)))
 
 
@@ -115,8 +117,9 @@ class SpecializedState:
         return Fraction(*_grid_weight(self.c))
 
 
-def split_23(pseudo: PseudoInstance) -> SpecializedState:
-    """Assign each period to its band and round down to the band endpoint.
+def split_23(floors: Sequence[int]) -> SpecializedState:
+    """Assign each period to its band and round down to the band endpoint,
+    given floor(p_i) for each job in job-id order.
 
     A period in [2*2^j, 3*2^j) rounds to 2*2^j and joins B; one in
     [3*2^j, 4*2^j) rounds to 3*2^j and joins C. The bands tile [2, oo), so
@@ -125,10 +128,9 @@ def split_23(pseudo: PseudoInstance) -> SpecializedState:
     """
     b: list[JobPeriod] = []
     c: list[JobPeriod] = []
-    for job, p in enumerate(pseudo.periods):
-        m = math.floor(p)
+    for job, m in enumerate(floors):
         if m < 2:
-            raise UnroundablePeriod(f"period {p} of job {job} is below 2 and cannot be banded")
+            raise UnroundablePeriod(f"period of job {job} rounds down to {m}, below 2, and cannot be banded")
         two = 1 << (m.bit_length() - 1)
         three = two + (two >> 1)
         if m < three:

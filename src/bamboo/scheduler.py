@@ -20,9 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .model import BgtInstance, JobPeriod, PeriodicSchedule, PseudoInstance, ScheduleEntry
-from .reduction import ReductionConfig, bgt_to_pseudo
+from .reduction import ReductionConfig, bgt_to_pseudo, scaled
 from .rounding import (
     CertificateViolation,
     Decomposition,
@@ -34,7 +35,6 @@ from .rounding import (
     specialize_instance,
     split_23,
 )
-from .verifier import max_heights
 
 
 class NotAChain(ValueError):
@@ -165,17 +165,18 @@ class Solution:
     analytic max height actually reached, and the promised ceiling
     guarantee = factor * L (equal to L itself for a single bamboo).
 
-    Stage values: `pseudo` and its `density` always; `rounded` on the
-    factor-2 path; `split`, `decomposition`, `normalized` and `certified`
-    (density <= 7/12, so the certificate checks ran) on the two-grid path.
-    Fields a path does not reach stay None or False."""
+    Stage values: the `density` always, and `pseudo`, the fractional
+    periods of `instance`, built only when read; `rounded` on the factor-2
+    path; `split`, `decomposition`, `normalized` and `certified` (density
+    <= 7/12, so the certificate checks ran) on the two-grid path. Fields a
+    path does not reach stay None or False."""
 
     schedule: PeriodicSchedule
     lower_bound: Fraction
     height_bound: Fraction
     guarantee: Fraction
     config: ReductionConfig
-    pseudo: PseudoInstance
+    instance: BgtInstance
     density: Fraction
     rounded: tuple[JobPeriod, ...] | None = None
     split: SpecializedState | None = None
@@ -183,19 +184,23 @@ class Solution:
     normalized: NormalizedState | None = None
     certified: bool = False
 
+    @cached_property
+    def pseudo(self) -> PseudoInstance:
+        return bgt_to_pseudo(self.instance, self.config)
+
 
 def solve(instance: BgtInstance, config: ReductionConfig | None = None) -> Solution:
     """Full pipeline: reduce, round, normalize, certify, interleave.
 
     factor 2 skips the two-grid machinery and rounds everything onto
     powers of two; a single bamboo skips the rounding entirely (cut it
-    every day).
+    every day). Everything up to the reported values runs on the garden
+    scaled to integers.
     """
     config = config or ReductionConfig()
-    pseudo = bgt_to_pseudo(instance, config)
-    bound = pseudo.lower_bound
-    # p_i = factor * L / h_i, so sum(1 / p_i) = sum(h_i) / (factor * L) exactly
-    rho = instance.total_rate / (config.factor * bound)
+    garden = scaled(instance, config)
+    bound = garden.lower_bound
+    rho = garden.density
     guarantee = bound if instance.n == 1 else config.factor * bound
     rounded = split = dec = norm = None
     certified = False
@@ -203,17 +208,20 @@ def solve(instance: BgtInstance, config: ReductionConfig | None = None) -> Solut
     if instance.n == 1:
         schedule = PeriodicSchedule((ScheduleEntry(0, 1, 1),))
     elif config.factor == 2:
-        rounded = specialize_instance(pseudo, 2)
+        rounded = specialize_instance(garden.floors(), 2)
         schedule = schedule_chain(ChainInstance(rounded))
     else:
-        split = split_23(pseudo)
+        split = split_23(garden.floors())
         dec = decompose(split)
         norm = normalize(dec, split)
         certified = certificate(norm, rho)
         schedule = interleave(norm)
 
-    assert all(e.offset <= e.cycle for e in schedule.entries)
-    height = max(max_heights(schedule, instance))
+    entries = schedule.entries
+    assert all(e.offset <= e.cycle for e in entries)
+    assert schedule.jobs == tuple(range(instance.n))
+    # job i peaks at h_i * max(offset, cycle), that is a_i * max(offset, cycle) / D
+    height = Fraction(max(a * max(e.offset, e.cycle) for a, e in zip(garden.rates, entries)), garden.scale)
     assert height <= guarantee
     return Solution(
         schedule=schedule,
@@ -221,7 +229,7 @@ def solve(instance: BgtInstance, config: ReductionConfig | None = None) -> Solut
         height_bound=height,
         guarantee=guarantee,
         config=config,
-        pseudo=pseudo,
+        instance=instance,
         density=rho,
         rounded=rounded,
         split=split,

@@ -122,9 +122,8 @@ def max_heights(schedule: PeriodicSchedule, instance: BgtInstance) -> tuple[Frac
         raise InvalidInstance(
             f"schedule covers jobs {sorted(schedule.jobs)} but the instance has {instance.n} bamboos"
         )
-    return tuple(
-        instance.rates[e.job] * max(e.offset, e.cycle) for e in schedule.entries
-    )
+    rates = instance.rates
+    return tuple(Fraction(rates[e.job] * max(e.offset, e.cycle)) for e in schedule.entries)
 
 
 @dataclass(frozen=True)
@@ -167,7 +166,7 @@ def simulate(
 
     cal = bytearray(horizon + 1)
     tails = [horizon] * instance.n
-    best = Fraction(0)
+    best = 0
     best_day = 0
     best_job: int | None = None
     for e in schedule.entries:
@@ -196,7 +195,7 @@ def simulate(
         doubled.append(day)
         day = cal.find(2, day + 1)
     return SimReport(
-        max_height=best,
+        max_height=Fraction(best),
         argmax_day=best_day,
         argmax_job=best_job,
         double_booked_days=tuple(doubled),

@@ -14,6 +14,7 @@ from typing import Sequence
 from bamboo import BgtInstance, PseudoInstance
 from bamboo.model import InvalidInstance, JobPeriod, PeriodicSchedule, ScheduleEntry, density, lower_bound
 from bamboo.oracle import DEFAULT_STATE_CAP, PinwheelResult, StateSpaceTooLarge, _replay_witness
+from bamboo.reduction import PeriodBelowTwo, ReductionConfig
 from bamboo.rounding import CertificateViolation, NormalizedState
 from bamboo.scheduler import ChainInstance, schedule_chain
 from bamboo.verifier import (
@@ -74,6 +75,12 @@ def pseudo_with_density(total: Fraction, parts: int, rng: random.Random) -> Pseu
     """
     shares = split_density(total, parts, rng)
     return PseudoInstance(tuple(1 / s for s in shares))
+
+
+def floors(pseudo: PseudoInstance) -> list[int]:
+    """floor(p_i) for every period, what `split_23` and
+    `specialize_instance` take."""
+    return [math.floor(p) for p in pseudo.periods]
 
 
 def tampered(schedule: PeriodicSchedule) -> PeriodicSchedule:
@@ -291,16 +298,18 @@ def reference_pinwheel_feasible(periods: Sequence[int], cap: int = DEFAULT_STATE
 
 
 def reference_bgt_opt(instance: BgtInstance, cap: int = DEFAULT_STATE_CAP) -> Fraction:
+    # Fraction rates keep v / h exact where a rate is an int
+    rates = [Fraction(h) for h in instance.rates]
     bound = lower_bound(instance, "max-rule")
     ceiling = Fraction(12, 7) * bound
     candidates: set[Fraction] = set()
-    for h in instance.rates:
+    for h in rates:
         v = max(math.ceil(bound / h), 1) * h
         while v <= ceiling:
             candidates.add(v)
             v += h
     for v in sorted(candidates):
-        periods = [math.floor(v / h) for h in instance.rates]
+        periods = [math.floor(v / h) for h in rates]
         if any(p < 1 for p in periods):
             continue
         if density(periods) > 1:
@@ -308,3 +317,16 @@ def reference_bgt_opt(instance: BgtInstance, cap: int = DEFAULT_STATE_CAP) -> Fr
         if reference_pinwheel_feasible(periods, cap).feasible:
             return v
     raise RuntimeError("no candidate up to the pipeline guarantee was feasible; this cannot happen")
+
+
+def reference_bgt_to_pseudo(instance: BgtInstance, config: ReductionConfig | None = None) -> PseudoInstance:
+    config = config or ReductionConfig()
+    bound = lower_bound(instance, config.lb_mode)
+    periods = tuple(config.factor * bound / h for h in instance.rates)
+    smallest = min(periods)
+    if smallest < 2 and instance.n > 1:
+        raise PeriodBelowTwo(
+            f"reduced period {smallest} is below 2 (factor {config.factor}, "
+            f"lower bound {bound}, mode {config.lb_mode})"
+        )
+    return PseudoInstance(periods, factor=config.factor, lower_bound=bound)

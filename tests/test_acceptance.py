@@ -19,7 +19,7 @@ from bamboo.reduction import PeriodBelowTwo, ReductionConfig, bgt_to_pseudo
 from bamboo.rounding import CASE_RS, GENERAL_RS, certificate, decompose, normalize, split_23
 from bamboo.scheduler import ChainInstance, NotAChain, Overdense, interleave, schedule_chain, solve
 from bamboo.verifier import check_collisions, check_windows, evaluate
-from helpers import pseudo_with_density
+from helpers import floors, pseudo_with_density
 
 TWELVE_SEVENTHS = Fraction(12, 7)
 
@@ -109,7 +109,7 @@ def test_criterion_4_certificate_at_exact_budget():
     for i in range(500):
         rng = random.Random(f"budget:{i}")
         ps = pseudo_with_density(Fraction(7, 12), rng.randint(2, 9), rng)
-        state = split_23(ps)
+        state = split_23(floors(ps))
         norm = normalize(decompose(state), state)
         checked = certificate(norm, ps.density)  # raises CertificateViolation on any breach
         if not (
@@ -133,7 +133,7 @@ def test_criterion_5_normalization_case_coverage():
     ok = True
     for periods, want in witnesses:
         ps = PseudoInstance(tuple(Fraction(p) for p in periods))
-        state = split_23(ps)
+        state = split_23(floors(ps))
         norm = normalize(decompose(state), state)
         seen.append(norm.case)
         schedule = interleave(norm)

@@ -6,6 +6,8 @@ these double as schema tests for downstream tooling.
 
 import io
 import json
+import math
+import time
 
 import pytest
 
@@ -274,6 +276,32 @@ def test_solve_rejects_results_too_long_to_print(tmp_path, capsys):
         code, out, err = run(capsys, "solve", "-i", path, "--lower-bound", mode)
         assert code == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+
+
+def first_primes(k, limit=30000):
+    sieve = bytearray([0, 0]) + bytearray([1]) * (limit - 2)
+    for p in range(2, math.isqrt(limit) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, limit, p)))
+    primes = [p for p in range(limit) if sieve[p]]
+    assert len(primes) >= k
+    return primes[:k]
+
+
+def test_hostile_garden_of_coprime_denominators_fails_fast(tmp_path, capsys):
+    # rates 1/p over the first 3000 primes: the common denominator has about
+    # 12,000 digits, so the lower bound cannot be printed; no step may
+    # compare or divide such numbers once per bamboo pair on the way there
+    primes = first_primes(3000)
+    garden = write_json(tmp_path, "garden.json", {"rates": [f"1/{p}" for p in primes]})
+    sched = write_json(tmp_path, "sched.json", [{"job": i, "offset": i + 1, "cycle": 4096} for i in range(3000)])
+    for argv in (["solve", "-i", garden], ["verify", "-i", garden, "--schedule", sched]):
+        start = time.monotonic()
+        code, out, err = run(capsys, *argv)
+        took = time.monotonic() - start
+        assert code == 2 and out == "", argv
+        assert err.startswith("error:") and err.count("\n") == 1, argv
+        assert took < 3, (argv, took)
 
 
 def test_input_integer_over_digit_limit_names_the_input(tmp_path, capsys):

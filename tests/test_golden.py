@@ -11,13 +11,18 @@ density. A third digest pins `bamboo verify` output: the canonical
 `evaluate(...).to_obj()` JSON of every corpus solve, as built and with one
 tampered copy. A fourth digest pins the exact optimum: `str(bgt_opt(...))`,
 or the `StateSpaceTooLarge` message, for a separate corpus of small
-gardens at a state cap of 10^5. If a change to the output is intended,
-recompute the values with `golden_digest()`, `golden_verify_digest()` or
-`golden_opt_digest()` and say why in the change log.
+gardens at a state cap of 10^5. A fifth digest pins solve output, with and
+without the trace, on rational gardens given as decimal strings, "p/q"
+strings with denominators up to 10^6, and integral forms such as "6/3",
+so the rates have a common denominator above 1. If a change to the output
+is intended, recompute the values with `golden_digest()`,
+`golden_verify_digest()`, `golden_opt_digest()` or
+`golden_rational_digest()` and say why in the change log.
 """
 
 import hashlib
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -38,10 +43,15 @@ GOLDEN_SHA256 = "33b9836ee0dadd858987a67a132504b0dec2fee022715022614e5249f19a3c0
 GOLDEN_TRACE_SHA256 = "1f80f64eb1efb0d4c61818775cab6cbb0e42283a27c9670817f7e7b5544db09b"
 GOLDEN_VERIFY_SHA256 = "e6431d13602cdcc659c457352de9faefc56452d71b53193670a97aa6a030bf2d"
 GOLDEN_OPT_SHA256 = "c73eaa6f24b89f31aa04b0403d4cc598850d11de924bd3315d19dc380b70e2a2"
+GOLDEN_RATIONAL_SHA256 = "1315adfdcfa6660b414ab00bafbae91516f4ca34806b4ddf1fb68845a51d757f"
 
 OPT_CAP = 10**5
 OPT_GARDENS_PER_SIZE = 30
 OPT_RATIONAL_GARDENS = 20
+
+RATIONAL_SIZES = (1, 2, 3, 8, 50, 200)
+# a garden mixes every form, or uses decimals, "p/q" strings or integral forms only
+RATIONAL_STYLES = (("int", "decimal", "ratio", "integral"), ("decimal",), ("ratio",), ("int", "integral"))
 
 
 def corpus():
@@ -65,14 +75,49 @@ def opt_corpus():
         yield BgtInstance(tuple(sorted(rates, reverse=True)))
 
 
-def golden_digest(include_trace: bool = False) -> str:
+def _rational_text(rng: random.Random, kind: str) -> object:
+    if kind == "int":
+        return rng.choice([rng.randint(1, 1000), str(rng.randint(1, 1000))])
+    if kind == "decimal":
+        return f"{rng.randint(0, 99)}.{rng.randint(1, 999)}"
+    if kind == "ratio":
+        p, q = rng.randint(1, 10**6), rng.randint(2, 10**6)
+        g = math.gcd(p, q)
+        return f"{p // g}/{q // g}"
+    m, k = rng.randint(2, 9), rng.randint(1, 100)
+    return rng.choice([f"{k * m}/{m}", f"{k}.0"])
+
+
+def rational_corpus():
+    """Gardens of every size in `RATIONAL_SIZES`, one per style, with the
+    rates given as the strings (or ints) the CLI would read."""
+    for n in RATIONAL_SIZES:
+        for k, style in enumerate(RATIONAL_STYLES):
+            rng = random.Random(f"golden-rational:{n}:{k}")
+            texts = [_rational_text(rng, rng.choice(style)) for _ in range(n)]
+            texts.sort(key=Fraction, reverse=True)
+            yield BgtInstance.from_values(texts)
+
+
+def _solve_digest(gardens, traces: tuple[bool, ...]) -> str:
     h = hashlib.sha256()
-    for instance in corpus():
+    for instance in gardens:
         for config in CONFIGS:
             sol = solve(instance, config)
-            text = json.dumps(solution_to_obj(sol, include_trace=include_trace), indent=2) + "\n"
-            h.update(text.encode("utf-8"))
+            for include_trace in traces:
+                text = json.dumps(solution_to_obj(sol, include_trace=include_trace), indent=2) + "\n"
+                h.update(text.encode("utf-8"))
     return h.hexdigest()
+
+
+def golden_digest(include_trace: bool = False) -> str:
+    return _solve_digest(corpus(), (include_trace,))
+
+
+def golden_rational_digest() -> str:
+    """Digest of the solve JSON of every `rational_corpus` garden, without
+    and then with the trace."""
+    return _solve_digest(rational_corpus(), (False, True))
 
 
 def golden_verify_digest() -> str:
@@ -120,3 +165,7 @@ def test_verify_output_matches_golden_digest():
 
 def test_exact_optimum_matches_golden_digest():
     assert golden_opt_digest() == GOLDEN_OPT_SHA256
+
+
+def test_rational_solve_output_matches_golden_digest():
+    assert golden_rational_digest() == GOLDEN_RATIONAL_SHA256

@@ -31,6 +31,12 @@ def test_parse_rational_accepts_ints_strings_fractions():
     assert parse_rational("96/7") == Fraction(96, 7)
     assert parse_rational("0.1") == Fraction(1, 10)
     assert parse_rational(Fraction(5, 4)) == Fraction(5, 4)
+    # integral values come back as int, whatever form they were written in
+    for value, expected in ((3, 3), ("12", 12), (" 007 ", 7), ("-4", -4), ("6/3", 2), ("2.0", 2), (Fraction(8, 4), 2)):
+        got = parse_rational(value)
+        assert got == expected and type(got) is int, value
+    for value in ("96/7", "0.1", "1e-3", Fraction(5, 4)):
+        assert type(parse_rational(value)) is Fraction, value
 
 
 def test_parse_rational_rejects_floats():
@@ -86,6 +92,8 @@ def test_instance_requires_sorted_positive_rates():
     assert inst.n == 3
     assert inst.max_rate == 4
     assert inst.total_rate == Fraction(71, 10)
+    assert [type(r) for r in inst.rates] == [int, int, Fraction]
+    assert [type(r) for r in BgtInstance((Fraction(6, 3), Fraction(1, 2))).rates] == [int, Fraction]
 
     with pytest.raises(InvalidInstance):
         BgtInstance.from_values([])

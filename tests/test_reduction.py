@@ -1,12 +1,15 @@
 """Garden-to-pinwheel reduction and its inverse."""
 
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bamboo.model import BgtInstance, InvalidInstance, density, lower_bound
-from bamboo.reduction import PeriodBelowTwo, ReductionConfig, bgt_to_pseudo, ps_to_bgt
+from bamboo.reduction import PeriodBelowTwo, ReductionConfig, bgt_to_pseudo, ps_to_bgt, scaled
+from bamboo.scheduler import solve
+from helpers import reference_bgt_to_pseudo
 
 
 def test_config_validation():
@@ -110,3 +113,49 @@ def test_ps_to_bgt_round_trip_density(periods):
     inst, order = ps_to_bgt(periods)
     assert sorted(order) == list(range(len(periods)))
     assert inst.total_rate == density(periods)
+
+
+def garden(rates):
+    return BgtInstance(tuple(sorted(rates, reverse=True)))
+
+
+HUGE = 10**40
+SCALING_CONFIGS = (
+    ReductionConfig(Fraction(12, 7), "max-rule"),
+    ReductionConfig(Fraction(12, 7), "sum"),
+    ReductionConfig(Fraction(2), "sum"),
+)
+
+
+@given(
+    st.lists(
+        st.one_of(
+            st.integers(min_value=1, max_value=10**6),
+            st.fractions(min_value=Fraction(1, HUGE), max_value=10**6, max_denominator=HUGE),
+        ).filter(lambda r: r > 0),
+        min_size=1,
+        max_size=8,
+    ).map(garden),
+    st.sampled_from(SCALING_CONFIGS),
+)
+@example(garden([13, 1]), SCALING_CONFIGS[1])
+@example(garden([6, 1]), SCALING_CONFIGS[1])  # a shortest period of exactly 2 is kept
+@example(garden([Fraction(1, 10**30 + 57), Fraction(1, 10**30 + 1)]), SCALING_CONFIGS[0])
+@settings(max_examples=300, deadline=None)
+def test_integer_scaling_matches_the_fraction_reduction(inst, cfg):
+    # the floors, density, refusals and periods of the integer form equal
+    # those of the plain Fraction reduction
+    try:
+        expected = reference_bgt_to_pseudo(inst, cfg)
+    except PeriodBelowTwo as exc:
+        for reduce in (scaled, bgt_to_pseudo, solve):
+            with pytest.raises(PeriodBelowTwo) as err:
+                reduce(inst, cfg)
+            assert str(err.value) == str(exc)
+        return
+    scaled_garden = scaled(inst, cfg)
+    assert all(type(a) is int for a in scaled_garden.rates)
+    assert scaled_garden.floors() == [math.floor(p) for p in expected.periods]
+    assert scaled_garden.density == expected.density
+    assert bgt_to_pseudo(inst, cfg) == expected
+    assert solve(inst, cfg).pseudo == expected

@@ -26,11 +26,11 @@ from bamboo.rounding import (
     specialize_single,
     split_23,
 )
-from helpers import pseudo_with_density
+from helpers import floors, pseudo_with_density
 
 
 def run_pipeline(ps: PseudoInstance):
-    state = split_23(ps)
+    state = split_23(floors(ps))
     dec = decompose(state)
     norm = normalize(dec, state)
     return state, dec, norm
@@ -62,7 +62,7 @@ def test_specialize_single_lands_on_grid_within_factor_two(p, x):
 
 def test_specialize_instance_sorts_by_period_then_job():
     ps = PseudoInstance((Fraction(9), Fraction(5), Fraction(31, 7)))
-    rounded = specialize_instance(ps, 2)
+    rounded = specialize_instance(floors(ps), 2)
     assert rounded == (JobPeriod(1, 4), JobPeriod(2, 4), JobPeriod(0, 8))
 
 
@@ -71,7 +71,7 @@ def test_specialize_instance_sorts_by_period_then_job():
 
 def test_split_23_worked_example():
     ps = PseudoInstance((Fraction(24, 7), Fraction(32, 7), Fraction(960, 7)))
-    state = split_23(ps)
+    state = split_23(floors(ps))
     assert state.b == (JobPeriod(1, 4), JobPeriod(2, 128))
     assert state.c == (JobPeriod(0, 3),)
     assert state.rho_b == Fraction(33, 128)
@@ -79,21 +79,21 @@ def test_split_23_worked_example():
 
 
 def test_split_23_grid_points():
-    state = split_23(PseudoInstance((Fraction(2),)))
+    state = split_23(floors(PseudoInstance((Fraction(2),))))
     assert state.b == (JobPeriod(0, 2),) and state.c == ()
-    state = split_23(PseudoInstance((Fraction(6),)))
+    state = split_23(floors(PseudoInstance((Fraction(6),))))
     assert state.b == () and state.c == (JobPeriod(0, 6),)
 
 
 def test_split_23_rejects_short_periods():
     with pytest.raises(UnroundablePeriod):
-        split_23(PseudoInstance((Fraction(3, 2),)))
+        split_23(floors(PseudoInstance((Fraction(3, 2),))))
 
 
 @given(st.lists(st.fractions(min_value=Fraction(2), max_value=Fraction(5000)), min_size=1, max_size=10))
 def test_split_23_band_membership(periods):
     ps = PseudoInstance(tuple(periods))
-    state = split_23(ps)
+    state = split_23(floors(ps))
     seen = set()
     for jp in state.b:
         p = ps.periods[jp.job]
@@ -114,7 +114,7 @@ def test_split_23_band_membership(periods):
 def split_state(periods_b, periods_c):
     """Build a SpecializedState directly from already-rounded periods."""
     ps = PseudoInstance(tuple(Fraction(p) for p in periods_b + periods_c))
-    return split_23(ps)
+    return split_23(floors(ps))
 
 
 def test_decompose_examples():

@@ -20,7 +20,7 @@ from bamboo.scheduler import (
     solve,
 )
 from bamboo.verifier import evaluate
-from helpers import random_instance, reference_interleave
+from helpers import floors, random_instance, reference_interleave
 
 
 def chain(*periods):
@@ -131,7 +131,7 @@ def test_schedule_chain_is_collision_free_and_window_true(data):
 
 def norm_of(periods):
     ps = PseudoInstance(tuple(Fraction(p) for p in periods))
-    state = split_23(ps)
+    state = split_23(floors(ps))
     return normalize(decompose(state), state)
 
 
@@ -241,3 +241,9 @@ def test_solve_verifies_and_meets_guarantee(seed):
         )
         assert report.ok
         assert report.sim_matches is True
+        # integer rates stay int inside; every reported value is a Fraction
+        reported = [sol.lower_bound, sol.guarantee, sol.height_bound, sol.density, *report.heights]
+        reported += [report.analytic_max, report.ratio, report.sim.max_height]
+        if sol.normalized is not None:
+            reported.append(sol.normalized.y)
+        assert all(type(v) is Fraction for v in reported)
