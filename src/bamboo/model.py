@@ -159,7 +159,7 @@ class PseudoInstance:
         return density(self.periods)
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class JobPeriod:
     """One job paired with an integral period (a rounded or scaled value)."""
 

@@ -14,6 +14,11 @@ stays at most 1 whenever the input density is at most 7/12. y <= 1 is
 exactly what the odd/even interleaving of the two grids needs.
 On one grid every period divides the largest, so densities are weighed
 as integers over it; `Fraction` only appears in the values reported out.
+
+Every list of jobs here is sorted by (period, job) where it is built, with
+`by_period`, and every period is put on its grid by the arithmetic that
+builds it; no stage re-checks either. `scheduler.ChainInstance` is the one
+check, where the lists are consumed.
 """
 
 from __future__ import annotations
@@ -21,9 +26,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
-from .model import InvalidInstance, JobPeriod
+from .model import JobPeriod
 
 
 class UnroundablePeriod(ValueError):
@@ -48,16 +54,9 @@ CASE_RS: dict[str, frozenset[tuple[int, int]]] = {
 }
 
 
-def _is_power_of_two(m: int) -> bool:
-    return m >= 1 and m & (m - 1) == 0
-
-
-def on_two_grid(v: int) -> bool:
-    return v >= 2 and _is_power_of_two(v)
-
-
-def on_three_grid(v: int) -> bool:
-    return v >= 3 and v % 3 == 0 and _is_power_of_two(v // 3)
+def by_period(items: Iterable[JobPeriod]) -> tuple[JobPeriod, ...]:
+    """The one job order: by period, densest first, ties by job id."""
+    return tuple(sorted(items, key=lambda jp: (jp.period, jp.job)))
 
 
 def specialize_single(p: Fraction | int, x: int) -> int:
@@ -82,39 +81,25 @@ def _grid_weight(items: Iterable[JobPeriod]) -> tuple[int, int]:
     return sum(top // p for p in periods), top
 
 
+def grid_density(items: Iterable[JobPeriod]) -> Fraction:
+    """rho of a multiset on one grid, as an exact Fraction."""
+    return Fraction(*_grid_weight(items))
+
+
 def specialize_instance(floors: Sequence[int], x: int) -> tuple[JobPeriod, ...]:
     """Round every period down onto the single grid {x, 2x, 4x, ...}, given
     floor(p_i) for each job in job-id order (grid points are integers, so
     the floor decides as the period would)."""
-    out = [JobPeriod(job, specialize_single(m, x)) for job, m in enumerate(floors)]
-    return tuple(sorted(out, key=lambda jp: (jp.period, jp.job)))
+    return by_period(JobPeriod(job, specialize_single(m, x)) for job, m in enumerate(floors))
 
 
 @dataclass(frozen=True)
 class SpecializedState:
     """Outcome of the two-grid split: B on powers of two, C on 3 * powers of
-    two."""
+    two, each sorted by `by_period` (`split_23` builds them so)."""
 
     b: tuple[JobPeriod, ...]
     c: tuple[JobPeriod, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "b", tuple(sorted(self.b, key=lambda jp: (jp.period, jp.job))))
-        object.__setattr__(self, "c", tuple(sorted(self.c, key=lambda jp: (jp.period, jp.job))))
-        for jp in self.b:
-            if not on_two_grid(jp.period):
-                raise InvalidInstance(f"B member {jp.period} is not 2 * 2^j")
-        for jp in self.c:
-            if not on_three_grid(jp.period):
-                raise InvalidInstance(f"C member {jp.period} is not 3 * 2^j")
-
-    @property
-    def rho_b(self) -> Fraction:
-        return Fraction(*_grid_weight(self.b))
-
-    @property
-    def rho_c(self) -> Fraction:
-        return Fraction(*_grid_weight(self.c))
 
 
 def split_23(floors: Sequence[int]) -> SpecializedState:
@@ -137,7 +122,7 @@ def split_23(floors: Sequence[int]) -> SpecializedState:
             b.append(JobPeriod(job, two))
         else:
             c.append(JobPeriod(job, three))
-    return SpecializedState(b=tuple(b), c=tuple(c))
+    return SpecializedState(b=by_period(b), c=by_period(c))
 
 
 @dataclass(frozen=True)
@@ -149,14 +134,6 @@ class Decomposition:
     p: tuple[JobPeriod, ...]
     s: int
     q: tuple[JobPeriod, ...]
-
-    @property
-    def rho_p(self) -> Fraction:
-        return Fraction(*_grid_weight(self.p))
-
-    @property
-    def rho_q(self) -> Fraction:
-        return Fraction(*_grid_weight(self.q))
 
 
 def _extract_units(items: tuple[JobPeriod, ...], x: int) -> tuple[int, tuple[JobPeriod, ...]]:
@@ -188,33 +165,22 @@ def decompose(state: SpecializedState) -> Decomposition:
 class NormalizedState:
     """B' and C' after the leftover densities have been redistributed.
 
-    `case` records which branch fired; r and s are the pre-normalization
-    chunk counts, kept for the certificate's reachability check."""
+    B' is on the {2, 4, 8, ...} grid and C' on the {3, 6, 12, ...} grid,
+    each sorted by `by_period`; `normalize` builds them so and nothing here
+    re-checks it. `case` records which branch fired; r and s are the
+    pre-normalization chunk counts, kept for the certificate's reachability
+    check. The certificate y is derived from B' and C', so it always agrees
+    with them."""
 
     bp: tuple[JobPeriod, ...]
     cp: tuple[JobPeriod, ...]
     case: str
-    y: Fraction
     r: int
     s: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "bp", tuple(sorted(self.bp, key=lambda jp: (jp.period, jp.job))))
-        object.__setattr__(self, "cp", tuple(sorted(self.cp, key=lambda jp: (jp.period, jp.job))))
-        for jp in self.bp:
-            if not on_two_grid(jp.period):
-                raise InvalidInstance(f"B' member {jp.period} is not 2 * 2^j")
-        for jp in self.cp:
-            if not on_three_grid(jp.period):
-                raise InvalidInstance(f"C' member {jp.period} is not 3 * 2^j")
-
-    @property
-    def rho_bp(self) -> Fraction:
-        return Fraction(*_grid_weight(self.bp))
-
-    @property
-    def rho_cp(self) -> Fraction:
-        return Fraction(*_grid_weight(self.cp))
+    @cached_property
+    def y(self) -> Fraction:
+        return certificate_value(self.bp, self.cp)
 
 
 def _without(items: tuple[JobPeriod, ...], removed: tuple[JobPeriod, ...]) -> tuple[JobPeriod, ...]:
@@ -254,21 +220,22 @@ def normalize(dec: Decomposition, state: SpecializedState) -> NormalizedState:
         case = "b" if w2 <= den else "c"
     else:
         case = "d"
+    # dropping jobs keeps a side sorted; only the side that grows is re-sorted
     bp, cp = state.b, state.c
     if case in ("a", "c"):
-        bp, cp = _without(state.b, dec.p), state.c + _regrid(dec.p, 3)
+        bp, cp = _without(state.b, dec.p), by_period(state.c + _regrid(dec.p, 3))
     elif case == "b":
-        bp, cp = state.b + _regrid(dec.q, 2), _without(state.c, dec.q)
-    return NormalizedState(bp=bp, cp=cp, case=case, y=certificate_value(bp, cp), r=dec.r, s=dec.s)
+        bp, cp = by_period(state.b + _regrid(dec.q, 2)), _without(state.c, dec.q)
+    return NormalizedState(bp=bp, cp=cp, case=case, r=dec.r, s=dec.s)
 
 
 def certificate(norm: NormalizedState, original_density: Fraction) -> bool:
-    """Check normalize's y and pre-normalization chunk counts (`norm.y`,
-    `norm.r`, `norm.s`) against what theory promises once the original
-    density is within the 7/12 budget: y <= 1, and (r, s) inside the
-    reachable set for the case that fired. Any failure there raises
-    CertificateViolation rather than returning. Returns whether the checks
-    ran, i.e. whether the density was within budget.
+    """Check the certificate y of B' and C' and the pre-normalization chunk
+    counts (`norm.y`, `norm.r`, `norm.s`) against what theory promises once
+    the original density is within the 7/12 budget: y <= 1, and (r, s)
+    inside the reachable set for the case that fired. Any failure there
+    raises CertificateViolation rather than returning. Returns whether the
+    checks ran, i.e. whether the density was within budget.
     """
     original_density = Fraction(original_density)
     checked = original_density <= SEVEN_TWELFTHS

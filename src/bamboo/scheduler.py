@@ -29,6 +29,7 @@ from .rounding import (
     Decomposition,
     NormalizedState,
     SpecializedState,
+    by_period,
     certificate,
     decompose,
     normalize,
@@ -49,8 +50,9 @@ class Overdense(ValueError):
 class ChainInstance:
     """Jobs with integral periods forming a divides chain of density <= 1.
 
-    Stored sorted by (period, job id); validation happens on construction,
-    in integers, so the scheduling pass below can take both properties for
+    Stored in `by_period` order. This is the pipeline's one check of the
+    lists that rounding builds: validation happens on construction, in
+    integers, so the scheduling pass below can take both properties for
     granted. With P the largest period, density <= 1 reads
     sum(P // p) <= P, exact because every period divides P.
     """
@@ -58,7 +60,7 @@ class ChainInstance:
     jobs: tuple[JobPeriod, ...]
 
     def __post_init__(self) -> None:
-        jobs = tuple(sorted(self.jobs, key=lambda jp: (jp.period, jp.job)))
+        jobs = by_period(self.jobs)
         object.__setattr__(self, "jobs", jobs)
         for jp in jobs:
             if not isinstance(jp.period, int) or jp.period < 1:
@@ -138,6 +140,11 @@ def interleave(norm: NormalizedState) -> PeriodicSchedule:
     empty the other side's chain gets the whole calendar. A lone period-3
     job in C' (the only way a 3 survives the density budget) is pinned to
     every even day.
+
+    The certificate y, derived from B' and C', decides alone: with both
+    sides non-empty, y <= 1 forces both ceilings to 1, that is
+    rho(B') <= 1/2 and rho(C') <= 1/3, so each side fits its half of the
+    calendar. `ChainInstance` checks each side's chain as it is consumed.
     """
     if norm.y > 1:
         raise CertificateViolation(f"certificate y = {norm.y} exceeds 1; interleave has no calendar for this")
@@ -146,10 +153,6 @@ def interleave(norm: NormalizedState) -> PeriodicSchedule:
         return schedule_chain(ChainInstance(bp))
     if not bp:
         return schedule_chain(ChainInstance(cp))
-    if norm.rho_bp > Fraction(1, 2) or norm.rho_cp > Fraction(1, 3):
-        raise CertificateViolation(
-            f"mixed state too dense to interleave: rho(B') = {norm.rho_bp}, rho(C') = {norm.rho_cp}"
-        )
     entries = _place(ChainInstance(bp), 1, 2)
     if any(jp.period == 3 for jp in cp):
         assert len(cp) == 1, "a period-3 job only fits the density budget alone"
@@ -169,7 +172,10 @@ class Solution:
     periods of `instance`, built only when read; `rounded` on the factor-2
     path; `split`, `decomposition`, `normalized` and `certified` (density
     <= 7/12, so the certificate checks ran) on the two-grid path. Fields a
-    path does not reach stay None or False."""
+    path does not reach stay None or False. Each stage's job lists come
+    sorted by `rounding.by_period` from the stage that built them;
+    `ChainInstance` is where they are checked, and `normalized.y` is
+    derived from B' and C'."""
 
     schedule: PeriodicSchedule
     lower_bound: Fraction

@@ -15,7 +15,7 @@ from bamboo import BgtInstance, PseudoInstance
 from bamboo.model import InvalidInstance, JobPeriod, PeriodicSchedule, ScheduleEntry, density, lower_bound
 from bamboo.oracle import DEFAULT_STATE_CAP, PinwheelResult, StateSpaceTooLarge, _replay_witness
 from bamboo.reduction import PeriodBelowTwo, ReductionConfig
-from bamboo.rounding import CertificateViolation, NormalizedState
+from bamboo.rounding import CertificateViolation, NormalizedState, grid_density
 from bamboo.scheduler import ChainInstance, schedule_chain
 from bamboo.verifier import (
     DEFAULT_HORIZON_CAP,
@@ -81,6 +81,20 @@ def floors(pseudo: PseudoInstance) -> list[int]:
     """floor(p_i) for every period, what `split_23` and
     `specialize_instance` take."""
     return [math.floor(p) for p in pseudo.periods]
+
+
+def _is_power_of_two(m: int) -> bool:
+    return m >= 1 and m & (m - 1) == 0
+
+
+def on_two_grid(v: int) -> bool:
+    """v is one of 2, 4, 8, ... (the grid of B and B')."""
+    return v >= 2 and _is_power_of_two(v)
+
+
+def on_three_grid(v: int) -> bool:
+    """v is one of 3, 6, 12, ... (the grid of C and C')."""
+    return v >= 3 and v % 3 == 0 and _is_power_of_two(v // 3)
 
 
 def tampered(schedule: PeriodicSchedule) -> PeriodicSchedule:
@@ -180,9 +194,10 @@ def reference_interleave(norm: NormalizedState) -> PeriodicSchedule:
         return schedule_chain(ChainInstance(bp))
     if not bp:
         return schedule_chain(ChainInstance(cp))
-    if norm.rho_bp > Fraction(1, 2) or norm.rho_cp > Fraction(1, 3):
+    rho_bp, rho_cp = grid_density(bp), grid_density(cp)
+    if rho_bp > Fraction(1, 2) or rho_cp > Fraction(1, 3):
         raise CertificateViolation(
-            f"mixed state too dense to interleave: rho(B') = {norm.rho_bp}, rho(C') = {norm.rho_cp}"
+            f"mixed state too dense to interleave: rho(B') = {rho_bp}, rho(C') = {rho_cp}"
         )
     entries: list[ScheduleEntry] = []
     halved_b = ChainInstance(tuple(JobPeriod(jp.job, jp.period // 2) for jp in bp))

@@ -7,7 +7,9 @@ these double as schema tests for downstream tooling.
 import io
 import json
 import math
+import re
 import time
+from pathlib import Path
 
 import pytest
 
@@ -74,6 +76,18 @@ def test_solve_reads_stdin(capsys, monkeypatch):
     code, out, _ = run(capsys, "solve")
     assert code == 0
     assert json.loads(out)["bound"] == "96/7"
+
+
+def test_readme_solve_sample_is_what_the_cli_prints(capsys, monkeypatch):
+    # the README shows `$ echo '<input>' | bamboo solve` and its output in
+    # one fenced block; both are taken from the README, byte for byte
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    command = re.search(r"^\$ echo '(.*)' \| bamboo solve\n(.*?)^```", readme, re.M | re.S)
+    assert command, "README has no `echo ... | bamboo solve` sample"
+    monkeypatch.setattr("sys.stdin", io.StringIO(command.group(1)))
+    code, out, _ = run(capsys, "solve")
+    assert code == 0
+    assert out == command.group(2)
 
 
 def test_solve_factor_two(tmp_path, capsys):

@@ -8,7 +8,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bamboo.model import JobPeriod, PseudoInstance
 from bamboo.rounding import (
@@ -19,14 +19,13 @@ from bamboo.rounding import (
     certificate,
     certificate_value,
     decompose,
+    grid_density,
     normalize,
-    on_three_grid,
-    on_two_grid,
     specialize_instance,
     specialize_single,
     split_23,
 )
-from helpers import floors, pseudo_with_density
+from helpers import floors, on_three_grid, on_two_grid, pseudo_with_density
 
 
 def run_pipeline(ps: PseudoInstance):
@@ -74,8 +73,8 @@ def test_split_23_worked_example():
     state = split_23(floors(ps))
     assert state.b == (JobPeriod(1, 4), JobPeriod(2, 128))
     assert state.c == (JobPeriod(0, 3),)
-    assert state.rho_b == Fraction(33, 128)
-    assert state.rho_c == Fraction(1, 3)
+    assert grid_density(state.b) == Fraction(33, 128)
+    assert grid_density(state.c) == Fraction(1, 3)
 
 
 def test_split_23_grid_points():
@@ -90,22 +89,35 @@ def test_split_23_rejects_short_periods():
         split_23(floors(PseudoInstance((Fraction(3, 2),))))
 
 
+def assert_sorted_on_grid(items, on_grid):
+    assert list(items) == sorted(items, key=lambda jp: (jp.period, jp.job))
+    assert all(on_grid(jp.period) for jp in items)
+
+
 @given(st.lists(st.fractions(min_value=Fraction(2), max_value=Fraction(5000)), min_size=1, max_size=10))
+# one witness per normalization case: none, a, b, c, d
+@example([Fraction(2), Fraction(3)])
+@example([Fraction(8), Fraction(6)])
+@example([Fraction(12), Fraction(4), Fraction(8)])
+@example([Fraction(4), Fraction(8), Fraction(6)])
+@example([Fraction(4), Fraction(8), Fraction(16), Fraction(32), Fraction(12)])
 def test_split_23_band_membership(periods):
+    # no stage re-checks the one before it, so the builders must hand on
+    # B, C, B' and C' sorted by (period, job), on their grids, and covering
+    # every job exactly once
     ps = PseudoInstance(tuple(periods))
     state = split_23(floors(ps))
-    seen = set()
     for jp in state.b:
         p = ps.periods[jp.job]
-        assert on_two_grid(jp.period)
         assert jp.period <= p < Fraction(3, 2) * jp.period  # [2*2^j, 3*2^j)
-        seen.add(jp.job)
     for jp in state.c:
         p = ps.periods[jp.job]
-        assert on_three_grid(jp.period)
         assert jp.period <= p < Fraction(4, 3) * jp.period  # [3*2^j, 4*2^j)
-        seen.add(jp.job)
-    assert seen == set(range(ps.n))
+    norm = normalize(decompose(state), state)
+    for b, c in ((state.b, state.c), (norm.bp, norm.cp)):
+        assert_sorted_on_grid(b, on_two_grid)
+        assert_sorted_on_grid(c, on_three_grid)
+        assert sorted(jp.job for jp in b + c) == list(range(ps.n))
 
 
 # ---------------------------------------------------------------- decomposition
@@ -139,7 +151,7 @@ def test_decompose_fills_units_from_densest_periods():
     dec = decompose(split_state([4, 8, 8, 16, 64], []))
     assert dec.r == 1
     assert tuple(jp.period for jp in dec.p) == (16, 64)
-    assert dec.rho_p == Fraction(5, 64)
+    assert grid_density(dec.p) == Fraction(5, 64)
 
 
 @given(
@@ -153,13 +165,13 @@ def test_decompose_invariants(exponents, three_side):
     state = split_state(periods if not three_side else [], periods if three_side else [])
     dec = decompose(state)
     if three_side:
-        assert state.rho_c == Fraction(dec.s, 3) + dec.rho_q
-        assert 0 <= dec.rho_q < Fraction(1, 3)
+        assert grid_density(state.c) == Fraction(dec.s, 3) + grid_density(dec.q)
+        assert 0 <= grid_density(dec.q) < Fraction(1, 3)
         leftover = dec.q
         pool = state.c
     else:
-        assert state.rho_b == Fraction(dec.r, 2) + dec.rho_p
-        assert 0 <= dec.rho_p < Fraction(1, 2)
+        assert grid_density(state.b) == Fraction(dec.r, 2) + grid_density(dec.p)
+        assert 0 <= grid_density(dec.p) < Fraction(1, 2)
         leftover = dec.p
         pool = state.b
     # leftover is a sub-multiset, and sits at the large-period end
@@ -201,7 +213,7 @@ def test_normalize_case_c_witness():
 def test_normalize_case_d_witness():
     state = split_state([4, 8, 16, 32], [12])
     dec = decompose(state)
-    assert dec.rho_p == Fraction(15, 32) and dec.rho_q == Fraction(1, 12)
+    assert grid_density(dec.p) == Fraction(15, 32) and grid_density(dec.q) == Fraction(1, 12)
     norm = normalize(dec, state)
     assert norm.case == "d"
     assert norm.bp == state.b and norm.cp == state.c

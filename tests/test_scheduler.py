@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from bamboo.model import BgtInstance, JobPeriod, PseudoInstance
 from bamboo.reduction import ReductionConfig, bgt_to_pseudo
-from bamboo.rounding import NormalizedState, certificate_value, decompose, normalize, split_23
+from bamboo.rounding import NormalizedState, decompose, normalize, split_23
 from bamboo.scheduler import (
     ChainInstance,
     NotAChain,
@@ -177,7 +177,7 @@ def test_interleave_matches_reference_on_every_small_state():
             jobs = [JobPeriod(i, p) for i, p in enumerate(periods)]
             bp = tuple(jp for jp in jobs if jp.period % 3)
             cp = tuple(jp for jp in jobs if jp.period % 3 == 0)
-            norm = NormalizedState(bp=bp, cp=cp, case="none", y=certificate_value(bp, cp), r=0, s=0)
+            norm = NormalizedState(bp=bp, cp=cp, case="none", r=0, s=0)
             assert _outcome(interleave, norm) == _outcome(reference_interleave, norm), periods
             states += 1
     assert states == 3003
