@@ -3,14 +3,16 @@
 Two populations:
 
   reduced  gardens with random integer rates pushed through the default
-           12/7 reduction, i.e. the instances the solver really sees;
+           12/7 reduction, i.e. the instances the solver really sees,
+           taken as `solve` takes them: the integer floors and the density
+           of `reduction.scaled`;
   splits   synthetic pseudo-instances built as exact rational splits of a
            target density (7/12 by default), which explore the state space
            with no reduction structure in the way.
 
-The interesting open point is case (d): splits reach it easily, but it is
-unclear whether a reduced garden can. This census measures both and prints
-one witness per (population, case) pair.
+Both populations reach every case, the no-move case (d) included, which
+was not obvious in advance for reduced gardens. This census measures how
+often each case fires and prints one witness per (population, case) pair.
 
 Usage: python scripts/case_census.py --trials 20000 --seed 7
 """
@@ -31,16 +33,16 @@ except ImportError:  # running from a checkout without an install
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from bamboo.model import BgtInstance, PseudoInstance
-from bamboo.reduction import ReductionConfig, bgt_to_pseudo
+from bamboo.reduction import scaled
 from bamboo.rounding import certificate, decompose, normalize, split_23
 
 CASES = ("none", "a", "b", "c", "d")
 
 
-def case_of(ps: PseudoInstance) -> str:
-    state = split_23([math.floor(p) for p in ps.periods])
+def case_of(floors: list[int], density: Fraction) -> str:
+    state = split_23(floors)
     norm = normalize(decompose(state), state)
-    certificate(norm, ps.density)  # raises if the theory is violated
+    certificate(norm, density)  # raises if the theory is violated
     return norm.case
 
 
@@ -59,8 +61,8 @@ def census_reduced(trials: int, rng: random.Random, n_hi: int, rate_hi: int):
     for _ in range(trials):
         n = rng.randint(2, n_hi)
         rates = sorted((rng.randint(1, rate_hi) for _ in range(n)), reverse=True)
-        inst = BgtInstance.from_values(rates)
-        case = case_of(bgt_to_pseudo(inst, ReductionConfig()))
+        garden = scaled(BgtInstance.from_values(rates))
+        case = case_of(garden.floors(), garden.density)
         counts[case] += 1
         witnesses.setdefault(case, tuple(rates))
     return counts, witnesses
@@ -74,7 +76,7 @@ def census_splits(trials: int, rng: random.Random, density: Fraction, parts_hi: 
         ps = random_split(density, rng.randint(2, parts_hi), rng)
         if ps is None:
             continue
-        case = case_of(ps)
+        case = case_of([math.floor(p) for p in ps.periods], ps.density)
         counts[case] += 1
         witnesses.setdefault(case, tuple(str(p) for p in ps.periods))
         done += 1

@@ -15,7 +15,6 @@ from .model import (
     PseudoInstance,
     ScheduleEntry,
     density,
-    lower_bound,
     parse_rational,
 )
 from .oracle import PinwheelResult, StateSpaceTooLarge, bgt_opt, pinwheel_feasible, tightness_examples

@@ -11,12 +11,10 @@ import sys
 from fractions import Fraction
 
 from . import model, oracle, reduction, scheduler, verifier
-from .model import InvalidInstance, JobPeriod, parse_rational
+from .model import InvalidInstance, JobPeriod
 from .oracle import StateSpaceTooLarge
 from .reduction import PeriodBelowTwo, ReductionConfig
-from .rounding import CertificateViolation, UnroundablePeriod
-from .scheduler import NotAChain, Overdense
-from .verifier import HorizonOverflow
+from .rounding import CertificateViolation
 
 
 def _over_digit_limit(exc: ValueError) -> bool:
@@ -56,7 +54,7 @@ def _state_cap() -> int:
 
 
 def _config(args: argparse.Namespace) -> ReductionConfig:
-    return ReductionConfig(factor=parse_rational(args.factor), lb_mode=args.lower_bound)
+    return ReductionConfig(factor=args.factor, lb_mode=args.lower_bound)
 
 
 def _jp_list(items: tuple[JobPeriod, ...]) -> list[dict]:
@@ -66,7 +64,7 @@ def _jp_list(items: tuple[JobPeriod, ...]) -> list[dict]:
 def trace_to_obj(sol: scheduler.Solution) -> dict:
     """The `--explain` trace, rendered from the stage values `solve` kept."""
     head = {"lower_bound": str(sol.lower_bound), "factor": str(sol.config.factor)}
-    if sol.pseudo.n == 1:
+    if sol.instance.n == 1:
         return {"path": "single-bamboo", **head}
     head["pseudo_periods"] = [str(p) for p in sol.pseudo.periods]
     head["density"] = str(sol.density)
@@ -149,17 +147,17 @@ def _cmd_oracle_pinwheel(args: argparse.Namespace) -> int:
 def _cmd_oracle_opt(args: argparse.Namespace) -> int:
     instance = model.instance_from_obj(_read_json(args.input))
     opt = oracle.bgt_opt(instance, cap=_state_cap())
-    _emit({"rates": [str(r) for r in instance.rates], "opt": str(opt)})
+    _emit({**model.instance_to_obj(instance), "opt": str(opt)})
     return 0
 
 
 def _cmd_oracle_tightness(args: argparse.Namespace) -> int:
     _emit(
         oracle.tightness_examples(
-            epsilon=parse_rational(args.epsilon),
-            big_m=parse_rational(args.big_m),
-            eta=parse_rational(args.eta),
-            gamma=parse_rational(args.gamma),
+            epsilon=args.epsilon,
+            big_m=args.big_m,
+            eta=args.eta,
+            gamma=args.gamma,
             cap=_state_cap(),
         )
     )
@@ -194,7 +192,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         total_lb += ratio
         row = {
             "index": i,
-            "rates": [str(r) for r in instance.rates],
+            **model.instance_to_obj(instance),
             "lower_bound": str(sol.lower_bound),
             "max_height": str(sol.height_bound),
             "ratio": str(ratio),
@@ -311,16 +309,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         print("hint: use --lower-bound max-rule", file=sys.stderr)
         return 2
-    except (
-        InvalidInstance,
-        UnroundablePeriod,
-        NotAChain,
-        Overdense,
-        HorizonOverflow,
-        StateSpaceTooLarge,
-        json.JSONDecodeError,
-        OSError,
-    ) as exc:
+    except (InvalidInstance, StateSpaceTooLarge, json.JSONDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CertificateViolation as exc:

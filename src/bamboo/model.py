@@ -1,20 +1,22 @@
 """Exact-arithmetic domain types shared by every stage of the solver.
 
-Rates are plain `int` when integral and `fractions.Fraction` otherwise.
-Fractional periods, densities and reported heights are `Fraction` values;
-rounded periods, offsets and cycles are plain `int`. Control flow
-hinges on exact comparisons (is a density equal to 7/12? does a period sit
-on a grid boundary?), so binary floating point is rejected at the parsing
-boundary instead of being silently converted.
+Rates and fractional periods are plain `int` when integral and
+`fractions.Fraction` otherwise; densities and reported heights are
+`Fraction` values; rounded periods, offsets and cycles are plain `int`.
+Control flow hinges on exact comparisons (is a density equal to 7/12?
+does a period sit on a grid boundary?), so binary floating point and
+`bool` are rejected at the boundary instead of being silently converted.
+Each boundary rule has one home: `parse_rational` is the one coercion of
+rates, periods and factors, and `PeriodicSchedule` the one check of
+schedule entries. The lower bound lives in `reduction.scaled` and the
+simulation horizon in `verifier.default_horizon`.
 """
 
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterable
 
 
@@ -59,25 +61,6 @@ def parse_rational(value: object) -> int | Fraction:
     raise InvalidInstance(f"cannot parse a rational from a {type(value).__name__}")
 
 
-def density(periods: Iterable[Fraction | int]) -> Fraction:
-    """Sum of reciprocals of the given periods. Empty input has density 0."""
-    total = Fraction(0)
-    for p in periods:
-        if isinstance(p, float):
-            raise InvalidInstance(f"binary float period {p!r} rejected")
-        p = Fraction(p)
-        if p <= 0:
-            raise InvalidInstance(f"period {p} is not positive")
-        total += Fraction(1, 1) / p
-    return total
-
-
-def _exact_rate(r: object) -> int | Fraction:
-    if isinstance(r, float):
-        raise InvalidInstance(f"binary float rate {r!r} rejected")
-    return _int_if_integral(Fraction(r))
-
-
 @dataclass(frozen=True)
 class BgtInstance:
     """A garden of bamboos: growth rates per day, sorted non-increasing.
@@ -90,7 +73,7 @@ class BgtInstance:
     rates: tuple[int | Fraction, ...]
 
     def __post_init__(self) -> None:
-        rates = tuple(r if type(r) is int else _exact_rate(r) for r in self.rates)
+        rates = tuple(map(parse_rational, self.rates))
         object.__setattr__(self, "rates", rates)
         if not rates:
             raise InvalidInstance("an instance needs at least one bamboo")
@@ -101,54 +84,30 @@ class BgtInstance:
 
     @classmethod
     def from_values(cls, values: Iterable[object]) -> "BgtInstance":
-        return cls(tuple(parse_rational(v) for v in values))
+        return cls(tuple(values))
 
     @property
     def n(self) -> int:
         return len(self.rates)
 
-    @property
-    def max_rate(self) -> int | Fraction:
-        return self.rates[0]
-
-    @cached_property
-    def total_rate(self) -> Fraction:
-        # a Fraction even for an integer garden, as `lower_bound` reports it
-        return sum(self.rates, Fraction(0))
-
-
-def lower_bound(instance: BgtInstance, mode: str = "max-rule") -> Fraction:
-    """A height every schedule must reach: the growth-sum H, or the sharper
-    max(2*h_max, H) rule. For a single bamboo both modes give h_max."""
-    if mode not in ("sum", "max-rule"):
-        raise ValueError(f"unknown lower-bound mode {mode!r}")
-    if mode == "sum":
-        return instance.total_rate
-    if instance.n == 1:
-        return Fraction(instance.max_rate)
-    return max(Fraction(2 * instance.max_rate), instance.total_rate)
-
 
 @dataclass(frozen=True)
 class PseudoInstance:
     """Fractional pinwheel periods, parallel to the job ids of the source
-    instance. `factor` and `lower_bound` record how the periods were derived
-    when they came out of a reduction."""
+    instance. Like rates, each period is an `int` when integral and a
+    `Fraction` otherwise. `factor` and `lower_bound` record how the periods
+    were derived when they came out of a reduction."""
 
-    periods: tuple[Fraction, ...]
+    periods: tuple[int | Fraction, ...]
     factor: Fraction | None = None
     lower_bound: Fraction | None = None
 
     def __post_init__(self) -> None:
-        clean = []
-        for p in self.periods:
-            if isinstance(p, float):
-                raise InvalidInstance(f"binary float period {p!r} rejected")
-            p = Fraction(p)
+        periods = tuple(parse_rational(p) for p in self.periods)
+        object.__setattr__(self, "periods", periods)
+        for p in periods:
             if p <= 0:
                 raise InvalidInstance(f"period {p} is not positive")
-            clean.append(p)
-        object.__setattr__(self, "periods", tuple(clean))
 
     @property
     def n(self) -> int:
@@ -156,7 +115,16 @@ class PseudoInstance:
 
     @property
     def density(self) -> Fraction:
-        return density(self.periods)
+        """Sum of reciprocals of the periods; 0 for no period."""
+        total = Fraction(0)
+        for p in self.periods:
+            total += Fraction(1, 1) / p
+        return total
+
+
+def density(periods: Iterable[Fraction | int]) -> Fraction:
+    """Sum of reciprocals of the given periods. Empty input has density 0."""
+    return PseudoInstance(tuple(periods)).density
 
 
 @dataclass(frozen=True)
@@ -183,7 +151,10 @@ class ScheduleEntry:
 class PeriodicSchedule:
     """One entry per job, stored sorted by job id.
 
-    Offsets and cycles are validated to be positive here; the stronger
+    This is the one check of schedule entries, from the builders and from
+    JSON alike: every field is a plain `int` (not a `bool`), checked in
+    the order given and before the sort by job, job ids are non-negative
+    and distinct, and offsets and cycles are positive. The stronger
     offset <= cycle property is established by the builders and checked
     where they run.
     """
@@ -191,19 +162,21 @@ class PeriodicSchedule:
     entries: tuple[ScheduleEntry, ...]
 
     def __post_init__(self) -> None:
+        for e in self.entries:
+            if type(e.job) is not int or type(e.offset) is not int or type(e.cycle) is not int:
+                name, v = next((k, v) for k, v in vars(e).items() if type(v) is not int)
+                raise InvalidInstance(f'entry field "{name}" must be an integer, got {v!r}')
         entries = tuple(sorted(self.entries, key=lambda e: e.job))
         object.__setattr__(self, "entries", entries)
-        seen = set()
+        if entries and entries[0].job < 0:
+            raise InvalidInstance(f"job id {entries[0].job} is negative")
+        previous = None
         for e in entries:
-            if not isinstance(e.job, int) or not isinstance(e.offset, int) or not isinstance(e.cycle, int):
-                raise InvalidInstance("schedule entries must be integral")
-            if e.job < 0:
-                raise InvalidInstance(f"job id {e.job} is negative")
             if e.offset < 1 or e.cycle < 1:
                 raise InvalidInstance(f"entry for job {e.job} needs offset >= 1 and cycle >= 1")
-            if e.job in seen:
+            if e.job == previous:
                 raise InvalidInstance(f"job {e.job} appears twice")
-            seen.add(e.job)
+            previous = e.job
 
     @property
     def jobs(self) -> tuple[int, ...]:
@@ -214,12 +187,6 @@ class PeriodicSchedule:
             if e.job == job:
                 return e
         raise KeyError(job)
-
-    def hyperperiod(self) -> int:
-        return math.lcm(*(e.cycle for e in self.entries)) if self.entries else 1
-
-    def max_offset(self) -> int:
-        return max((e.offset for e in self.entries), default=0)
 
 
 # ---------- JSON forms ----------
@@ -280,11 +247,7 @@ def schedule_from_obj(obj: object) -> PeriodicSchedule:
         if not isinstance(item, dict):
             raise InvalidInstance("each schedule entry must be an object")
         try:
-            job, offset, cycle = item["job"], item["offset"], item["cycle"]
+            entries.append(ScheduleEntry(item["job"], item["offset"], item["cycle"]))
         except KeyError as exc:
             raise InvalidInstance(f"schedule entry missing key {exc}") from exc
-        for name, v in (("job", job), ("offset", offset), ("cycle", cycle)):
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise InvalidInstance(f'entry field "{name}" must be an integer, got {v!r}')
-        entries.append(ScheduleEntry(job, offset, cycle))
     return PeriodicSchedule(tuple(entries))

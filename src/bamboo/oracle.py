@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .model import BgtInstance, InvalidInstance, density
+from .model import BgtInstance, InvalidInstance, density, parse_rational
 from .reduction import ReductionConfig, bgt_to_pseudo, scaled
 
 DEFAULT_STATE_CAP = 10**7
@@ -254,8 +254,7 @@ def tightness_examples(
     give periods (3 - eps1, 4 - eps2, M') whenever
     0 < gamma < 49 eta / (12 - 7 eta).
     """
-    epsilon, big_m = Fraction(epsilon), Fraction(big_m)
-    eta, gamma = Fraction(eta), Fraction(gamma)
+    epsilon, big_m, eta, gamma = (Fraction(parse_rational(v)) for v in (epsilon, big_m, eta, gamma))
 
     if not 0 < epsilon < 1:
         raise InvalidInstance("epsilon must sit strictly between 0 and 1")

@@ -17,10 +17,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .model import BgtInstance, InvalidInstance, PseudoInstance
+from .model import BgtInstance, InvalidInstance, PseudoInstance, parse_rational
 
 
-class PeriodBelowTwo(ValueError):
+class PeriodBelowTwo(InvalidInstance):
     """The reduction produced a period below 2 for a garden of two or more
     bamboos, which the rounding grids cannot absorb. Happens under ("sum"
     mode, factor 12/7) when one rate dominates the garden."""
@@ -36,9 +36,7 @@ class ReductionConfig:
     lb_mode: str = "max-rule"
 
     def __post_init__(self) -> None:
-        if isinstance(self.factor, float):
-            raise InvalidInstance(f"binary float factor {self.factor!r} rejected")
-        object.__setattr__(self, "factor", Fraction(self.factor))
+        object.__setattr__(self, "factor", Fraction(parse_rational(self.factor)))
         if self.factor <= 1:
             raise InvalidInstance("the magnification factor must exceed 1")
         if self.lb_mode not in ("sum", "max-rule"):
@@ -52,9 +50,10 @@ class ScaledGarden:
     With D (`scale`) the least common denominator of the rates (1 for an
     integer garden), `rates` holds a_i = h_i * D, `total` holds A = sum(a_i)
     and `bound` holds L * D: max(2 * a_0, A) in max-rule mode, A in sum
-    mode, a_0 for a single bamboo. With factor u/v the period
-    p_i = factor * L / h_i is u * bound / (v * a_i), so
-    floor(p_i) = `top` // a_i, where `top` = floor(factor * L * D).
+    mode, a_0 for a single bamboo; this is the one home of the lower bound.
+    With factor u/v the period p_i = factor * L / h_i is
+    u * bound / (v * a_i), so floor(p_i) = `top` // a_i, where
+    `top` = floor(factor * L * D).
     """
 
     scale: int

@@ -29,10 +29,10 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .model import JobPeriod
+from .model import InvalidInstance, JobPeriod
 
 
-class UnroundablePeriod(ValueError):
+class UnroundablePeriod(InvalidInstance):
     """A period too small for the requested grid (p < x has no x*2^j below it)."""
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .model import BgtInstance, JobPeriod, PeriodicSchedule, PseudoInstance, ScheduleEntry
+from .model import BgtInstance, InvalidInstance, JobPeriod, PeriodicSchedule, PseudoInstance, ScheduleEntry
 from .reduction import ReductionConfig, bgt_to_pseudo, scaled
 from .rounding import (
     CertificateViolation,
@@ -38,11 +38,11 @@ from .rounding import (
 )
 
 
-class NotAChain(ValueError):
+class NotAChain(InvalidInstance):
     """Periods do not form a divides chain."""
 
 
-class Overdense(ValueError):
+class Overdense(InvalidInstance):
     """Density exceeds 1, so no schedule can serve every job in time."""
 
 

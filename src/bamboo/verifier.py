@@ -24,8 +24,8 @@ DEFAULT_HORIZON_CAP = 10**6
 _INC = bytes([1] + [2] * 255)
 
 
-class HorizonOverflow(ValueError):
-    """Requested simulation horizon exceeds the configured cap."""
+class HorizonOverflow(InvalidInstance):
+    """Requested simulation horizon exceeds DEFAULT_HORIZON_CAP."""
 
 
 @dataclass(frozen=True)
@@ -139,7 +139,6 @@ def simulate(
     schedule: PeriodicSchedule,
     instance: BgtInstance,
     horizon: int,
-    cap: int = DEFAULT_HORIZON_CAP,
 ) -> SimReport:
     """Cut the garden up to `horizon` days and report the tallest bamboo.
 
@@ -158,8 +157,8 @@ def simulate(
     """
     if horizon < 1:
         raise InvalidInstance(f"horizon must be at least 1, got {horizon}")
-    if horizon > cap:
-        raise HorizonOverflow(f"horizon {horizon} exceeds the cap of {cap} days")
+    if horizon > DEFAULT_HORIZON_CAP:
+        raise HorizonOverflow(f"horizon {horizon} exceeds the cap of {DEFAULT_HORIZON_CAP} days")
     for e in schedule.entries:
         if e.job >= instance.n:
             raise InvalidInstance(f"schedule mentions job {e.job} outside the instance")
@@ -249,11 +248,23 @@ class VerificationReport:
         }
 
 
-def default_horizon(schedule: PeriodicSchedule, cap: int = DEFAULT_HORIZON_CAP) -> int:
-    """max offset + two hyperperiods, capped; enough to witness every gap."""
+def default_horizon(schedule: PeriodicSchedule) -> int:
+    """max offset + two hyperperiods (lcm of the cycles), capped at
+    DEFAULT_HORIZON_CAP; enough to witness every gap.
+
+    The lcm is folded one distinct cycle at a time and given up as soon as
+    it alone carries the horizon to the cap: it only grows from there, and
+    the full lcm of thousands of coprime cycles is a huge integer.
+    """
     if not schedule.entries:
         return 1
-    return min(cap, schedule.max_offset() + 2 * schedule.hyperperiod())
+    start = max(e.offset for e in schedule.entries)
+    hyperperiod = 1
+    for cycle in {e.cycle for e in schedule.entries}:
+        hyperperiod = math.lcm(hyperperiod, cycle)
+        if start + 2 * hyperperiod >= DEFAULT_HORIZON_CAP:
+            return DEFAULT_HORIZON_CAP
+    return start + 2 * hyperperiod
 
 
 def evaluate(
@@ -262,7 +273,6 @@ def evaluate(
     pseudo: PseudoInstance | None = None,
     lower_bound_value: Fraction | None = None,
     horizon: int | None = None,
-    cap: int = DEFAULT_HORIZON_CAP,
 ) -> VerificationReport:
     """Run every check against one schedule and bundle the outcome."""
     collisions = check_collisions(schedule)
@@ -273,8 +283,8 @@ def evaluate(
     heights = max_heights(schedule, instance) if jobs_ok else None
     analytic = max(heights) if heights else None
     if horizon is None:
-        horizon = default_horizon(schedule, cap)
-    sim = simulate(schedule, instance, horizon, cap)
+        horizon = default_horizon(schedule)
+    sim = simulate(schedule, instance, horizon)
     conclusive = jobs_ok and all(e.offset + e.cycle <= horizon for e in schedule.entries)
     sim_matches: bool | None = None
     if conclusive and analytic is not None:

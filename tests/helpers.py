@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from bamboo import BgtInstance, PseudoInstance
-from bamboo.model import InvalidInstance, JobPeriod, PeriodicSchedule, ScheduleEntry, density, lower_bound
+from bamboo.model import InvalidInstance, JobPeriod, PeriodicSchedule, ScheduleEntry, density
 from bamboo.oracle import DEFAULT_STATE_CAP, PinwheelResult, StateSpaceTooLarge, _replay_witness
 from bamboo.reduction import PeriodBelowTwo, ReductionConfig
 from bamboo.rounding import CertificateViolation, NormalizedState, grid_density
@@ -105,6 +105,25 @@ def tampered(schedule: PeriodicSchedule) -> PeriodicSchedule:
     return PeriodicSchedule(schedule.entries[:-1] + (ScheduleEntry(last.job, offset, last.cycle),))
 
 
+# ------------------------------------------------- lower-bound reference
+#
+# The first lower bound, kept as it was, in Fractions over the rates as
+# given: `reduction.scaled` must report exactly this.
+
+
+def reference_lower_bound(instance: BgtInstance, mode: str) -> Fraction:
+    """The growth sum H, or the sharper max(2 * h_max, H) rule. For a single
+    bamboo both modes give h_max."""
+    if mode not in ("sum", "max-rule"):
+        raise ValueError(f"unknown lower-bound mode {mode!r}")
+    total = sum(instance.rates, Fraction(0))
+    if mode == "sum":
+        return total
+    if instance.n == 1:
+        return Fraction(instance.rates[0])
+    return max(Fraction(2 * instance.rates[0]), total)
+
+
 # ------------------------------------------------- verifier references
 #
 # The verifier's first implementations, kept as they were: one CRT test per
@@ -128,12 +147,11 @@ def reference_simulate(
     schedule: PeriodicSchedule,
     instance: BgtInstance,
     horizon: int,
-    cap: int = DEFAULT_HORIZON_CAP,
 ) -> SimReport:
     if horizon < 1:
         raise InvalidInstance(f"horizon must be at least 1, got {horizon}")
-    if horizon > cap:
-        raise HorizonOverflow(f"horizon {horizon} exceeds the cap of {cap} days")
+    if horizon > DEFAULT_HORIZON_CAP:
+        raise HorizonOverflow(f"horizon {horizon} exceeds the cap of {DEFAULT_HORIZON_CAP} days")
     for e in schedule.entries:
         if e.job >= instance.n:
             raise InvalidInstance(f"schedule mentions job {e.job} outside the instance")
@@ -315,7 +333,7 @@ def reference_pinwheel_feasible(periods: Sequence[int], cap: int = DEFAULT_STATE
 def reference_bgt_opt(instance: BgtInstance, cap: int = DEFAULT_STATE_CAP) -> Fraction:
     # Fraction rates keep v / h exact where a rate is an int
     rates = [Fraction(h) for h in instance.rates]
-    bound = lower_bound(instance, "max-rule")
+    bound = reference_lower_bound(instance, "max-rule")
     ceiling = Fraction(12, 7) * bound
     candidates: set[Fraction] = set()
     for h in rates:
@@ -336,7 +354,7 @@ def reference_bgt_opt(instance: BgtInstance, cap: int = DEFAULT_STATE_CAP) -> Fr
 
 def reference_bgt_to_pseudo(instance: BgtInstance, config: ReductionConfig | None = None) -> PseudoInstance:
     config = config or ReductionConfig()
-    bound = lower_bound(instance, config.lb_mode)
+    bound = reference_lower_bound(instance, config.lb_mode)
     periods = tuple(config.factor * bound / h for h in instance.rates)
     smallest = min(periods)
     if smallest < 2 and instance.n > 1:

@@ -63,7 +63,7 @@ def test_criterion_1_guarantee_twelve_sevenths(corpus, solved_default):
     failures = 0
     worst = Fraction(0)
     for inst, sol in zip(corpus, sols):
-        bound = max(2 * inst.max_rate, inst.total_rate)
+        bound = max(2 * inst.rates[0], sum(inst.rates))
         if sol.lower_bound != bound or sol.height_bound > TWELVE_SEVENTHS * bound:
             failures += 1
         worst = max(worst, sol.height_bound / bound)
@@ -78,7 +78,7 @@ def test_criterion_2_guarantee_doubling(corpus, solved_doubling):
     failures = sum(
         1
         for inst, sol in zip(corpus, solved_doubling)
-        if sol.height_bound > 2 * inst.total_rate
+        if sol.height_bound > 2 * sum(inst.rates)
     )
     verdict(2, failures == 0, "500 instances, factor 2 against 2H")
 

@@ -27,7 +27,7 @@ import random
 from fractions import Fraction
 
 from bamboo.cli import solution_to_obj
-from bamboo.model import BgtInstance, lower_bound
+from bamboo.model import BgtInstance
 from bamboo.oracle import StateSpaceTooLarge, bgt_opt
 from bamboo.reduction import ReductionConfig, bgt_to_pseudo
 from bamboo.scheduler import solve
@@ -127,13 +127,9 @@ def golden_verify_digest() -> str:
     for instance in corpus():
         for config in CONFIGS:
             schedule = solve(instance, config).schedule
+            pseudo = bgt_to_pseudo(instance, config)
             for s in (schedule, tampered(schedule)):
-                report = evaluate(
-                    instance,
-                    s,
-                    pseudo=bgt_to_pseudo(instance, config),
-                    lower_bound_value=lower_bound(instance, config.lb_mode),
-                )
+                report = evaluate(instance, s, pseudo=pseudo, lower_bound_value=pseudo.lower_bound)
                 h.update((json.dumps(report.to_obj(), indent=2) + "\n").encode("utf-8"))
     return h.hexdigest()
 

@@ -14,13 +14,14 @@ from bamboo.model import (
     density,
     instance_from_obj,
     instance_to_obj,
-    lower_bound,
     parse_rational,
     pseudo_from_obj,
     pseudo_to_obj,
     schedule_from_obj,
     entries_to_obj,
 )
+from bamboo.reduction import ReductionConfig, scaled
+from helpers import reference_lower_bound
 
 
 # ---------------------------------------------------------------- parsing
@@ -90,8 +91,7 @@ def test_density_is_additive_over_disjoint_union(xs, ys):
 def test_instance_requires_sorted_positive_rates():
     inst = BgtInstance.from_values(["4", "3", "0.1"])
     assert inst.n == 3
-    assert inst.max_rate == 4
-    assert inst.total_rate == Fraction(71, 10)
+    assert inst.rates == (4, 3, Fraction(1, 10))
     assert [type(r) for r in inst.rates] == [int, int, Fraction]
     assert [type(r) for r in BgtInstance((Fraction(6, 3), Fraction(1, 2))).rates] == [int, Fraction]
 
@@ -105,34 +105,37 @@ def test_instance_requires_sorted_positive_rates():
         BgtInstance((Fraction(4), 0.5))  # type: ignore[arg-type]
 
 
-@given(
-    st.lists(st.integers(min_value=1, max_value=10**6), min_size=1, max_size=12)
-    | st.lists(st.fractions(min_value=Fraction(1, 10**6), max_value=10**6, max_denominator=10**6), min_size=1, max_size=12)
-)
-def test_total_rate_is_the_sum_computed_once(rates):
-    inst = BgtInstance(tuple(sorted((Fraction(r) for r in rates), reverse=True)))
-    assert inst.total_rate == sum(inst.rates)
-    assert inst.total_rate is inst.total_rate
+# The lower bound has one home, `reduction.scaled`; it does not depend on
+# the factor, and factor 2 keeps every sum-mode period >= 2, so no garden
+# is refused with PeriodBelowTwo before its bound is read.
+
+
+def scaled_bound(inst: BgtInstance, mode: str) -> Fraction:
+    return scaled(inst, ReductionConfig(factor=Fraction(2), lb_mode=mode)).lower_bound
 
 
 def test_lower_bound_examples():
     inst = BgtInstance.from_values(["4", "3", "0.1"])
-    assert lower_bound(inst, "max-rule") == 8
-    assert lower_bound(inst, "sum") == Fraction(71, 10)
     single = BgtInstance.from_values(["1"])
-    assert lower_bound(single, "max-rule") == 1
-    assert lower_bound(single, "sum") == 1
-    with pytest.raises(ValueError):
-        lower_bound(inst, "median")
+    for garden, mode, expected in (
+        (inst, "max-rule", 8),
+        (inst, "sum", Fraction(71, 10)),
+        (single, "max-rule", 1),
+        (single, "sum", 1),
+    ):
+        assert scaled_bound(garden, mode) == expected == reference_lower_bound(garden, mode)
+        assert scaled(garden, ReductionConfig(lb_mode=mode)).lower_bound == expected
+    with pytest.raises(InvalidInstance):
+        ReductionConfig(lb_mode="median")
 
 
 @given(st.lists(st.integers(min_value=1, max_value=999), min_size=2, max_size=10))
 def test_max_rule_formula_and_domination(rates):
     rates = sorted(rates, reverse=True)
     inst = BgtInstance.from_values(rates)
-    lb = lower_bound(inst, "max-rule")
-    assert lb >= lower_bound(inst, "sum")
-    assert lb == max(2 * rates[0], sum(rates))
+    lb = scaled_bound(inst, "max-rule")
+    assert lb >= scaled_bound(inst, "sum") == reference_lower_bound(inst, "sum")
+    assert lb == max(2 * rates[0], sum(rates)) == reference_lower_bound(inst, "max-rule")
 
 
 # ---------------------------------------------------------------- schedules
@@ -148,8 +151,6 @@ def test_periodic_schedule_validation():
     s = PeriodicSchedule((ScheduleEntry(1, 2, 4), ScheduleEntry(0, 1, 2)))
     assert s.jobs == (0, 1)  # stored sorted by job id
     assert s.entry(1).cycle == 4
-    assert s.hyperperiod() == 4
-    assert s.max_offset() == 2
 
     with pytest.raises(InvalidInstance):
         PeriodicSchedule((ScheduleEntry(0, 0, 2),))  # day numbering starts at 1
@@ -157,6 +158,41 @@ def test_periodic_schedule_validation():
         PeriodicSchedule((ScheduleEntry(0, 1, 0),))
     with pytest.raises(InvalidInstance):
         PeriodicSchedule((ScheduleEntry(0, 1, 2), ScheduleEntry(0, 2, 2)))  # dup job
+
+
+def test_schedule_entries_are_checked_before_the_sort():
+    # unchecked values must not reach sorted() and raise TypeError there
+    with pytest.raises(InvalidInstance) as err:
+        PeriodicSchedule((ScheduleEntry(0, 1, 2), ScheduleEntry("a", 1, 2)))  # type: ignore[arg-type]
+    assert str(err.value) == "entry field \"job\" must be an integer, got 'a'"
+    with pytest.raises(InvalidInstance):
+        PeriodicSchedule((ScheduleEntry(1, 1, 2), ScheduleEntry(0, 1.0, 2)))  # type: ignore[arg-type]
+    with pytest.raises(InvalidInstance) as err:
+        schedule_from_obj([{"job": 0, "offset": 1, "cycle": 2}, {"job": None, "offset": 1, "cycle": 2}])
+    assert str(err.value) == "entry field \"job\" must be an integer, got None"
+
+
+def test_bool_is_refused_on_library_and_json_paths():
+    # bool is an int subclass; True must not pass as the rational or the day 1
+    refused = [
+        lambda: BgtInstance((True,)),
+        lambda: BgtInstance((3, True)),
+        lambda: BgtInstance.from_values(["2", True]),
+        lambda: PseudoInstance((True,)),
+        lambda: PseudoInstance((Fraction(7, 2), True)),
+        lambda: density(["2", True]),
+        lambda: ReductionConfig(factor=True),
+        lambda: PeriodicSchedule((ScheduleEntry(True, 1, 2),)),
+        lambda: PeriodicSchedule((ScheduleEntry(0, True, 2),)),
+        lambda: PeriodicSchedule((ScheduleEntry(0, 1, True),)),
+        lambda: instance_from_obj({"rates": ["2", True]}),
+        lambda: pseudo_from_obj({"periods": ["2", True]}),
+        lambda: schedule_from_obj([{"job": True, "offset": 1, "cycle": 2}]),
+        lambda: schedule_from_obj([{"job": 0, "offset": 1, "cycle": True}]),
+    ]
+    for make in refused:
+        with pytest.raises(InvalidInstance):
+            make()
 
 
 def test_pseudo_instance_density_and_validation():

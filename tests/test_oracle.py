@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bamboo.model import BgtInstance, InvalidInstance, lower_bound
+from bamboo.model import BgtInstance, InvalidInstance
 from bamboo.oracle import (
     StateSpaceTooLarge,
     bgt_opt,
@@ -23,7 +23,7 @@ from bamboo.oracle import (
     tightness_examples,
 )
 from bamboo.scheduler import solve
-from helpers import reference_bgt_opt, reference_pinwheel_feasible
+from helpers import reference_bgt_opt, reference_lower_bound, reference_pinwheel_feasible
 
 
 def assert_valid_witness(periods, witness):
@@ -184,7 +184,7 @@ def test_bgt_opt_matches_reference(inst, cap):
 )
 @settings(max_examples=150, deadline=None)
 def test_opt_tractable_matches_fraction_formula_and_bounds_bgt_opt(inst, cap):
-    ceiling = Fraction(12, 7) * lower_bound(inst, "max-rule")
+    ceiling = Fraction(12, 7) * reference_lower_bound(inst, "max-rule")
     expected = math.prod(math.floor(ceiling / h) + 1 for h in inst.rates) <= cap
     assert opt_tractable(inst, cap) == expected
     if expected:
@@ -234,3 +234,8 @@ def test_tightness_parameter_validation():
         tightness_examples(eta=Fraction(6, 7))
     with pytest.raises(InvalidInstance):
         tightness_examples(gamma=Fraction(3))
+    # parameters go through parse_rational: no binary float, no bool
+    with pytest.raises(InvalidInstance):
+        tightness_examples(epsilon=0.01)  # type: ignore[arg-type]
+    with pytest.raises(InvalidInstance):
+        tightness_examples(big_m=True)  # type: ignore[arg-type]

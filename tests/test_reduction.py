@@ -6,10 +6,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from bamboo.model import BgtInstance, InvalidInstance, density, lower_bound
+from bamboo.model import BgtInstance, InvalidInstance, density
 from bamboo.reduction import PeriodBelowTwo, ReductionConfig, bgt_to_pseudo, ps_to_bgt, scaled
 from bamboo.scheduler import solve
-from helpers import reference_bgt_to_pseudo
+from helpers import reference_bgt_to_pseudo, reference_lower_bound
 
 
 def test_config_validation():
@@ -74,8 +74,8 @@ def test_density_is_total_rate_over_scaled_bound(rates, use_sum):
     except PeriodBelowTwo:
         assert mode == "sum"  # max-rule keeps every period >= 24/7 > 2
         return
-    lb = lower_bound(inst, mode)
-    assert ps.density == inst.total_rate / (cfg.factor * lb)
+    lb = reference_lower_bound(inst, mode)
+    assert ps.density == sum(inst.rates) / (cfg.factor * lb)
     if mode == "max-rule":
         assert ps.density <= Fraction(7, 12)
 
@@ -112,7 +112,7 @@ def test_ps_to_bgt_sorts_and_remembers_positions():
 def test_ps_to_bgt_round_trip_density(periods):
     inst, order = ps_to_bgt(periods)
     assert sorted(order) == list(range(len(periods)))
-    assert inst.total_rate == density(periods)
+    assert sum(inst.rates) == density(periods)
 
 
 def garden(rates):

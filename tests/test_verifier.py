@@ -24,6 +24,7 @@ from bamboo.model import (
 from bamboo.reduction import bgt_to_pseudo
 from bamboo.scheduler import solve
 from bamboo.verifier import (
+    DEFAULT_HORIZON_CAP,
     HorizonOverflow,
     check_collisions,
     check_windows,
@@ -297,7 +298,46 @@ def test_evaluate_catches_tampering():
     assert report.sim.double_booked_days
 
 
+def first_primes(k: int) -> list[int]:
+    limit = 90_000  # the 8,000th prime is 81,799
+    sieve = bytearray([1]) * (limit + 1)
+    sieve[:2] = b"\0\0"
+    for i in range(2, math.isqrt(limit) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytes(len(range(i * i, limit + 1, i)))
+    primes = [i for i, is_prime in enumerate(sieve) if is_prime]
+    assert len(primes) >= k
+    return primes[:k]
+
+
+# 8,000 pairwise-coprime cycles: their lcm has about 35,000 digits
+COPRIME = PeriodicSchedule(tuple(ScheduleEntry(j, 1, p) for j, p in enumerate(first_primes(8000))))
+
+
 def test_default_horizon_formula():
     s = sched((0, 3, 4), (1, 1, 6))
     assert default_horizon(s) == 3 + 2 * 12
-    assert default_horizon(s, cap=10) == 10
+    assert default_horizon(COPRIME) == DEFAULT_HORIZON_CAP
+
+
+@st.composite
+def horizon_schedules(draw):
+    n = draw(st.integers(min_value=0, max_value=8))
+    cycles = st.integers(min_value=1, max_value=12) | st.integers(min_value=1, max_value=5000)
+    offsets = st.integers(min_value=1, max_value=40) | st.integers(min_value=1, max_value=2 * DEFAULT_HORIZON_CAP)
+    return PeriodicSchedule(tuple(ScheduleEntry(j, draw(offsets), draw(cycles)) for j in range(n)))
+
+
+@given(horizon_schedules())
+@example(COPRIME)
+@example(sched((0, 2, 499_999)))  # max offset + 2 * lcm lands on the cap
+@example(sched((0, 1, 499_999)))  # one day short of it
+@example(sched((0, DEFAULT_HORIZON_CAP + 5, 1)))  # the offset alone passes it
+@settings(max_examples=300, deadline=None)
+def test_default_horizon_is_the_capped_formula(schedule):
+    entries = schedule.entries
+    expected = 1
+    if entries:
+        full = max(e.offset for e in entries) + 2 * math.lcm(*(e.cycle for e in entries))
+        expected = min(DEFAULT_HORIZON_CAP, full)
+    assert default_horizon(schedule) == expected
