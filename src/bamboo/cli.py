@@ -9,6 +9,7 @@ import os
 import random
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from . import model, oracle, reduction, scheduler, verifier
 from .model import InvalidInstance, JobPeriod
@@ -36,8 +37,44 @@ def _read_json(path: str) -> object:
         raise InvalidInstance(f"{source} holds an integer of more than {limit} digits") from exc
 
 
-def _emit(obj: object) -> None:
-    print(json.dumps(obj, indent=2))
+# The lists that grow with n: solve's entries and verify's long fields.
+# json.dumps(indent=2) falls back to the pure-Python encoder, which costs as
+# much as building the schedule, so these are formatted directly.
+_LONG_LISTS = frozenset(("entries", "collisions", "per_job_heights", "double_booked_days"))
+
+
+def _render_list(items: list) -> str:
+    """json.dumps(items, indent=2) for a list that is the value of a
+    top-level key: ints, strs, or flat dicts of ints that share one key
+    order."""
+    if not items:
+        return "[]"
+    first = items[0]
+    if isinstance(first, dict):
+        fmt = "{\n" + ",\n".join(f"      {json.dumps(k)}: %d" for k in first) + "\n    }"
+        lines = [fmt % tuple(d.values()) for d in items]
+    elif isinstance(first, str):
+        lines = map(encode_basestring_ascii, items)
+    else:
+        lines = map(str, items)
+    return "[\n    " + ",\n    ".join(lines) + "\n  ]"
+
+
+def _render(obj: dict) -> str:
+    """Exactly json.dumps(obj, indent=2) for a non-empty dict, with the
+    long lists formatted by `_render_list`."""
+    fields = []
+    for key, value in obj.items():
+        if key in _LONG_LISTS and isinstance(value, list):
+            text = _render_list(value)
+        else:
+            text = json.dumps(value, indent=2).replace("\n", "\n  ")
+        fields.append(f"  {json.dumps(key)}: {text}")
+    return "{\n" + ",\n".join(fields) + "\n}"
+
+
+def _emit(obj: dict) -> None:
+    print(_render(obj))
 
 
 def _state_cap() -> int:

@@ -96,15 +96,20 @@ class PseudoInstance:
     """Fractional pinwheel periods, parallel to the job ids of the source
     instance. Like rates, each period is an `int` when integral and a
     `Fraction` otherwise. `factor` and `lower_bound` record how the periods
-    were derived when they came out of a reduction."""
+    were derived when they came out of a reduction; `None` or a rational,
+    parsed like the periods."""
 
     periods: tuple[int | Fraction, ...]
-    factor: Fraction | None = None
-    lower_bound: Fraction | None = None
+    factor: int | Fraction | None = None
+    lower_bound: int | Fraction | None = None
 
     def __post_init__(self) -> None:
         periods = tuple(parse_rational(p) for p in self.periods)
         object.__setattr__(self, "periods", periods)
+        if self.factor is not None:
+            object.__setattr__(self, "factor", parse_rational(self.factor))
+        if self.lower_bound is not None:
+            object.__setattr__(self, "lower_bound", parse_rational(self.lower_bound))
         for p in periods:
             if p <= 0:
                 raise InvalidInstance(f"period {p} is not positive")
@@ -223,13 +228,7 @@ def pseudo_from_obj(obj: object) -> PseudoInstance:
     periods = obj["periods"]
     if not isinstance(periods, list):
         raise InvalidInstance('"periods" must be a list')
-    factor = obj.get("factor")
-    bound = obj.get("lower_bound")
-    return PseudoInstance(
-        tuple(parse_rational(p) for p in periods),
-        factor=None if factor is None else parse_rational(factor),
-        lower_bound=None if bound is None else parse_rational(bound),
-    )
+    return PseudoInstance(tuple(periods), factor=obj.get("factor"), lower_bound=obj.get("lower_bound"))
 
 
 def entries_to_obj(schedule: PeriodicSchedule) -> list[dict]:

@@ -63,7 +63,7 @@ class ChainInstance:
         jobs = by_period(self.jobs)
         object.__setattr__(self, "jobs", jobs)
         for jp in jobs:
-            if not isinstance(jp.period, int) or jp.period < 1:
+            if type(jp.period) is not int or jp.period < 1:
                 raise NotAChain(f"period {jp.period!r} is not a positive integer")
         for small, big in zip(jobs, jobs[1:]):
             if big.period % small.period != 0:

@@ -2,11 +2,14 @@
 
 Nothing here trusts the builders: collisions are decided by congruence
 arithmetic, heights by the closed form h * max(offset, cycle), and both
-are cross-checked by a simulation over a finite horizon. The simulation
-marks every cut on a calendar of one byte per day, so a day cut twice is
-seen directly, and reads each bamboo's peak off its cut gaps (first
-offset, then cycle, then the tail up to the horizon), so its memory is
-one byte per day whatever the number of cuts.
+are cross-checked by a simulation over a finite horizon. Every check but
+the simulation is close to linear in the number of entries: collisions
+are searched only between cycles whose residue classes meet, and the job
+set is exactly 0..n-1 when the sorted entry list has n entries and ends
+at job n - 1. The simulation marks every cut on a calendar of one byte
+per day, so a day cut twice is seen directly, and reads each bamboo's
+peak off its cut gaps (first offset, then cycle, then the tail up to the
+horizon), so its memory is one byte per day whatever the number of cuts.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import AbstractSet
 
 from .model import BgtInstance, InvalidInstance, PeriodicSchedule, PseudoInstance
 
@@ -69,9 +73,13 @@ def check_collisions(schedule: PeriodicSchedule) -> CollisionReport:
 
     Two entries meet iff their offsets agree modulo the gcd of their cycles,
     so entries are grouped by cycle and then by offset % cycle: within a
-    cycle, equal residues collide; across two cycles, residues are matched
-    modulo their gcd. That costs O(K^2 * n + collisions) for K distinct
-    cycles instead of one test per pair.
+    cycle, equal residues collide. Across two cycles with gcd g, the sets
+    of their residues modulo g are tested for a common class first (a
+    cycle's own residues when g is the cycle, otherwise a set built once
+    per (cycle, g)), and only a pair of cycles that shares a class is
+    searched for its colliding entries. For K distinct cycles that is
+    K^2 / 2 set tests, one pass over a cycle's residues per other gcd it
+    has (O(K * n) at worst), and work in proportion to the collisions.
     """
     entries = schedule.entries
     groups: dict[int, dict[int, list[int]]] = {}
@@ -80,9 +88,22 @@ def check_collisions(schedule: PeriodicSchedule) -> CollisionReport:
     pairs: list[tuple[int, int]] = []
     for residues in groups.values():
         for bucket in residues.values():
-            pairs.extend(itertools.combinations(bucket, 2))
+            if len(bucket) > 1:
+                pairs.extend(itertools.combinations(bucket, 2))
+    classes: dict[tuple[int, int], frozenset[int]] = {}
+
+    def residue_classes(cycle: int, g: int) -> AbstractSet[int]:
+        if g == cycle:
+            return groups[cycle].keys()
+        cached = classes.get((cycle, g))
+        if cached is None:
+            cached = classes[cycle, g] = frozenset(r % g for r in groups[cycle])
+        return cached
+
     for (c1, residues1), (c2, residues2) in itertools.combinations(groups.items(), 2):
         g = math.gcd(c1, c2)
+        if residue_classes(c1, g).isdisjoint(residue_classes(c2, g)):
+            continue
         by_class: dict[int, list[int]] = {}
         for r, bucket in residues1.items():
             by_class.setdefault(r % g, []).extend(bucket)
@@ -97,19 +118,38 @@ def check_collisions(schedule: PeriodicSchedule) -> CollisionReport:
     return CollisionReport(tuple(found))
 
 
+def _covers(schedule: PeriodicSchedule, n: int) -> bool:
+    """True iff the schedule has exactly one entry for each of jobs 0..n-1.
+
+    Entries are stored sorted by distinct non-negative job ids, so that
+    holds iff there are n of them and the last is job n - 1.
+    """
+    entries = schedule.entries
+    return len(entries) == n and (not entries or entries[-1].job == n - 1)
+
+
 def check_windows(schedule: PeriodicSchedule, pseudo: PseudoInstance) -> bool:
     """True iff every job fits its fractional window: offset and cycle both
     at most floor(p_i). That is exactly what keeps bamboo i at or below
     h_i * p_i forever."""
-    if set(schedule.jobs) != set(range(pseudo.n)):
+    if not _covers(schedule, pseudo.n):
         raise InvalidInstance(
             f"schedule covers jobs {sorted(schedule.jobs)} but the pseudo-instance has {pseudo.n} jobs"
         )
+    periods = pseudo.periods
     for e in schedule.entries:
-        window = math.floor(pseudo.periods[e.job])
+        p = periods[e.job]
+        window = p if type(p) is int else p.numerator // p.denominator
         if e.offset > window or e.cycle > window:
             return False
     return True
+
+
+def _peak_heights(schedule: PeriodicSchedule, instance: BgtInstance) -> list[int | Fraction]:
+    # the one home of the height formula: job i peaks at h_i * max(offset,
+    # cycle), an int for an integer rate
+    rates = instance.rates
+    return [rates[e.job] * (e.offset if e.offset > e.cycle else e.cycle) for e in schedule.entries]
 
 
 def max_heights(schedule: PeriodicSchedule, instance: BgtInstance) -> tuple[Fraction, ...]:
@@ -118,12 +158,11 @@ def max_heights(schedule: PeriodicSchedule, instance: BgtInstance) -> tuple[Frac
     Job i peaks at h_i * max(offset, cycle): the first cut happens at the
     end of day offset, and later cuts every cycle days.
     """
-    if set(schedule.jobs) != set(range(instance.n)):
+    if not _covers(schedule, instance.n):
         raise InvalidInstance(
             f"schedule covers jobs {sorted(schedule.jobs)} but the instance has {instance.n} bamboos"
         )
-    rates = instance.rates
-    return tuple(Fraction(rates[e.job] * max(e.offset, e.cycle)) for e in schedule.entries)
+    return tuple(map(Fraction, _peak_heights(schedule, instance)))
 
 
 @dataclass(frozen=True)
@@ -159,12 +198,13 @@ def simulate(
         raise InvalidInstance(f"horizon must be at least 1, got {horizon}")
     if horizon > DEFAULT_HORIZON_CAP:
         raise HorizonOverflow(f"horizon {horizon} exceeds the cap of {DEFAULT_HORIZON_CAP} days")
+    n = instance.n
     for e in schedule.entries:
-        if e.job >= instance.n:
+        if e.job >= n:
             raise InvalidInstance(f"schedule mentions job {e.job} outside the instance")
 
     cal = bytearray(horizon + 1)
-    tails = [horizon] * instance.n
+    tails = [horizon] * n
     best = 0
     best_day = 0
     best_job: int | None = None
@@ -276,12 +316,16 @@ def evaluate(
 ) -> VerificationReport:
     """Run every check against one schedule and bundle the outcome."""
     collisions = check_collisions(schedule)
-    jobs_ok = set(schedule.jobs) == set(range(instance.n))
+    jobs_ok = _covers(schedule, instance.n)
     windows_ok: bool | None = None
     if pseudo is not None:
         windows_ok = check_windows(schedule, pseudo) if jobs_ok else False
-    heights = max_heights(schedule, instance) if jobs_ok else None
-    analytic = max(heights) if heights else None
+    heights: tuple[Fraction, ...] | None = None
+    analytic: Fraction | None = None
+    if jobs_ok:
+        raw = _peak_heights(schedule, instance)
+        heights = tuple(map(Fraction, raw))
+        analytic = Fraction(max(raw))
     if horizon is None:
         horizon = default_horizon(schedule)
     sim = simulate(schedule, instance, horizon)

@@ -23,7 +23,10 @@ from bamboo.verifier import (
     CollisionReport,
     HorizonOverflow,
     SimReport,
+    VerificationReport,
     _earliest_shared_day,
+    default_horizon,
+    simulate,
 )
 
 
@@ -127,8 +130,9 @@ def reference_lower_bound(instance: BgtInstance, mode: str) -> Fraction:
 # ------------------------------------------------- verifier references
 #
 # The verifier's first implementations, kept as they were: one CRT test per
-# pair of entries, and a replay of the sorted list of every (day, job) cut.
-# The verifier must report exactly what these report.
+# pair of entries, a replay of the sorted list of every (day, job) cut, and
+# an evaluate that compares job sets and builds a Fraction per height. The
+# verifier must report exactly what these report.
 
 
 def reference_check_collisions(schedule: PeriodicSchedule) -> CollisionReport:
@@ -192,6 +196,68 @@ def reference_simulate(
         argmax_job=best_job,
         double_booked_days=tuple(doubled),
         horizon=horizon,
+    )
+
+
+def reference_check_windows(schedule: PeriodicSchedule, pseudo: PseudoInstance) -> bool:
+    if set(schedule.jobs) != set(range(pseudo.n)):
+        raise InvalidInstance(
+            f"schedule covers jobs {sorted(schedule.jobs)} but the pseudo-instance has {pseudo.n} jobs"
+        )
+    for e in schedule.entries:
+        window = math.floor(pseudo.periods[e.job])
+        if e.offset > window or e.cycle > window:
+            return False
+    return True
+
+
+def reference_max_heights(schedule: PeriodicSchedule, instance: BgtInstance) -> tuple[Fraction, ...]:
+    if set(schedule.jobs) != set(range(instance.n)):
+        raise InvalidInstance(
+            f"schedule covers jobs {sorted(schedule.jobs)} but the instance has {instance.n} bamboos"
+        )
+    rates = instance.rates
+    return tuple(Fraction(rates[e.job] * max(e.offset, e.cycle)) for e in schedule.entries)
+
+
+def reference_evaluate(
+    instance: BgtInstance,
+    schedule: PeriodicSchedule,
+    pseudo: PseudoInstance | None = None,
+    lower_bound_value: Fraction | None = None,
+    horizon: int | None = None,
+) -> VerificationReport:
+    """The set-based evaluate over the all-pairs collision check; the
+    simulation and the horizon are the verifier's own, which have their
+    own references."""
+    collisions = reference_check_collisions(schedule)
+    jobs_ok = set(schedule.jobs) == set(range(instance.n))
+    windows_ok: bool | None = None
+    if pseudo is not None:
+        windows_ok = reference_check_windows(schedule, pseudo) if jobs_ok else False
+    heights = reference_max_heights(schedule, instance) if jobs_ok else None
+    analytic = max(heights) if heights else None
+    if horizon is None:
+        horizon = default_horizon(schedule)
+    sim = simulate(schedule, instance, horizon)
+    conclusive = jobs_ok and all(e.offset + e.cycle <= horizon for e in schedule.entries)
+    sim_matches: bool | None = None
+    if conclusive and analytic is not None:
+        sim_matches = sim.max_height == analytic
+    ratio = None
+    if lower_bound_value is not None and analytic is not None:
+        ratio = analytic / lower_bound_value
+    return VerificationReport(
+        collisions=collisions,
+        jobs_ok=jobs_ok,
+        windows_ok=windows_ok,
+        heights=heights,
+        analytic_max=analytic,
+        sim=sim,
+        sim_matches=sim_matches,
+        horizon_conclusive=conclusive,
+        lower_bound=lower_bound_value,
+        ratio=ratio,
     )
 
 

@@ -7,13 +7,20 @@ these double as schema tests for downstream tooling.
 import io
 import json
 import math
+import random
 import re
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from bamboo.cli import main
+from bamboo import BgtInstance
+from bamboo.cli import _render, main, solution_to_obj
+from bamboo.reduction import bgt_to_pseudo
+from bamboo.scheduler import solve
+from bamboo.verifier import evaluate
+from helpers import tampered
 
 
 def run(capsys, *argv):
@@ -100,6 +107,57 @@ def test_solve_factor_two(tmp_path, capsys):
         {"job": 0, "offset": 1, "cycle": 4},
         {"job": 1, "offset": 2, "cycle": 4},
     ]
+
+
+# ---------------------------------------------------------------- output
+
+
+def small_lists(items):
+    return st.lists(items, max_size=3)
+
+
+def records(*keys):
+    # dicts of ints with the key order of the report's own literals
+    return st.tuples(*(INTS for _ in keys)).map(lambda values: dict(zip(keys, values)))
+
+
+INTS = st.integers(min_value=0, max_value=10**30)
+SHAPES = st.tuples(
+    st.booleans(),
+    small_lists(records("job_a", "job_b", "day")),
+    st.none() | small_lists(st.text()),
+    small_lists(INTS),
+    small_lists(records("job", "offset", "cycle")),
+    st.dictionaries(st.text(max_size=4), st.none() | st.text() | small_lists(INTS), max_size=3),
+).map(
+    lambda values: dict(
+        zip(("ok", "collisions", "per_job_heights", "double_booked_days", "entries", "trace"), values)
+    )
+)
+
+
+@given(SHAPES)
+@settings(max_examples=300)
+def test_render_is_json_dumps_indent_2(obj):
+    # empty lists print as [], strings are escaped as json escapes them
+    assert _render(obj) == json.dumps(obj, indent=2)
+
+
+@given(st.integers(min_value=0, max_value=10**9), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_solve_and_verify_output_is_json_dumps_indent_2(seed, explain):
+    rng = random.Random(seed)
+    rates = sorted((rng.randint(1, rng.choice([9, 10**6])) for _ in range(rng.randint(1, 12))), reverse=True)
+    inst = BgtInstance.from_values(rates)
+    sol = solve(inst)
+    objs = [solution_to_obj(sol, include_trace=explain)]
+    pseudo = bgt_to_pseudo(inst)
+    for schedule in (sol.schedule, tampered(sol.schedule)):
+        objs.append(evaluate(inst, schedule, pseudo=pseudo, lower_bound_value=pseudo.lower_bound).to_obj())
+    if inst.n > 1:
+        assert objs[-1]["ok"] is False  # the tampered schedule collides
+    for obj in objs:
+        assert _render(obj) == json.dumps(obj, indent=2)
 
 
 # ---------------------------------------------------------------- verify

@@ -180,6 +180,9 @@ def test_bool_is_refused_on_library_and_json_paths():
         lambda: BgtInstance.from_values(["2", True]),
         lambda: PseudoInstance((True,)),
         lambda: PseudoInstance((Fraction(7, 2), True)),
+        lambda: PseudoInstance((Fraction(3),), factor=True),
+        lambda: PseudoInstance((Fraction(3),), lower_bound=True),
+        lambda: PseudoInstance((Fraction(3),), factor=0.5, lower_bound=True),
         lambda: density(["2", True]),
         lambda: ReductionConfig(factor=True),
         lambda: PeriodicSchedule((ScheduleEntry(True, 1, 2),)),

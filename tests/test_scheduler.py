@@ -50,6 +50,9 @@ def test_chain_instance_validation():
         chain(2, 2, 2)
     with pytest.raises(ValueError):
         chain(0, 4)
+    # bool is an int subclass; True must not pass as period 1
+    with pytest.raises(NotAChain):
+        ChainInstance((JobPeriod(0, True),))
 
 
 def test_partition_bins_examples():

@@ -6,6 +6,7 @@ The grouped collision check and the calendar simulation must also report
 exactly what the all-pairs and sorted-event references in `helpers` report.
 """
 
+import itertools
 import math
 import random
 import tracemalloc
@@ -33,7 +34,13 @@ from bamboo.verifier import (
     max_heights,
     simulate,
 )
-from helpers import random_instance, reference_check_collisions, reference_simulate, tampered
+from helpers import (
+    random_instance,
+    reference_check_collisions,
+    reference_evaluate,
+    reference_simulate,
+    tampered,
+)
 
 
 def sched(*triples):
@@ -234,6 +241,34 @@ def test_check_collisions_equals_reference(case):
     assert check_collisions(schedule) == reference_check_collisions(schedule)
 
 
+# cycles 8..47 with two entries each, offsets 1 apart, or 4 apart on the
+# multiples of 8: most cycle pairs share a residue class modulo their gcd
+# (every coprime pair does) and some do not, so both the pair search and
+# the disjoint skip run
+MANY_CYCLES = PeriodicSchedule(
+    tuple(
+        ScheduleEntry(2 * k + i, 1 + 3 * (k % 3) + (4 if c % 8 == 0 else 1) * i, c)
+        for k, c in enumerate(range(8, 48))
+        for i in (0, 1)
+    )
+)
+
+
+def test_check_collisions_equals_reference_over_many_cycles():
+    groups: dict[int, set[int]] = {}
+    for e in MANY_CYCLES.entries:
+        groups.setdefault(e.cycle, set()).add(e.offset % e.cycle)
+    meeting = disjoint = 0
+    for (c1, r1), (c2, r2) in itertools.combinations(groups.items(), 2):
+        g = math.gcd(c1, c2)
+        if {r % g for r in r1} & {r % g for r in r2}:
+            meeting += 1
+        else:
+            disjoint += 1
+    assert len(groups) >= 30 and meeting > disjoint > 0
+    assert check_collisions(MANY_CYCLES) == reference_check_collisions(MANY_CYCLES)
+
+
 def test_triple_cut_day_is_reported_once():
     instance, schedule, horizon = TRIPLE
     rep = simulate(schedule, instance, horizon)
@@ -296,6 +331,52 @@ def test_evaluate_catches_tampering():
     assert not report.ok
     assert not report.collisions.ok
     assert report.sim.double_booked_days
+
+
+PERIODS = st.sampled_from([2, 3, Fraction(7, 2), Fraction(13, 3), 5, 8, Fraction(64, 5)])
+BOUNDS = st.none() | st.sampled_from([Fraction(1), Fraction(9, 2), 8])
+
+
+@st.composite
+def evaluate_cases(draw):
+    """(instance, schedule, keyword arguments) for evaluate: hand-made
+    schedules with missing jobs, job ids past n and rational rates, or
+    solver schedules for up to 200 bamboos, clean or tampered; with or
+    without a pseudo-instance, whose n may differ from the instance's."""
+    if draw(st.booleans()):
+        instance, schedule, horizon = draw(small_schedules())
+        if draw(st.booleans()):
+            extra = ScheduleEntry(instance.n + draw(st.integers(min_value=0, max_value=2)), 1, 2)
+            schedule = PeriodicSchedule(schedule.entries + (extra,))
+        horizon = draw(st.none() | st.just(horizon))
+    else:
+        rng = random.Random(draw(st.integers(min_value=0, max_value=10**9)))
+        instance = random_instance(rng, n_lo=1, n_hi=200, rate_hi=rng.choice([100, 10**6]))
+        schedule = solve(instance).schedule
+        if draw(st.booleans()):
+            schedule = tampered(schedule)
+        horizon = draw(st.sampled_from([1, min(20_000, max(e.offset + e.cycle for e in schedule.entries))]))
+    n = instance.n + draw(st.sampled_from([0, 0, 0, -1, 1]))
+    pseudo = draw(st.none() | st.lists(PERIODS, min_size=n, max_size=n).map(lambda ps: PseudoInstance(tuple(ps))))
+    return instance, schedule, {"pseudo": pseudo, "lower_bound_value": draw(BOUNDS), "horizon": horizon}
+
+
+def outcome(fn, instance, schedule, kwargs):
+    try:
+        return fn(instance, schedule, **kwargs).to_obj()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@given(evaluate_cases())
+@example((WORKED, sched((0, 2, 2), (1, 1, 4), (2, 3, 128)), {"pseudo": bgt_to_pseudo(WORKED)}))
+@example((WORKED, sched((0, 2, 2), (2, 3, 128)), {"pseudo": bgt_to_pseudo(WORKED)}))  # job 1 missing
+@example((WORKED, sched((0, 2, 2), (1, 1, 4), (3, 3, 128)), {}))  # job 3 of 3 bamboos
+@example((WORKED, sched((0, 2, 2), (1, 1, 4), (2, 3, 128)), {"pseudo": PseudoInstance((3, 4))}))
+@settings(max_examples=150, deadline=None)
+def test_evaluate_equals_reference(case):
+    instance, schedule, kwargs = case
+    assert outcome(evaluate, instance, schedule, kwargs) == outcome(reference_evaluate, instance, schedule, kwargs)
 
 
 def first_primes(k: int) -> list[int]:
