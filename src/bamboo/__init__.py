@@ -18,7 +18,7 @@ from .model import (
     parse_rational,
 )
 from .oracle import PinwheelResult, StateSpaceTooLarge, bgt_opt, pinwheel_feasible, tightness_examples
-from .reduction import PeriodBelowTwo, ReductionConfig, bgt_to_pseudo, ps_to_bgt
+from .reduction import PeriodBelowTwo, ReductionConfig, bgt_to_pseudo
 from .rounding import (
     CertificateViolation,
     UnroundablePeriod,

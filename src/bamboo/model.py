@@ -7,9 +7,10 @@ Control flow hinges on exact comparisons (is a density equal to 7/12?
 does a period sit on a grid boundary?), so binary floating point and
 `bool` are rejected at the boundary instead of being silently converted.
 Each boundary rule has one home: `parse_rational` is the one coercion of
-rates, periods and factors, and `PeriodicSchedule` the one check of
-schedule entries. The lower bound lives in `reduction.scaled` and the
-simulation horizon in `verifier.default_horizon`.
+rates, periods and factors, `int_period` the one check of an integral
+period and `PeriodicSchedule` the one check of schedule entries. The
+lower bound lives in `reduction.scaled` and the simulation horizon in
+`verifier.default_horizon`.
 """
 
 from __future__ import annotations
@@ -48,9 +49,12 @@ def parse_rational(value: object) -> int | Fraction:
         )
     if isinstance(value, str):
         text = value.strip()
-        _, marker, exponent = text.lower().partition("e")
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
         try:
+            # what Fraction reads as an int; "1_000" and non-ASCII digits go on
+            if text.isascii() and text.isdigit():
+                return int(text)
+            _, marker, exponent = text.lower().partition("e")
+            limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
             # refuse 1e5000 as int() refuses 5001 written-out digits, before
             # Fraction builds the power of ten (a bad exponent fails either way)
             if marker and limit and abs(int(exponent)) >= limit:
@@ -132,6 +136,14 @@ def density(periods: Iterable[Fraction | int]) -> Fraction:
     return PseudoInstance(tuple(periods)).density
 
 
+def int_period(p: object, error: type[InvalidInstance] = InvalidInstance) -> int:
+    """The one home of the integral-period rule: `p` if it is a plain `int`
+    (not a `bool`) of at least 1, else `error` is raised."""
+    if type(p) is not int or p < 1:
+        raise error(f"period {p!r} is not a positive integer")
+    return p
+
+
 @dataclass(frozen=True)
 class JobPeriod:
     """One job paired with an integral period (a rounded or scaled value)."""
@@ -147,9 +159,6 @@ class ScheduleEntry:
     job: int
     offset: int
     cycle: int
-
-    def serves(self, day: int) -> bool:
-        return day >= self.offset and (day - self.offset) % self.cycle == 0
 
 
 @dataclass(frozen=True)
@@ -186,12 +195,6 @@ class PeriodicSchedule:
     @property
     def jobs(self) -> tuple[int, ...]:
         return tuple(e.job for e in self.entries)
-
-    def entry(self, job: int) -> ScheduleEntry:
-        for e in self.entries:
-            if e.job == job:
-                return e
-        raise KeyError(job)
 
 
 # ---------- JSON forms ----------

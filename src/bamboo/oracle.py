@@ -22,7 +22,9 @@ plain dead-state memo would, visiting fewer dead states on the way.
 `bgt_opt` turns that decision procedure into the exact trimming optimum.
 It scales the garden to integers and searches the finite grid of heights
 any schedule can peak at by bisection, since feasibility is monotone
-along the grid.
+along the grid. It needs no witness, so it proves most feasible heights
+by the chain rounding of Holte et al. (1989) and Chan and Chin (1992)
+and searches only to refute.
 """
 
 from __future__ import annotations
@@ -35,8 +37,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .model import BgtInstance, InvalidInstance, density, parse_rational
+from .model import BgtInstance, InvalidInstance, density, int_period, parse_rational
 from .reduction import ReductionConfig, bgt_to_pseudo, scaled
+from .rounding import specialize_single
 
 DEFAULT_STATE_CAP = 10**7
 
@@ -55,11 +58,7 @@ class PinwheelResult:
 def pinwheel_feasible(periods: Sequence[int], cap: int = DEFAULT_STATE_CAP) -> PinwheelResult:
     """Decide integral pinwheel schedulability, with a cyclic witness when
     feasible. Density above 1 is refuted without searching."""
-    ps: list[int] = []
-    for p in periods:
-        if not isinstance(p, int) or isinstance(p, bool) or p < 1:
-            raise InvalidInstance(f"period {p!r} is not a positive integer")
-        ps.append(p)
+    ps = [int_period(p) for p in periods]
     if not ps:
         raise InvalidInstance("need at least one job")
     lasso = _lasso(ps, cap)
@@ -72,6 +71,18 @@ def pinwheel_feasible(periods: Sequence[int], cap: int = DEFAULT_STATE_CAP) -> P
 def _overdense(ps: Sequence[int]) -> bool:
     top = math.lcm(*ps)
     return sum(top // p for p in ps) > top
+
+
+def _chain_base(ps: Sequence[int]) -> int | None:
+    """A base x in (p_min/2, p_min] whose rounding of `ps` down to x * 2^j
+    has density at most 1, or None (lower bases round as their doubles)."""
+    low = min(ps)
+    for x in range(low // 2 + 1, low + 1):
+        qs = [specialize_single(p, x) for p in ps]
+        top = max(qs)
+        if sum(top // q for q in qs) <= top:
+            return x
+    return None
 
 
 def _too_large(ps: Sequence[int], cap: int) -> StateSpaceTooLarge | None:
@@ -200,6 +211,13 @@ def bgt_opt(instance: BgtInstance, cap: int = DEFAULT_STATE_CAP) -> Fraction:
     bisected. `StateSpaceTooLarge`, with the message of the first candidate
     over the cap, means none of the searchable candidates was feasible.
     Every period is at least 1, since L >= h_0.
+
+    A probe first tries a proof by construction, the single-integer
+    reduction of Holte et al. (1989) and Chan and Chin (1992): rounded down
+    to x * 2^j, the periods form a divides chain, and one of density at
+    most 1 (sum(top // q) <= top, top the largest) is served by
+    `schedule_chain` within the rounded periods, hence within the given
+    ones. It never refutes; only then does the lasso search run.
     """
     garden = scaled(instance)
     rates, low, high = garden.rates, garden.bound, garden.top
@@ -216,7 +234,8 @@ def bgt_opt(instance: BgtInstance, cap: int = DEFAULT_STATE_CAP) -> Fraction:
         searchable.append(v)
 
     def feasible(v: int) -> bool:
-        return _lasso([v // a for a in rates], cap) is not None
+        periods = [v // a for a in rates]
+        return _chain_base(periods) is not None or _lasso(periods, cap) is not None
 
     if searchable and feasible(searchable[0]):
         return Fraction(searchable[0], garden.scale)

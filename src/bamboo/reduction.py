@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .model import BgtInstance, InvalidInstance, PseudoInstance, parse_rational
 
@@ -125,19 +124,3 @@ def bgt_to_pseudo(instance: BgtInstance, config: ReductionConfig | None = None) 
     target = config.factor * bound
     # dividing by the rates as given keeps every gcd as small as the rates
     return PseudoInstance(tuple(target / h for h in instance.rates), factor=config.factor, lower_bound=bound)
-
-
-def ps_to_bgt(periods: Sequence[int]) -> tuple[BgtInstance, tuple[int, ...]]:
-    """Integral pinwheel periods to a trimming instance with rates 1/p_i.
-
-    Rates must come out sorted non-increasing, so the jobs are permuted;
-    the returned tuple maps new job id -> position in `periods`.
-    """
-    if not periods:
-        raise InvalidInstance("need at least one period")
-    for p in periods:
-        if not isinstance(p, int) or isinstance(p, bool) or p < 1:
-            raise InvalidInstance(f"period {p!r} is not a positive integer")
-    order = tuple(sorted(range(len(periods)), key=lambda i: (periods[i], i)))
-    rates = tuple(Fraction(1, periods[i]) for i in order)
-    return BgtInstance(rates), order

@@ -81,11 +81,6 @@ def _grid_weight(items: Iterable[JobPeriod]) -> tuple[int, int]:
     return sum(top // p for p in periods), top
 
 
-def grid_density(items: Iterable[JobPeriod]) -> Fraction:
-    """rho of a multiset on one grid, as an exact Fraction."""
-    return Fraction(*_grid_weight(items))
-
-
 def specialize_instance(floors: Sequence[int], x: int) -> tuple[JobPeriod, ...]:
     """Round every period down onto the single grid {x, 2x, 4x, ...}, given
     floor(p_i) for each job in job-id order (grid points are integers, so

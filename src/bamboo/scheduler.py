@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .model import BgtInstance, InvalidInstance, JobPeriod, PeriodicSchedule, PseudoInstance, ScheduleEntry
+from .model import BgtInstance, InvalidInstance, JobPeriod, PeriodicSchedule, PseudoInstance, ScheduleEntry, int_period
 from .reduction import ReductionConfig, bgt_to_pseudo, scaled
 from .rounding import (
     CertificateViolation,
@@ -63,8 +63,7 @@ class ChainInstance:
         jobs = by_period(self.jobs)
         object.__setattr__(self, "jobs", jobs)
         for jp in jobs:
-            if type(jp.period) is not int or jp.period < 1:
-                raise NotAChain(f"period {jp.period!r} is not a positive integer")
+            int_period(jp.period, NotAChain)
         for small, big in zip(jobs, jobs[1:]):
             if big.period % small.period != 0:
                 raise NotAChain(f"{small.period} does not divide {big.period}")

@@ -8,14 +8,15 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from bamboo import BgtInstance, PseudoInstance
 from bamboo.model import InvalidInstance, JobPeriod, PeriodicSchedule, ScheduleEntry, density
 from bamboo.oracle import DEFAULT_STATE_CAP, PinwheelResult, StateSpaceTooLarge, _replay_witness
 from bamboo.reduction import PeriodBelowTwo, ReductionConfig
-from bamboo.rounding import CertificateViolation, NormalizedState, grid_density
+from bamboo.rounding import CertificateViolation, NormalizedState
 from bamboo.scheduler import ChainInstance, schedule_chain
 from bamboo.verifier import (
     DEFAULT_HORIZON_CAP,
@@ -106,6 +107,67 @@ def tampered(schedule: PeriodicSchedule) -> PeriodicSchedule:
     first, last = schedule.entries[0], schedule.entries[-1]
     offset = first.offset if len(schedule.entries) > 1 else first.offset + 1
     return PeriodicSchedule(schedule.entries[:-1] + (ScheduleEntry(last.job, offset, last.cycle),))
+
+
+# ------------------------------------------------- test-only references
+#
+# Functions that only tests call, kept out of the package: the day test of
+# one entry, the entry of one job, the density of a job multiset (through
+# `density`, not the grid weights) and the inverse reduction from
+# integral pinwheel periods.
+
+
+def serves(entry: ScheduleEntry, day: int) -> bool:
+    """Whether `entry` cuts its job on `day`."""
+    return day >= entry.offset and (day - entry.offset) % entry.cycle == 0
+
+
+def entry_of(schedule: PeriodicSchedule, job: int) -> ScheduleEntry:
+    """The entry of `job` in `schedule`."""
+    for e in schedule.entries:
+        if e.job == job:
+            return e
+    raise KeyError(job)
+
+
+def grid_density(items: Iterable[JobPeriod]) -> Fraction:
+    """rho of a multiset of jobs, as an exact Fraction."""
+    return density([jp.period for jp in items])
+
+
+def ps_to_bgt(periods: Sequence[int]) -> tuple[BgtInstance, tuple[int, ...]]:
+    """Integral pinwheel periods to a trimming instance with rates 1/p_i.
+
+    Rates must come out sorted non-increasing, so the jobs are permuted;
+    the returned tuple maps new job id -> position in `periods`.
+    """
+    if not periods:
+        raise InvalidInstance("need at least one period")
+    for p in periods:
+        if not isinstance(p, int) or isinstance(p, bool) or p < 1:
+            raise InvalidInstance(f"period {p!r} is not a positive integer")
+    order = tuple(sorted(range(len(periods)), key=lambda i: (periods[i], i)))
+    rates = tuple(Fraction(1, periods[i]) for i in order)
+    return BgtInstance(rates), order
+
+
+# ------------------------------------------------- parsing reference
+#
+# `parse_rational` on strings as it was before plain digit strings took a
+# shortcut to `int`: every string goes through `Fraction`.
+
+
+def reference_parse_rational(text: str) -> int | Fraction:
+    stripped = text.strip()
+    _, marker, exponent = stripped.lower().partition("e")
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    try:
+        if marker and limit and abs(int(exponent)) >= limit:
+            raise ValueError(f"exponent {exponent} gives over {limit} digits")
+        value = Fraction(stripped)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InvalidInstance(f"cannot parse a rational from {text!r}") from exc
+    return value.numerator if value.denominator == 1 else value
 
 
 # ------------------------------------------------- lower-bound reference

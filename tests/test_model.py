@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from bamboo.model import (
     BgtInstance,
@@ -21,7 +21,7 @@ from bamboo.model import (
     entries_to_obj,
 )
 from bamboo.reduction import ReductionConfig, scaled
-from helpers import reference_lower_bound
+from helpers import entry_of, reference_lower_bound, reference_parse_rational, serves
 
 
 # ---------------------------------------------------------------- parsing
@@ -59,6 +59,34 @@ def test_parse_rational_rejects_garbage():
     for huge in ("1e5000", "1e-5000", "1" + "0" * 5000):
         with pytest.raises(InvalidInstance):
             parse_rational(huge)
+
+
+def parsed(parse, text):
+    """The value and its type, or the refusal message."""
+    try:
+        value = parse(text)
+    except InvalidInstance as exc:
+        return f"refused: {exc}"
+    return type(value), value
+
+
+@given(st.text(alphabet="0123456789_ +-./e\t\u0663\u00b2\uff11", max_size=8))
+@example("1_000")
+@example(" 12 ")
+@example("007")
+@example("\u0661\u0662")  # Arabic-Indic "12": digits, but not ASCII
+@example("\uff11\uff12")  # fullwidth "12"
+@example("\u00b2")  # superscript two: isdigit() holds, int() refuses
+@example("+5")
+@example("-5")
+@example("")
+@example("9" * 4300)
+@example("9" * 4301)
+@example(" " + "1" * 5000 + " ")
+def test_parse_rational_digit_strings_match_the_fraction_path(text):
+    # plain ASCII digit strings become ints directly; every string must still
+    # parse to what Fraction makes of it, or be refused with the same message
+    assert parsed(parse_rational, text) == parsed(reference_parse_rational, text)
 
 
 # ---------------------------------------------------------------- density
@@ -143,14 +171,14 @@ def test_max_rule_formula_and_domination(rates):
 
 def test_schedule_entry_serves():
     e = ScheduleEntry(0, 3, 128)
-    assert e.serves(3) and e.serves(131) and e.serves(3 + 128 * 5)
-    assert not e.serves(2) and not e.serves(4)
+    assert serves(e, 3) and serves(e, 131) and serves(e, 3 + 128 * 5)
+    assert not serves(e, 2) and not serves(e, 4)
 
 
 def test_periodic_schedule_validation():
     s = PeriodicSchedule((ScheduleEntry(1, 2, 4), ScheduleEntry(0, 1, 2)))
     assert s.jobs == (0, 1)  # stored sorted by job id
-    assert s.entry(1).cycle == 4
+    assert entry_of(s, 1).cycle == 4
 
     with pytest.raises(InvalidInstance):
         PeriodicSchedule((ScheduleEntry(0, 0, 2),))  # day numbering starts at 1

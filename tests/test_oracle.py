@@ -5,6 +5,8 @@ own tests stick to instances small enough to check by hand, plus a witness
 validator that re-plays every claimed schedule. The pruned search and the
 bisecting optimum must also return exactly what the first implementations
 (`reference_pinwheel_feasible`, `reference_bgt_opt` in helpers.py) return.
+Each chain-rounding proof the optimum accepts without a search is rebuilt
+as a schedule and checked, and the reference search must agree with it.
 """
 
 import itertools
@@ -14,15 +16,18 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bamboo.model import BgtInstance, InvalidInstance
+from bamboo.model import BgtInstance, InvalidInstance, JobPeriod
 from bamboo.oracle import (
     StateSpaceTooLarge,
+    _chain_base,
     bgt_opt,
     opt_tractable,
     pinwheel_feasible,
     tightness_examples,
 )
-from bamboo.scheduler import solve
+from bamboo.rounding import specialize_single
+from bamboo.scheduler import ChainInstance, schedule_chain, solve
+from bamboo.verifier import check_collisions
 from helpers import reference_bgt_opt, reference_lower_bound, reference_pinwheel_feasible
 
 
@@ -125,6 +130,48 @@ def test_search_matches_reference_on_every_small_vector():
 def test_search_matches_reference_on_unsorted_vectors(periods, cap):
     # periods from 2 keep most draws at density <= 1, so they are searched
     assert outcome(pinwheel_feasible, periods, cap) == outcome(reference_pinwheel_feasible, periods, cap)
+
+
+# ---------------------------------------------------------------- chain rounding
+
+
+def assert_chain_proof(ps, x, verdicts):
+    """Check the shortcut's claim that base x proves `ps` feasible: rounded
+    down to x * 2^j, the periods schedule as a chain, every job is cut
+    within its own period and never on a day another job has, and the
+    reference search agrees (looked up in `verdicts` by multiset)."""
+    rounded = [specialize_single(p, x) for p in ps]
+    schedule = schedule_chain(ChainInstance(tuple(JobPeriod(i, q) for i, q in enumerate(rounded))))
+    assert check_collisions(schedule).ok, ps
+    assert all(max(e.offset, e.cycle) <= ps[e.job] for e in schedule.entries), ps
+    key = tuple(sorted(ps))
+    if key not in verdicts:
+        verdicts[key] = reference_pinwheel_feasible(ps).feasible
+    assert verdicts[key], ps
+
+
+def test_chain_rounding_proofs_hold_on_every_small_vector():
+    # every vector over 1..16 with n <= 4, in every order
+    verdicts = {}
+    accepted = 0
+    for n in range(1, 5):
+        for ps in itertools.product(range(1, 17), repeat=n):
+            x = _chain_base(ps)
+            if x is not None:
+                assert min(ps) / 2 < x <= min(ps)
+                assert_chain_proof(ps, x, verdicts)
+                accepted += 1
+    # the shortcut proves 3,436 of the 3,488 feasible multisets
+    assert (accepted, len(verdicts)) == (47_811, 3_436)
+
+
+@given(st.integers(min_value=1, max_value=6).flatmap(lambda n: st.lists(st.integers(n, 13), min_size=n, max_size=n)))
+@settings(max_examples=200, deadline=None)
+def test_chain_rounding_proofs_hold_up_to_six_jobs(ps):
+    # periods of at least n keep the density at most 1 before rounding
+    x = _chain_base(ps)
+    if x is not None:
+        assert_chain_proof(ps, x, {})
 
 
 # ---------------------------------------------------------------- exact optimum

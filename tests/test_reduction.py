@@ -7,9 +7,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bamboo.model import BgtInstance, InvalidInstance, density
-from bamboo.reduction import PeriodBelowTwo, ReductionConfig, bgt_to_pseudo, ps_to_bgt, scaled
+from bamboo.reduction import PeriodBelowTwo, ReductionConfig, bgt_to_pseudo, scaled
 from bamboo.scheduler import solve
-from helpers import reference_bgt_to_pseudo, reference_lower_bound
+from helpers import ps_to_bgt, reference_bgt_to_pseudo, reference_lower_bound
 
 
 def test_config_validation():

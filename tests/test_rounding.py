@@ -19,13 +19,12 @@ from bamboo.rounding import (
     certificate,
     certificate_value,
     decompose,
-    grid_density,
     normalize,
     specialize_instance,
     specialize_single,
     split_23,
 )
-from helpers import floors, on_three_grid, on_two_grid, pseudo_with_density
+from helpers import floors, grid_density, on_three_grid, on_two_grid, pseudo_with_density
 
 
 def run_pipeline(ps: PseudoInstance):

@@ -20,7 +20,7 @@ from bamboo.scheduler import (
     solve,
 )
 from bamboo.verifier import evaluate
-from helpers import floors, random_instance, reference_interleave
+from helpers import floors, random_instance, reference_interleave, serves
 
 
 def chain(*periods):
@@ -34,7 +34,7 @@ def entry_triples(schedule):
 def day_letters(schedule, horizon):
     out = []
     for day in range(1, horizon + 1):
-        served = [e.job for e in schedule.entries if e.serves(day)]
+        served = [e.job for e in schedule.entries if serves(e, day)]
         assert len(served) <= 1, f"day {day} double-booked"
         out.append("ABCDEFGH"[served[0]] if served else ".")
     return "".join(out)

@@ -39,6 +39,7 @@ from helpers import (
     reference_check_collisions,
     reference_evaluate,
     reference_simulate,
+    serves,
     tampered,
 )
 
@@ -89,7 +90,7 @@ def test_collision_test_agrees_with_day_enumeration(data):
             days = [
                 d
                 for d in range(1, horizon + 1)
-                if entries[a].serves(d) and entries[b].serves(d)
+                if serves(entries[a], d) and serves(entries[b], d)
             ]
             if days:
                 brute[(a, b)] = days[0]
