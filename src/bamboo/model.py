@@ -216,15 +216,6 @@ def instance_from_obj(obj: object) -> BgtInstance:
     return BgtInstance.from_values(rates)
 
 
-def pseudo_to_obj(pseudo: PseudoInstance) -> dict:
-    obj: dict = {"periods": [str(p) for p in pseudo.periods]}
-    if pseudo.factor is not None:
-        obj["factor"] = str(pseudo.factor)
-    if pseudo.lower_bound is not None:
-        obj["lower_bound"] = str(pseudo.lower_bound)
-    return obj
-
-
 def pseudo_from_obj(obj: object) -> PseudoInstance:
     if not isinstance(obj, dict) or "periods" not in obj:
         raise InvalidInstance('pseudo-instance JSON must be an object with a "periods" list')

@@ -19,12 +19,20 @@ and it skips every child at or below that. States on the stack lie on no
 dead subtree, so the search follows the same path to the same lasso as a
 plain dead-state memo would, visiting fewer dead states on the way.
 
+The search also never pushes an overdue child, one whose jobs due within
+t <= 3 days need more than t cuts (`_overdue`). Such a child is dead, and
+no state of a dead subtree has an edge back to the stack (that edge would
+close a cycle through it), so exploring it could only have popped it
+again: the live states are visited in the same order and the lasso is the
+same.
+
 `bgt_opt` turns that decision procedure into the exact trimming optimum.
 It scales the garden to integers and searches the finite grid of heights
-any schedule can peak at by bisection, since feasibility is monotone
-along the grid. It needs no witness, so it proves most feasible heights
-by the chain rounding of Holte et al. (1989) and Chan and Chin (1992)
-and searches only to refute.
+any schedule can peak at, since feasibility is monotone along the grid.
+It needs no witness, so it proves feasible heights by the chain rounding
+of Holte et al. (1989) and Chan and Chin (1992): the first height so
+proved bounds the optimum from above, and the search runs only below it,
+first on the height just below, where a refutation ends the work.
 """
 
 from __future__ import annotations
@@ -96,6 +104,18 @@ def _too_large(ps: Sequence[int], cap: int) -> StateSpaceTooLarge | None:
     return None
 
 
+def _overdue(state: tuple[int, ...], twos: slice) -> bool:
+    """Whether the jobs due within t <= 3 days need more than t cuts, which
+    leaves `state` dead: two due tomorrow, three due within two days, or
+    four within three, where a period-2 job due tomorrow counts twice (it is
+    due again on day 3). `twos` holds the positions of the period-2 jobs."""
+    ones = state.count(1)
+    if ones > 1:
+        return True
+    soon = ones + state.count(2)
+    return soon > 2 or soon + state.count(3) + (ones and state[twos].count(1)) > 3
+
+
 def _lasso(ps: Sequence[int], cap: int) -> tuple[list[tuple[int, int]], list[tuple[int, int]]] | None:
     """The moves of a schedule's stem and of its repeating cycle, each the
     (period, deadline) of the job served that day, or None when no infinite
@@ -108,24 +128,32 @@ def _lasso(ps: Sequence[int], cap: int) -> tuple[list[tuple[int, int]], list[tup
 
     cps = tuple(sorted(ps))
     n = len(cps)
+    twos = slice(bisect.bisect_left(cps, 2), bisect.bisect_right(cps, 2))
     # end[i]: one past the last position of i's equal-period block
     end = [n] * n
     for i in range(n - 2, -1, -1):
         end[i] = end[i + 1] if cps[i] == cps[i + 1] else i + 1
+    # a child serving i: dec[:i] + dec[i + 1 : end[i]] + (cps[i],) + dec[end[i] :]
+    bounds = [(i + 1, end[i], (p,)) for i, p in enumerate(cps)]
     starts = [i == 0 or cps[i] != cps[i - 1] for i in range(n)]
 
     def successors(state: tuple[int, ...]) -> list[tuple[tuple[int, int], tuple[int, ...]]]:
-        urgent = state.count(1)
-        if urgent > 1:
-            return []  # two jobs due today, only one slot
-        if urgent:
-            picks = [state.index(1)]
+        # at most one job is due today: two are overdue, and a root that is
+        # not overdense has at most one period of 1
+        if 1 in state:
+            i = state.index(1)
+            picks = [(1, cps[i], i)]
         else:
             # one job per distinct (period, deadline), most urgent first
-            picks = [i for i in range(n) if starts[i] or state[i] != state[i - 1]]
-            picks.sort(key=lambda i: (state[i], cps[i]))
-        dec = tuple(d - 1 for d in state)
-        return [((cps[i], state[i]), dec[:i] + dec[i + 1 : end[i]] + (cps[i],) + dec[end[i] :]) for i in picks]
+            picks = sorted([(state[i], cps[i], i) for i in range(n) if starts[i] or state[i] != state[i - 1]])
+        dec = tuple([d - 1 for d in state])
+        out = []
+        for d, p, i in picks:
+            rest, stop, full = bounds[i]
+            child = dec[:i] + dec[rest:stop] + full + dec[stop:]
+            if not _overdue(child, twos):
+                out.append(((p, d), child))
+        return out
 
     # reach[prefix]: the highest last deadline of a dead state with that prefix
     reach: dict[tuple[int, ...], int] = {}
@@ -206,24 +234,28 @@ def bgt_opt(instance: BgtInstance, cap: int = DEFAULT_STATE_CAP) -> Fraction:
     the multiples of some a_i in [L * D, floor(12/7 * L * D)], and a scaled
     height V has periods V // a_i. Overdensity and the state-space size are
     monotone along the grid too, so the searchable candidates are those
-    after the overdense ones and before the first one over the cap. The
-    first is probed, as it is often the optimum, then the rest are
-    bisected. `StateSpaceTooLarge`, with the message of the first candidate
-    over the cap, means none of the searchable candidates was feasible.
-    Every period is at least 1, since L >= h_0.
+    after the overdense ones and before the first one over the cap.
+    `StateSpaceTooLarge`, with the message of the first candidate over the
+    cap, means none of the searchable candidates was feasible. Every period
+    is at least 1, since L >= h_0.
 
-    A probe first tries a proof by construction, the single-integer
-    reduction of Holte et al. (1989) and Chan and Chin (1992): rounded down
-    to x * 2^j, the periods form a divides chain, and one of density at
-    most 1 (sum(top // q) <= top, top the largest) is served by
-    `schedule_chain` within the rounded periods, hence within the given
-    ones. It never refutes; only then does the lasso search run.
+    The scan from the bottom stops at the first candidate proved by
+    construction, the single-integer reduction of Holte et al. (1989) and
+    Chan and Chin (1992): rounded down to x * 2^j, the periods form a
+    divides chain, and one of density at most 1 (sum(top // q) <= top, top
+    the largest) is served by `schedule_chain` within the rounded periods,
+    hence within the given ones. That candidate bounds the optimum from
+    above, and no candidate below it has such a proof, so the lasso search
+    decides those: first the one just below the bound (when it is refuted,
+    the bound is the optimum), then, when it is feasible, a bisection of
+    the rest. With no proof at all, the search starts at the last
+    searchable candidate, and a refutation there refutes them all.
     """
     garden = scaled(instance)
     rates, low, high = garden.rates, garden.bound, garden.top
     grid = heapq.merge(*(range(-(-low // a) * a, high + 1, a) for a in rates))
-    searchable: list[int] = []
-    refusal = None
+    searchable: list[int] = []  # below the first candidate with a chain proof
+    proved = refusal = None
     for v, _ in itertools.groupby(grid):
         periods = [v // a for a in rates]
         if _overdense(periods):
@@ -231,17 +263,19 @@ def bgt_opt(instance: BgtInstance, cap: int = DEFAULT_STATE_CAP) -> Fraction:
         refusal = _too_large(periods, cap)
         if refusal is not None:
             break
+        if _chain_base(periods) is not None:
+            proved = v
+            break
         searchable.append(v)
 
     def feasible(v: int) -> bool:
-        periods = [v // a for a in rates]
-        return _chain_base(periods) is not None or _lasso(periods, cap) is not None
+        return _lasso([v // a for a in rates], cap) is not None
 
-    if searchable and feasible(searchable[0]):
-        return Fraction(searchable[0], garden.scale)
-    first = bisect.bisect_left(searchable, True, lo=1, key=feasible)
-    if first < len(searchable):
+    if searchable and feasible(searchable[-1]):
+        first = bisect.bisect_left(searchable, True, hi=len(searchable) - 1, key=feasible)
         return Fraction(searchable[first], garden.scale)
+    if proved is not None:
+        return Fraction(proved, garden.scale)
     if refusal is not None:
         raise refusal
     raise RuntimeError("no candidate up to the pipeline guarantee was feasible; this cannot happen")

@@ -42,6 +42,10 @@ class ReductionConfig:
             raise InvalidInstance(f"unknown lower-bound mode {self.lb_mode!r}")
 
 
+# built once: each ReductionConfig parses its factor
+DEFAULT_CONFIG = ReductionConfig()
+
+
 @dataclass(frozen=True)
 class ScaledGarden:
     """A garden and a config in integers, the form the solver decides on.
@@ -87,7 +91,7 @@ def scaled(instance: BgtInstance, config: ReductionConfig | None = None) -> Scal
     Raises PeriodBelowTwo when n >= 2 and the shortest period, that of the
     fastest grower, lands below 2: u * bound < 2 * v * a_0.
     """
-    config = config or ReductionConfig()
+    config = config or DEFAULT_CONFIG
     rates = instance.rates
     scale = math.lcm(*(h.denominator for h in rates))
     if scale == 1:
@@ -119,7 +123,7 @@ def bgt_to_pseudo(instance: BgtInstance, config: ReductionConfig | None = None) 
     its own rate); a window of floor(factor) days, 1 at 12/7, asks for the
     daily cut that the solver gives it.
     """
-    config = config or ReductionConfig()
+    config = config or DEFAULT_CONFIG
     bound = scaled(instance, config).lower_bound
     target = config.factor * bound
     # dividing by the rates as given keeps every gcd as small as the rates

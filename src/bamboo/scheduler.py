@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .model import BgtInstance, InvalidInstance, JobPeriod, PeriodicSchedule, PseudoInstance, ScheduleEntry, int_period
-from .reduction import ReductionConfig, bgt_to_pseudo, scaled
+from .reduction import DEFAULT_CONFIG, ReductionConfig, bgt_to_pseudo, scaled
 from .rounding import (
     CertificateViolation,
     Decomposition,
@@ -202,7 +202,7 @@ def solve(instance: BgtInstance, config: ReductionConfig | None = None) -> Solut
     every day). Everything up to the reported values runs on the garden
     scaled to integers.
     """
-    config = config or ReductionConfig()
+    config = config or DEFAULT_CONFIG
     garden = scaled(instance, config)
     bound = garden.lower_bound
     rho = garden.density

@@ -113,8 +113,8 @@ def tampered(schedule: PeriodicSchedule) -> PeriodicSchedule:
 #
 # Functions that only tests call, kept out of the package: the day test of
 # one entry, the entry of one job, the density of a job multiset (through
-# `density`, not the grid weights) and the inverse reduction from
-# integral pinwheel periods.
+# `density`, not the grid weights), the inverse reduction from
+# integral pinwheel periods and the JSON form of a pseudo-instance.
 
 
 def serves(entry: ScheduleEntry, day: int) -> bool:
@@ -149,6 +149,16 @@ def ps_to_bgt(periods: Sequence[int]) -> tuple[BgtInstance, tuple[int, ...]]:
     order = tuple(sorted(range(len(periods)), key=lambda i: (periods[i], i)))
     rates = tuple(Fraction(1, periods[i]) for i in order)
     return BgtInstance(rates), order
+
+
+def pseudo_to_obj(pseudo: PseudoInstance) -> dict:
+    """The JSON object `model.pseudo_from_obj` reads back."""
+    obj: dict = {"periods": [str(p) for p in pseudo.periods]}
+    if pseudo.factor is not None:
+        obj["factor"] = str(pseudo.factor)
+    if pseudo.lower_bound is not None:
+        obj["lower_bound"] = str(pseudo.lower_bound)
+    return obj
 
 
 # ------------------------------------------------- parsing reference

@@ -247,6 +247,22 @@ def test_oracle_bgt_opt(tmp_path, capsys):
     assert json.loads(out) == {"rates": ["3", "1"], "opt": "6"}
 
 
+def test_oracle_bgt_opt_refuting_paths(tmp_path, capsys, monkeypatch):
+    # both recorded with the lowest candidate searched first, so they pin
+    # the answer, not the search order
+    monkeypatch.setenv("BAMBOO_STATE_CAP", "100000")
+    # no candidate has a chain proof, so the search alone finds the optimum
+    path = write_json(tmp_path, "found.json", {"rates": ["6", "4", "2", "2", "1"]})
+    code, out, _ = run(capsys, "oracle", "bgt-opt", path)
+    assert code == 0
+    assert json.loads(out)["opt"] == "18"
+    # every searchable candidate is refuted
+    path = write_json(tmp_path, "refused.json", {"rates": ["7", "6", "6", "1", "1"]})
+    code, out, err = run(capsys, "oracle", "bgt-opt", path)
+    assert code == 2 and out == ""
+    assert err == "error: state space of 5x5x5x29x29 exceeds the cap of 100000\n"
+
+
 def test_oracle_tightness_defaults(capsys):
     code, out, _ = run(capsys, "oracle", "tightness")
     assert code == 0

@@ -16,12 +16,11 @@ from bamboo.model import (
     instance_to_obj,
     parse_rational,
     pseudo_from_obj,
-    pseudo_to_obj,
     schedule_from_obj,
     entries_to_obj,
 )
 from bamboo.reduction import ReductionConfig, scaled
-from helpers import entry_of, reference_lower_bound, reference_parse_rational, serves
+from helpers import entry_of, pseudo_to_obj, reference_lower_bound, reference_parse_rational, serves
 
 
 # ---------------------------------------------------------------- parsing

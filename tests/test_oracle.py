@@ -6,7 +6,9 @@ validator that re-plays every claimed schedule. The pruned search and the
 bisecting optimum must also return exactly what the first implementations
 (`reference_pinwheel_feasible`, `reference_bgt_opt` in helpers.py) return.
 Each chain-rounding proof the optimum accepts without a search is rebuilt
-as a schedule and checked, and the reference search must agree with it.
+as a schedule and checked, and the reference search must agree with it. Every
+state the search prunes as overdue is checked dead against a fixed point
+computed from scratch.
 """
 
 import itertools
@@ -20,6 +22,7 @@ from bamboo.model import BgtInstance, InvalidInstance, JobPeriod
 from bamboo.oracle import (
     StateSpaceTooLarge,
     _chain_base,
+    _overdue,
     bgt_opt,
     opt_tractable,
     pinwheel_feasible,
@@ -130,6 +133,43 @@ def test_search_matches_reference_on_every_small_vector():
 def test_search_matches_reference_on_unsorted_vectors(periods, cap):
     # periods from 2 keep most draws at density <= 1, so they are searched
     assert outcome(pinwheel_feasible, periods, cap) == outcome(reference_pinwheel_feasible, periods, cap)
+
+
+def live_states(ps):
+    """Every deadline vector of the game on `ps`, in job order and without
+    canonical forms, and the set of those with an infinite schedule: the
+    greatest fixed point of "has a live successor"."""
+    states = list(itertools.product(*(range(1, p + 1) for p in ps)))
+    succ = {
+        s: [
+            tuple(p if i == j else d - 1 for i, (p, d) in enumerate(zip(ps, s)))
+            for j in range(len(ps))
+            if all(d > 1 for i, d in enumerate(s) if i != j)
+        ]
+        for s in states
+    }
+    live = set(states)
+    while True:
+        dead = {s for s in live if not any(c in live for c in succ[s])}
+        if not dead:
+            return states, live
+        live -= dead
+
+
+def test_overdue_states_are_dead():
+    # every period multiset with n <= 4 over 2..7 and every deadline vector
+    # 1 <= d_i <= p_i: a state the search prunes as overdue has no infinite
+    # schedule, so pruning it cannot change the lasso
+    seen = dead = pruned = 0
+    for n in range(1, 5):
+        for ps in itertools.combinations_with_replacement(range(2, 8), n):
+            states, live = live_states(ps)
+            assert (ps in live) == reference_pinwheel_feasible(ps).feasible, ps
+            twos = slice(0, ps.count(2))
+            flagged = [s for s in states if _overdue(s, twos)]
+            assert not live.intersection(flagged), ps
+            seen, dead, pruned = seen + len(states), dead + len(states) - len(live), pruned + len(flagged)
+    assert (seen, dead, pruned) == (63_986, 26_775, 21_150)
 
 
 # ---------------------------------------------------------------- chain rounding
