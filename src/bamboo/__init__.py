@@ -44,7 +44,6 @@ from .verifier import (
     check_collisions,
     check_windows,
     evaluate,
-    max_heights,
     simulate,
 )
 

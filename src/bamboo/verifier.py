@@ -10,6 +10,10 @@ at job n - 1. The simulation marks every cut on a calendar of one byte
 per day, so a day cut twice is seen directly, and reads each bamboo's
 peak off its cut gaps (first offset, then cycle, then the tail up to the
 horizon), so its memory is one byte per day whatever the number of cuts.
+The cuts repeat with the lcm of the cycles, so the calendar is filled one
+period at a time: each cycle's residues are marked once on a period that
+grows with the running lcm while it fits the horizon, and the period is
+then copied forward by doubling within the same calendar.
 """
 
 from __future__ import annotations
@@ -152,17 +156,12 @@ def _peak_heights(schedule: PeriodicSchedule, instance: BgtInstance) -> list[int
     return [rates[e.job] * (e.offset if e.offset > e.cycle else e.cycle) for e in schedule.entries]
 
 
-def max_heights(schedule: PeriodicSchedule, instance: BgtInstance) -> tuple[Fraction, ...]:
-    """Per-job peak height over the infinite schedule, in job-id order.
-
-    Job i peaks at h_i * max(offset, cycle): the first cut happens at the
-    end of day offset, and later cuts every cycle days.
-    """
-    if not _covers(schedule, instance.n):
-        raise InvalidInstance(
-            f"schedule covers jobs {sorted(schedule.jobs)} but the instance has {instance.n} bamboos"
-        )
-    return tuple(map(Fraction, _peak_heights(schedule, instance)))
+def _repeat(view: memoryview, period: int, end: int) -> None:
+    """Repeat view[:period] up to view[:end], doubling the copied span each step."""
+    while period < end:
+        step = period if 2 * period <= end else end - period
+        view[period : period + step] = view[:step]
+        period += step
 
 
 @dataclass(frozen=True)
@@ -190,6 +189,18 @@ def simulate(
     the tail from its last cut to the horizon; a job with no cut up to the
     horizon, or none in the schedule, has a tail of `horizon`.
 
+    An entry with offset <= cycle is cut on every day >= 1 that is
+    congruent to its offset modulo its cycle, so the marks of such entries
+    repeat with the lcm of their cycles. Their distinct cycles are taken in
+    ascending order while the running lcm fits in horizon + 1 days: the
+    marked period is copied forward to the new lcm, and each residue of
+    the cycle is marked once on it. That period is then copied out to the
+    horizon, day 0 (which stands for the day the period ends) is cleared,
+    and the remaining entries (cycles that would carry the lcm past the
+    horizon, and offsets past their cycle) are marked over the whole
+    horizon one by one. The copies are slice copies within the calendar,
+    so memory stays one byte per day.
+
     Ties: `argmax` is the first (day, job) in calendar order whose cut
     reaches the maximum; a tail wins only if strictly higher than every
     cut, and among tails the lowest job id wins.
@@ -199,23 +210,35 @@ def simulate(
     if horizon > DEFAULT_HORIZON_CAP:
         raise HorizonOverflow(f"horizon {horizon} exceeds the cap of {DEFAULT_HORIZON_CAP} days")
     n = instance.n
-    for e in schedule.entries:
-        if e.job >= n:
-            raise InvalidInstance(f"schedule mentions job {e.job} outside the instance")
+    entries = schedule.entries
+    # entries are sorted by job: if any job is outside the instance, the last is
+    if entries and entries[-1].job >= n:
+        job = next(e.job for e in entries if e.job >= n)
+        raise InvalidInstance(f"schedule mentions job {job} outside the instance")
 
+    rates = instance.rates
     cal = bytearray(horizon + 1)
     tails = [horizon] * n
     best = 0
     best_day = 0
     best_job: int | None = None
-    for e in schedule.entries:
+    # offsets by cycle: an entry with offset <= cycle is cut on every day
+    # >= 1 that is = offset (mod cycle), a late one only from its offset on
+    periodic: dict[int, list[int]] = {}
+    late: dict[int, list[int]] = {}
+    for e in entries:
         o, c = e.offset, e.cycle
         if o > horizon:
             continue
-        cal[o::c] = cal[o::c].translate(_INC)
+        if o > c:
+            late.setdefault(c, []).append(o)
+        elif c in periodic:
+            periodic[c].append(o)
+        else:
+            periodic[c] = [o]
         cuts_after_first = (horizon - o) // c
         gap, day = (c, o + c) if cuts_after_first and c > o else (o, o)
-        h = instance.rates[e.job] * gap
+        h = rates[e.job] * gap
         # entries come in job order, so an equal cut wins only on an earlier day
         if h > best or (h == best and day < best_day):
             best, best_day, best_job = h, day, e.job
@@ -224,9 +247,33 @@ def simulate(
         tails[e.job] = tail if tail > gap else 0
     for job, tail in enumerate(tails):
         if tail:
-            h = instance.rates[job] * tail
+            h = rates[job] * tail
             if h > best:
                 best, best_day, best_job = h, horizon, job
+
+    if periodic:
+        # day 0 stands for the day the period ends; the blank calendar
+        # repeats with any period, so the first is the smallest cycle
+        cycles = sorted(periodic)
+        period = cycles[0]
+        view = memoryview(cal)
+        for c in cycles:
+            wider = math.lcm(period, c)
+            if wider > horizon + 1:
+                break
+            _repeat(view, period, wider)
+            period = wider
+            for o in periodic.pop(c):
+                r = o % c
+                cal[r:period:c] = cal[r:period:c].translate(_INC)
+        _repeat(view, period, horizon + 1)
+        view.release()
+        cal[0] = 0
+    # the cycles that would carry the period past the horizon, and late entries
+    for group in (periodic, late):
+        for c, offsets in group.items():
+            for o in offsets:
+                cal[o::c] = cal[o::c].translate(_INC)
 
     doubled: list[int] = []
     day = cal.find(2)

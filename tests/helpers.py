@@ -25,7 +25,9 @@ from bamboo.verifier import (
     HorizonOverflow,
     SimReport,
     VerificationReport,
+    _covers,
     _earliest_shared_day,
+    _peak_heights,
     default_horizon,
     simulate,
 )
@@ -114,7 +116,8 @@ def tampered(schedule: PeriodicSchedule) -> PeriodicSchedule:
 # Functions that only tests call, kept out of the package: the day test of
 # one entry, the entry of one job, the density of a job multiset (through
 # `density`, not the grid weights), the inverse reduction from
-# integral pinwheel periods and the JSON form of a pseudo-instance.
+# integral pinwheel periods, the JSON form of a pseudo-instance and the
+# per-job peak heights as Fractions.
 
 
 def serves(entry: ScheduleEntry, day: int) -> bool:
@@ -149,6 +152,19 @@ def ps_to_bgt(periods: Sequence[int]) -> tuple[BgtInstance, tuple[int, ...]]:
     order = tuple(sorted(range(len(periods)), key=lambda i: (periods[i], i)))
     rates = tuple(Fraction(1, periods[i]) for i in order)
     return BgtInstance(rates), order
+
+
+def max_heights(schedule: PeriodicSchedule, instance: BgtInstance) -> tuple[Fraction, ...]:
+    """Per-job peak height over the infinite schedule, in job-id order.
+
+    Job i peaks at h_i * max(offset, cycle): the first cut happens at the
+    end of day offset, and later cuts every cycle days.
+    """
+    if not _covers(schedule, instance.n):
+        raise InvalidInstance(
+            f"schedule covers jobs {sorted(schedule.jobs)} but the instance has {instance.n} bamboos"
+        )
+    return tuple(map(Fraction, _peak_heights(schedule, instance)))
 
 
 def pseudo_to_obj(pseudo: PseudoInstance) -> dict:

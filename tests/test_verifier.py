@@ -31,10 +31,10 @@ from bamboo.verifier import (
     check_windows,
     default_horizon,
     evaluate,
-    max_heights,
     simulate,
 )
 from helpers import (
+    max_heights,
     random_instance,
     reference_check_collisions,
     reference_evaluate,
@@ -298,6 +298,65 @@ def test_solver_schedules_equal_reference(seed):
         assert check_collisions(s) == reference_check_collisions(s)
         assert simulate(s, inst, horizon) == reference_simulate(s, inst, horizon)
     assert not check_collisions(tampered(schedule)).ok
+
+
+# divisor-rich cycles with a few primes among them, so the running lcm of a
+# schedule's cycles fits the horizon for a while and then passes it
+PERIODIC_CYCLES = st.sampled_from([1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 5, 7, 11, 13])
+
+
+@st.composite
+def periodic_schedules(draw):
+    """(instance, schedule, horizon) for the calendar's copy path: offsets
+    from 1 to twice the cycle (offset = cycle is residue 0, and an offset
+    past the cycle is marked on its own), jobs left out, horizons up to
+    5,000."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    rates = sorted(draw(st.lists(RATES, min_size=n, max_size=n)), reverse=True)
+    jobs = draw(st.lists(st.integers(min_value=0, max_value=n - 1), min_size=1, max_size=n, unique=True))
+    entries = []
+    for j in jobs:
+        c = draw(PERIODIC_CYCLES)
+        entries.append(ScheduleEntry(j, draw(st.integers(min_value=1, max_value=2 * c)), c))
+    horizon = draw(st.integers(min_value=1, max_value=5000))
+    return BgtInstance(tuple(rates)), PeriodicSchedule(tuple(entries)), horizon
+
+
+@given(periodic_schedules())
+# days 1, 7, 13, ... are cut three times; all but day 1 lie in copies of the period 6
+@example((BgtInstance.from_values([1, 1, 1]), sched((0, 1, 2), (1, 1, 3), (2, 1, 6)), 30))
+@example((BgtInstance.from_values([3, 2, 1]), sched((0, 4, 4), (1, 6, 6), (2, 12, 12)), 50))  # residue 0 only
+@example((BgtInstance.from_values([2, 1]), sched((0, 1, 4), (1, 6, 6)), 11))  # lcm 12 = horizon + 1
+@example((BgtInstance.from_values([2, 1]), sched((0, 1, 4), (1, 6, 6)), 10))  # and one day past the calendar
+# the lcm passes the horizon at the second cycle, 13, and cycle 16 comes after it
+@example((BgtInstance.from_values([2, 1, 1]), sched((0, 3, 8), (1, 5, 13), (2, 7, 16)), 60))
+@settings(max_examples=200, deadline=None)
+def test_simulate_copy_path_equals_reference(case):
+    instance, schedule, horizon = case
+    assert simulate(schedule, instance, horizon) == reference_simulate(schedule, instance, horizon)
+
+
+def test_solver_schedule_at_default_horizon_equals_reference():
+    inst = random_instance(random.Random(7), n_lo=200, n_hi=200, rate_hi=100)
+    schedule = solve(inst).schedule
+    horizon = default_horizon(schedule)
+    for s in (schedule, tampered(schedule)):
+        assert simulate(s, inst, horizon) == reference_simulate(s, inst, horizon)
+
+
+def test_simulate_memory_is_one_calendar_on_a_solver_schedule():
+    # the calendar is 10**6 + 1 bytes; the period is copied forward within
+    # it, not tiled into a second buffer
+    inst = random_instance(random.Random(0), n_lo=1000, n_hi=1000, rate_hi=10**6)
+    schedule = solve(inst).schedule
+    horizon = 10**6
+    tracemalloc.start()
+    try:
+        simulate(schedule, inst, horizon)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 10 * peak < 11 * (horizon + 1)
 
 
 # ---------------------------------------------------------------- evaluate
