@@ -8,8 +8,9 @@ does a period sit on a grid boundary?), so binary floating point and
 `bool` are rejected at the boundary instead of being silently converted.
 Each boundary rule has one home: `parse_rational` is the one coercion of
 rates, periods and factors, `int_period` the one check of an integral
-period and `PeriodicSchedule` the one check of schedule entries. The
-lower bound lives in `reduction.scaled` and the simulation horizon in
+period and `PeriodicSchedule` the one check of schedule entries and the
+one home of the coverage rule (`covers`). The lower bound lives in
+`reduction.scaled` and the simulation horizon in
 `verifier.default_horizon`.
 """
 
@@ -195,6 +196,15 @@ class PeriodicSchedule:
     @property
     def jobs(self) -> tuple[int, ...]:
         return tuple(e.job for e in self.entries)
+
+    def covers(self, n: int) -> bool:
+        """True iff there is exactly one entry for each of jobs 0..n-1.
+
+        Entries are stored sorted by distinct non-negative job ids, so that
+        holds iff there are n of them and the last is job n - 1.
+        """
+        entries = self.entries
+        return len(entries) == n and (not entries or entries[-1].job == n - 1)
 
 
 # ---------- JSON forms ----------

@@ -13,23 +13,32 @@ cases chosen so that the ceiling certificate
 stays at most 1 whenever the input density is at most 7/12. y <= 1 is
 exactly what the odd/even interleaving of the two grids needs.
 On one grid every period divides the largest, so densities are weighed
-as integers over it; `Fraction` only appears in the values reported out.
+as integers over it, and y is tested as the integer 6y; `Fraction` only
+appears in the values reported out.
 
-Every list of jobs here is sorted by (period, job) where it is built, with
-`by_period`, and every period is put on its grid by the arithmetic that
-builds it; no stage re-checks either. `scheduler.ChainInstance` is the one
-check, where the lists are consumed.
+Jobs travel through every stage as (period, job) pairs of plain ints,
+sorted where they are built by a native tuple sort: the one job order, by
+period, densest first, ties by job id (`pairs_of`). Each stage record keeps its lists as such pairs (`b_pairs`,
+`p_pairs`, `bp_pairs`, ...) and builds the `JobPeriod` tuples its readers
+see (`b`, `p`, `bp`, ...) on first read. Every period is put on its grid
+by the arithmetic that builds it; no stage re-checks the order or the
+grid. `scheduler.ChainInstance` is the one check, where the lists are
+consumed.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .model import InvalidInstance, JobPeriod
+
+# jobs as (period, job) int pairs, sorted: period first, ties by job id
+Pairs = tuple[tuple[int, int], ...]
 
 
 class UnroundablePeriod(InvalidInstance):
@@ -54,9 +63,21 @@ CASE_RS: dict[str, frozenset[tuple[int, int]]] = {
 }
 
 
-def by_period(items: Iterable[JobPeriod]) -> tuple[JobPeriod, ...]:
-    """The one job order: by period, densest first, ties by job id."""
-    return tuple(sorted(items, key=lambda jp: (jp.period, jp.job)))
+def pairs_of(items: Iterable[JobPeriod]) -> Pairs:
+    """Jobs as sorted (period, job) pairs: the one job order, by period,
+    densest first, ties by job id."""
+    return tuple(sorted((jp.period, jp.job) for jp in items))
+
+
+def jobs_of(pairs: Iterable[tuple[int, int]]) -> tuple[JobPeriod, ...]:
+    """The `JobPeriod` of each (period, job) pair, in the same order."""
+    return tuple(JobPeriod(job, period) for period, job in pairs)
+
+
+def jobs_field(pairs_field: str) -> cached_property:
+    """A record attribute: the `JobPeriod`s of the sorted pairs held in
+    `pairs_field`, built on first read and then kept."""
+    return cached_property(lambda record: jobs_of(getattr(record, pairs_field)))
 
 
 def specialize_single(p: Fraction | int, x: int) -> int:
@@ -70,31 +91,52 @@ def specialize_single(p: Fraction | int, x: int) -> int:
     return x << ((m // x).bit_length() - 1)
 
 
-def _grid_weight(items: Iterable[JobPeriod]) -> tuple[int, int]:
-    """Density of a multiset on one grid as (weight, top): rho = weight / top.
+def _runs(pairs: Pairs) -> Iterator[tuple[int, int, int]]:
+    """(period, start, end) for each run of one period in sorted pairs, so
+    that pairs[start:end] holds the jobs of that period. Each run end is
+    found by bisection: the cost is per run, not per job."""
+    start, size = 0, len(pairs)
+    while start < size:
+        period = pairs[start][0]
+        end = bisect_left(pairs, (period + 1,), start)
+        yield period, start, end
+        start = end
 
-    top is the largest period; on one grid every period divides it, so each
-    1/p is exactly (top // p) / top. Empty input weighs (0, 1).
+
+def _grid_weight(pairs: Pairs) -> tuple[int, int]:
+    """Density of sorted pairs on one grid as (weight, top): rho = weight / top.
+
+    top is the largest period, the last; on one grid every period divides
+    it, so each 1/p is exactly (top // p) / top. No pairs weigh (0, 1).
     """
-    periods = [jp.period for jp in items]
-    top = max(periods, default=1)
-    return sum(top // p for p in periods), top
+    if not pairs:
+        return 0, 1
+    top = pairs[-1][0]
+    return sum((end - start) * (top // period) for period, start, end in _runs(pairs)), top
+
+
+def _specialized(floors: Sequence[int], x: int) -> Pairs:
+    return tuple(sorted((specialize_single(m, x), job) for job, m in enumerate(floors)))
 
 
 def specialize_instance(floors: Sequence[int], x: int) -> tuple[JobPeriod, ...]:
     """Round every period down onto the single grid {x, 2x, 4x, ...}, given
     floor(p_i) for each job in job-id order (grid points are integers, so
     the floor decides as the period would)."""
-    return by_period(JobPeriod(job, specialize_single(m, x)) for job, m in enumerate(floors))
+    return jobs_of(_specialized(floors, x))
 
 
 @dataclass(frozen=True)
 class SpecializedState:
     """Outcome of the two-grid split: B on powers of two, C on 3 * powers of
-    two, each sorted by `by_period` (`split_23` builds them so)."""
+    two, each as sorted (period, job) pairs (`split_23` builds them so);
+    `b` and `c` are their `JobPeriod`s, built on first read."""
 
-    b: tuple[JobPeriod, ...]
-    c: tuple[JobPeriod, ...]
+    b_pairs: Pairs
+    c_pairs: Pairs
+
+    b = jobs_field("b_pairs")
+    c = jobs_field("c_pairs")
 
 
 def split_23(floors: Sequence[int]) -> SpecializedState:
@@ -103,57 +145,73 @@ def split_23(floors: Sequence[int]) -> SpecializedState:
 
     A period in [2*2^j, 3*2^j) rounds to 2*2^j and joins B; one in
     [3*2^j, 4*2^j) rounds to 3*2^j and joins C. The bands tile [2, oo), so
-    2*2^j is the top bit of floor(p), and the band is C exactly when floor(p)
-    reaches 3*2^j (grid points are integers, so floor(p) decides as p would).
+    the top two bits of floor(p), 10 or 11, name the band and, with the
+    bits below them cleared, its endpoint (grid points are integers, so
+    floor(p) decides as p would).
     """
-    b: list[JobPeriod] = []
-    c: list[JobPeriod] = []
+    b: list[tuple[int, int]] = []
+    c: list[tuple[int, int]] = []
     for job, m in enumerate(floors):
         if m < 2:
             raise UnroundablePeriod(f"period of job {job} rounds down to {m}, below 2, and cannot be banded")
-        two = 1 << (m.bit_length() - 1)
-        three = two + (two >> 1)
-        if m < three:
-            b.append(JobPeriod(job, two))
-        else:
-            c.append(JobPeriod(job, three))
-    return SpecializedState(b=by_period(b), c=by_period(c))
+        low = m.bit_length() - 2
+        band = m >> low
+        (b if band == 2 else c).append((band << low, job))
+    b.sort()
+    c.sort()
+    return SpecializedState(tuple(b), tuple(c))
 
 
 @dataclass(frozen=True)
 class Decomposition:
     """rho(B) written as r/2 + rho(P) with 0 <= rho(P) < 1/2 (P a sub-multiset
-    of B), and rho(C) as s/3 + rho(Q) likewise."""
+    of B, its suffix), and rho(C) as s/3 + rho(Q) likewise. P and Q are kept
+    as sorted pairs; `p` and `q` are built on first read."""
 
     r: int
-    p: tuple[JobPeriod, ...]
+    p_pairs: Pairs
     s: int
-    q: tuple[JobPeriod, ...]
+    q_pairs: Pairs
+
+    p = jobs_field("p_pairs")
+    q = jobs_field("q_pairs")
 
 
-def _extract_units(items: tuple[JobPeriod, ...], x: int) -> tuple[int, tuple[JobPeriod, ...]]:
-    """Peel off whole chunks of density 1/x from sorted jobs on the x * 2^j
+def _extract_units(pairs: Pairs, x: int) -> tuple[int, Pairs]:
+    """Peel off whole chunks of density 1/x from sorted pairs on the x * 2^j
     grid, densest first.
 
     Over the top period a chunk weighs top // x and each job weight divides
     the weights before it, so the prefix sums hit count * top // x exactly
-    and the leftover is the suffix of largest periods.
+    and the leftover is the suffix of largest periods. The prefix is taken
+    a run of one period at a time.
     """
-    weight, top = _grid_weight(items)
+    weight, top = _grid_weight(pairs)
     count = x * weight // top
     need = count * top // x
     i = taken = 0
-    while taken < need:
-        taken += top // items[i].period
-        i += 1
+    for period, start, end in _runs(pairs):
+        if taken >= need:
+            break
+        each = top // period
+        i = min(end, start + -(-(need - taken) // each))
+        taken += (i - start) * each
     assert taken == need, "grid divisibility violated"
-    return count, items[i:]
+    return count, pairs[i:]
 
 
 def decompose(state: SpecializedState) -> Decomposition:
-    r, p = _extract_units(state.b, 2)
-    s, q = _extract_units(state.c, 3)
-    return Decomposition(r=r, p=p, s=s, q=q)
+    r, p = _extract_units(state.b_pairs, 2)
+    s, q = _extract_units(state.c_pairs, 3)
+    return Decomposition(r, p, s, q)
+
+
+def _sixths(bp: Pairs, cp: Pairs) -> int:
+    """6y for B' on the {2, 4, 8, ...} grid and C' on the {3, 6, 12, ...}
+    grid: 3 * ceil(2 * rho(B')) + 2 * ceil(3 * rho(C')), an integer."""
+    wb, tb = _grid_weight(bp)
+    wc, tc = _grid_weight(cp)
+    return 3 * -(-2 * wb // tb) + 2 * -(-3 * wc // tc)
 
 
 @dataclass(frozen=True)
@@ -161,37 +219,44 @@ class NormalizedState:
     """B' and C' after the leftover densities have been redistributed.
 
     B' is on the {2, 4, 8, ...} grid and C' on the {3, 6, 12, ...} grid,
-    each sorted by `by_period`; `normalize` builds them so and nothing here
-    re-checks it. `case` records which branch fired; r and s are the
+    each as sorted (period, job) pairs; `normalize` builds them so and
+    nothing here re-checks it. `bp` and `cp` are their `JobPeriod`s, built
+    on first read. `case` records which branch fired; r and s are the
     pre-normalization chunk counts, kept for the certificate's reachability
-    check. The certificate y is derived from B' and C', so it always agrees
-    with them."""
+    check. The certificate is derived from B' and C', so it always agrees
+    with them: `y_sixths` is 6y, the integer the checks compare with 6, and
+    `y` the reported `Fraction`."""
 
-    bp: tuple[JobPeriod, ...]
-    cp: tuple[JobPeriod, ...]
+    bp_pairs: Pairs
+    cp_pairs: Pairs
     case: str
     r: int
     s: int
 
+    bp = jobs_field("bp_pairs")
+    cp = jobs_field("cp_pairs")
+
+    @cached_property
+    def y_sixths(self) -> int:
+        return _sixths(self.bp_pairs, self.cp_pairs)
+
     @cached_property
     def y(self) -> Fraction:
-        return certificate_value(self.bp, self.cp)
+        return Fraction(self.y_sixths, 6)
 
 
-def _without(items: tuple[JobPeriod, ...], removed: tuple[JobPeriod, ...]) -> tuple[JobPeriod, ...]:
-    gone = {jp.job for jp in removed}
-    return tuple(jp for jp in items if jp.job not in gone)
+def _without(pairs: Pairs, removed: Pairs) -> Pairs:
+    gone = {job for _, job in removed}
+    return tuple(pair for pair in pairs if pair[1] not in gone)
 
 
-def _regrid(items: Iterable[JobPeriod], x: int) -> tuple[JobPeriod, ...]:
-    return tuple(JobPeriod(jp.job, specialize_single(jp.period, x)) for jp in items)
-
-
-def certificate_value(bp: Iterable[JobPeriod], cp: Iterable[JobPeriod]) -> Fraction:
-    """y for B' on the {2, 4, 8, ...} grid and C' on the {3, 6, 12, ...} grid."""
-    wb, tb = _grid_weight(bp)
-    wc, tc = _grid_weight(cp)
-    return Fraction(-(-2 * wb // tb), 2) + Fraction(-(-3 * wc // tc), 3)
+def _regrid(pairs: Pairs, x: int) -> list[tuple[int, int]]:
+    # one grid point per run of one period
+    out = []
+    for period, start, end in _runs(pairs):
+        point = specialize_single(period, x)
+        out += [(point, job) for _, job in pairs[start:end]]
+    return out
 
 
 def normalize(dec: Decomposition, state: SpecializedState) -> NormalizedState:
@@ -203,8 +268,8 @@ def normalize(dec: Decomposition, state: SpecializedState) -> NormalizedState:
     # over den = top(P) * top(Q), rho(P) = p_num / den and rho(Q) = q_num / den;
     # then 3 * den * v and 2 * den * w are the integers v3 and w2 below, so
     # v <= 1/3, v <= 2/3 and w <= 1/2 read v3 <= den, v3 <= 2 * den, w2 <= den
-    wp, tp = _grid_weight(dec.p)
-    wq, tq = _grid_weight(dec.q)
+    wp, tp = _grid_weight(dec.p_pairs)
+    wq, tq = _grid_weight(dec.q_pairs)
     p_num, q_num, den = wp * tq, wq * tp, tp * tq
     v3, w2 = 4 * p_num + 3 * q_num, 2 * p_num + 3 * q_num
     if v3 == 0:
@@ -216,26 +281,27 @@ def normalize(dec: Decomposition, state: SpecializedState) -> NormalizedState:
     else:
         case = "d"
     # dropping jobs keeps a side sorted; only the side that grows is re-sorted
-    bp, cp = state.b, state.c
+    bp, cp = state.b_pairs, state.c_pairs
     if case in ("a", "c"):
-        bp, cp = _without(state.b, dec.p), by_period(state.c + _regrid(dec.p, 3))
+        bp, cp = _without(bp, dec.p_pairs), tuple(sorted((*cp, *_regrid(dec.p_pairs, 3))))
     elif case == "b":
-        bp, cp = by_period(state.b + _regrid(dec.q, 2)), _without(state.c, dec.q)
-    return NormalizedState(bp=bp, cp=cp, case=case, r=dec.r, s=dec.s)
+        bp, cp = tuple(sorted((*bp, *_regrid(dec.q_pairs, 2)))), _without(cp, dec.q_pairs)
+    return NormalizedState(bp, cp, case, dec.r, dec.s)
 
 
 def certificate(norm: NormalizedState, original_density: Fraction) -> bool:
     """Check the certificate y of B' and C' and the pre-normalization chunk
     counts (`norm.y`, `norm.r`, `norm.s`) against what theory promises once
-    the original density is within the 7/12 budget: y <= 1, and (r, s)
-    inside the reachable set for the case that fired. Any failure there
-    raises CertificateViolation rather than returning. Returns whether the
-    checks ran, i.e. whether the density was within budget.
+    the original density is within the 7/12 budget: y <= 1, that is
+    6y <= 6 in integers, and (r, s) inside the reachable set for the case
+    that fired. Any failure there raises CertificateViolation rather than
+    returning. Returns whether the checks ran, i.e. whether the density was
+    within budget.
     """
     original_density = Fraction(original_density)
     checked = original_density <= SEVEN_TWELFTHS
     if checked:
-        if norm.y > 1:
+        if norm.y_sixths > 6:
             raise CertificateViolation(
                 f"certificate y = {norm.y} > 1 at density {original_density} <= 7/12"
             )

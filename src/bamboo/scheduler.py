@@ -12,15 +12,26 @@ B' chain on the odd days and the C' chain on the even days, each job at
 its own period. The certificate y <= 1 guarantees both sides fit their
 half of the calendar.
 
+The chains arrive from rounding as sorted (period, job) int pairs. Jobs
+of one period sit in one run, so bins are cut and weighed a run at a
+time, and a bin of one period places its jobs side by side without
+cutting. Placement writes each job's offset and cycle into per-job int
+lists; the `ScheduleEntry`s are built once, in job order, when a schedule
+is returned.
+
 `solve` keeps each stage's value as a typed field of its `Solution`; only
-the CLI renders them, for `--explain`.
+the CLI renders them, for `--explain`. Its output checks raise
+`CertificateViolation`, so `python -O` cannot strip them.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import attrgetter, gt, itemgetter, mul
+from typing import Iterable
 
 from .model import BgtInstance, InvalidInstance, JobPeriod, PeriodicSchedule, PseudoInstance, ScheduleEntry, int_period
 from .reduction import DEFAULT_CONFIG, ReductionConfig, bgt_to_pseudo, scaled
@@ -28,12 +39,17 @@ from .rounding import (
     CertificateViolation,
     Decomposition,
     NormalizedState,
+    Pairs,
     SpecializedState,
-    by_period,
+    _grid_weight,
+    _runs,
+    _specialized,
     certificate,
     decompose,
+    jobs_field,
+    jobs_of,
     normalize,
-    specialize_instance,
+    pairs_of,
     split_23,
 )
 
@@ -46,89 +62,145 @@ class Overdense(InvalidInstance):
     """Density exceeds 1, so no schedule can serve every job in time."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ChainInstance:
     """Jobs with integral periods forming a divides chain of density <= 1.
 
-    Stored in `by_period` order. This is the pipeline's one check of the
-    lists that rounding builds: validation happens on construction, in
-    integers, so the scheduling pass below can take both properties for
-    granted. With P the largest period, density <= 1 reads
-    sum(P // p) <= P, exact because every period divides P.
+    Kept as `pairs`, sorted (period, job) int pairs (`rounding.pairs_of`);
+    `jobs`, their `JobPeriod`s, is built on first read. `ChainInstance(jobs)`
+    sorts the jobs it is given, and `of_pairs` takes pairs that rounding
+    has already sorted. This is the pipeline's one check of the lists that
+    rounding builds: validation happens on construction (`__post_init__`,
+    on either path), in integers, so the scheduling pass below can take
+    both properties for granted. With P the largest period, density <= 1
+    reads sum(P // p) <= P, exact because every period divides P.
     """
 
-    jobs: tuple[JobPeriod, ...]
+    pairs: Pairs
+
+    def __init__(self, jobs: Iterable[JobPeriod]) -> None:
+        object.__setattr__(self, "pairs", pairs_of(jobs))
+        self.__post_init__()
+
+    @classmethod
+    def of_pairs(cls, pairs: Pairs) -> ChainInstance:
+        chain = cls.__new__(cls)
+        object.__setattr__(chain, "pairs", pairs)
+        chain.__post_init__()
+        return chain
 
     def __post_init__(self) -> None:
-        jobs = by_period(self.jobs)
-        object.__setattr__(self, "jobs", jobs)
-        for jp in jobs:
-            int_period(jp.period, NotAChain)
-        for small, big in zip(jobs, jobs[1:]):
-            if big.period % small.period != 0:
-                raise NotAChain(f"{small.period} does not divide {big.period}")
-        p_max = jobs[-1].period if jobs else 1
-        weight = sum(p_max // jp.period for jp in jobs)
+        pairs = self.pairs
+        for period, _ in pairs:
+            int_period(period, NotAChain)
+        periods = [period for period, _, _ in _runs(pairs)]
+        for small, big in zip(periods, periods[1:]):
+            if big % small != 0:
+                raise NotAChain(f"{small} does not divide {big}")
+        weight, p_max = _grid_weight(pairs)
         if weight > p_max:
             raise Overdense(f"density {Fraction(weight, p_max)} exceeds 1")
 
+    jobs = jobs_field("pairs")
 
-def _cut(jobs: tuple[JobPeriod, ...]) -> list[tuple[JobPeriod, ...]]:
-    # jobs is a sorted divides chain: weigh job p as P // p against the bin
+
+class Bins:
+    """What `partition_bins` returns: the bins as runs of the chain's sorted
+    (period, job) pairs (`pairs`). Indexing or iterating gives each bin's
+    `JobPeriod`s, built on read."""
+
+    __slots__ = ("pairs",)
+
+    def __init__(self, pairs: tuple[Pairs, ...]) -> None:
+        self.pairs = pairs
+
+    def __len__(self) -> int:
+        return len(self.pairs)
+
+    def __getitem__(self, index: int | slice):
+        if isinstance(index, slice):
+            return tuple(map(jobs_of, self.pairs[index]))
+        return jobs_of(self.pairs[index])
+
+
+def _cut(pairs: Pairs) -> list[Pairs]:
+    # pairs is a sorted divides chain: weigh job p as P // p against the bin
     # capacity P // p_min. Each weight divides every earlier one and the
     # capacity, so the open bin's load never overshoots: it fills exactly
-    # and the next bin starts right after it.
-    p_max = jobs[-1].period
-    cap = p_max // jobs[0].period
+    # and the next bin starts right after it. Within a run of one period
+    # the bin ends are counted, not summed job by job.
+    p_max = pairs[-1][0]
+    cap = p_max // pairs[0][0]
     bins = []
     start = load = 0
-    for i, jp in enumerate(jobs):
-        load += p_max // jp.period
-        if load == cap:
-            bins.append(jobs[start : i + 1])
-            start, load = i + 1, 0
-    if start < len(jobs):
-        bins.append(jobs[start:])
+    for period, first, end in _runs(pairs):
+        each = p_max // period
+        close = first + (cap - load) // each
+        if close > end:
+            load += (end - first) * each
+            continue
+        while close <= end:
+            bins.append(pairs[start:close])
+            start, close = close, close + cap // each
+        load = (end - start) * each
+    if start < len(pairs):
+        bins.append(pairs[start:])
     return bins
 
 
-def partition_bins(chain: ChainInstance) -> tuple[tuple[JobPeriod, ...], ...]:
+def partition_bins(chain: ChainInstance) -> Bins:
     """Cut the jobs (densest first) into consecutive bins of density 1/p_min.
 
     Every job density divides the bin capacity, so every bin but the last
     is exactly full; this is what first-fit would build, without the
     search. Density <= 1 leaves at most p_min bins.
     """
-    if not chain.jobs:
-        return ()
-    bins = tuple(_cut(chain.jobs))
-    assert len(bins) <= chain.jobs[0].period
+    if not chain.pairs:
+        return Bins(())
+    bins = Bins(tuple(_cut(chain.pairs)))
+    assert len(bins) <= chain.pairs[0][0]
     return bins
 
 
-def _place(chain: ChainInstance, first: int, spacing: int) -> list[ScheduleEntry]:
-    # One pass over a stack of (jobs, offset, step) frames: a frame owns the
+def _slots(*sides: Pairs) -> tuple[list[int], list[int]]:
+    """Offset and cycle lists indexed by job id, up to the largest job on
+    the sides, all 0 until a job is placed."""
+    size = 1 + max(map(itemgetter(1), itertools.chain(*sides)), default=-1)
+    return [0] * size, [0] * size
+
+
+def _place(chain: ChainInstance, first: int, spacing: int, offsets: list[int], cycles: list[int]) -> None:
+    # One pass over a stack of (pairs, offset, step) frames: a frame owns the
     # days congruent to offset mod step, and bin j of its jobs takes the days
     # offset + j * step mod the period of the frame's first job. Top-level
     # bin j starts on day first + j * spacing and repeats every p_min days.
-    # A job alone in its bin owns those days outright.
-    frames = [(b, first + j * spacing, chain.jobs[0].period) for j, b in enumerate(partition_bins(chain))]
-    # entries are made once the pass is over: made inside it, they end up
-    # scattered among the freed frames and pin part-empty memory arenas
-    leaves: list[tuple[JobPeriod, int]] = []
+    # A frame of one period has a bin per job, and each job owns its bin's
+    # days outright: its offset and cycle go into the per-job lists.
+    frames = [(b, first + j * spacing, chain.pairs[0][0]) for j, b in enumerate(partition_bins(chain).pairs)]
     while frames:
-        jobs, offset, step = frames.pop()
-        if len(jobs) == 1:
-            assert offset <= jobs[0].period
-            leaves.append((jobs[0], offset))
+        pairs, offset, step = frames.pop()
+        period = pairs[0][0]
+        if period == pairs[-1][0]:
+            for _, job in pairs:
+                offsets[job] = offset
+                cycles[job] = period
+                offset += step
         else:
-            frames.extend((b, offset + j * step, jobs[0].period) for j, b in enumerate(_cut(jobs)))
-    return [ScheduleEntry(jp.job, offset, jp.period) for jp, offset in leaves]
+            frames.extend((b, offset + j * step, period) for j, b in enumerate(_cut(pairs)))
+
+
+def _schedule(offsets: list[int], cycles: list[int]) -> PeriodicSchedule:
+    # the entries, built once and in job order; a job id that no chain
+    # placed keeps cycle 0 and is left out
+    placed = [itertools.compress(column, cycles) for column in (range(len(cycles)), offsets, cycles)]
+    return PeriodicSchedule(tuple(map(ScheduleEntry, *placed)))
 
 
 def schedule_chain(chain: ChainInstance) -> PeriodicSchedule:
     """Collision-free schedule with cycle == period for every chain job."""
-    return PeriodicSchedule(tuple(_place(chain, 1, 1)))
+    offsets, cycles = _slots(chain.pairs)
+    _place(chain, 1, 1, offsets, cycles)
+    return _schedule(offsets, cycles)
 
 
 def interleave(norm: NormalizedState) -> PeriodicSchedule:
@@ -141,24 +213,27 @@ def interleave(norm: NormalizedState) -> PeriodicSchedule:
     every even day.
 
     The certificate y, derived from B' and C', decides alone: with both
-    sides non-empty, y <= 1 forces both ceilings to 1, that is
-    rho(B') <= 1/2 and rho(C') <= 1/3, so each side fits its half of the
-    calendar. `ChainInstance` checks each side's chain as it is consumed.
+    sides non-empty, y <= 1 (6y <= 6 in integers) forces both ceilings to
+    1, that is rho(B') <= 1/2 and rho(C') <= 1/3, so each side fits its
+    half of the calendar. `ChainInstance` checks each side's chain as it
+    is consumed.
     """
-    if norm.y > 1:
+    if norm.y_sixths > 6:
         raise CertificateViolation(f"certificate y = {norm.y} exceeds 1; interleave has no calendar for this")
-    bp, cp = norm.bp, norm.cp
+    bp, cp = norm.bp_pairs, norm.cp_pairs
     if not cp:
-        return schedule_chain(ChainInstance(bp))
+        return schedule_chain(ChainInstance.of_pairs(bp))
     if not bp:
-        return schedule_chain(ChainInstance(cp))
-    entries = _place(ChainInstance(bp), 1, 2)
-    if any(jp.period == 3 for jp in cp):
+        return schedule_chain(ChainInstance.of_pairs(cp))
+    offsets, cycles = _slots(bp, cp)
+    _place(ChainInstance.of_pairs(bp), 1, 2, offsets, cycles)
+    if cp[0][0] == 3:
         assert len(cp) == 1, "a period-3 job only fits the density budget alone"
-        entries.append(ScheduleEntry(cp[0].job, 2, 2))
+        job = cp[0][1]
+        offsets[job] = cycles[job] = 2
     else:
-        entries += _place(ChainInstance(cp), 2, 2)
-    return PeriodicSchedule(tuple(entries))
+        _place(ChainInstance.of_pairs(cp), 2, 2, offsets, cycles)
+    return _schedule(offsets, cycles)
 
 
 @dataclass(frozen=True)
@@ -168,12 +243,15 @@ class Solution:
     guarantee = factor * L (equal to L itself for a single bamboo).
 
     Stage values: the `density` always, and `pseudo`, the fractional
-    periods of `instance`, built only when read; `rounded` on the factor-2
-    path; `split`, `decomposition`, `normalized` and `certified` (density
-    <= 7/12, so the certificate checks ran) on the two-grid path. Fields a
-    path does not reach stay None or False. Each stage's job lists come
-    sorted by `rounding.by_period` from the stage that built them;
-    `ChainInstance` is where they are checked, and `normalized.y` is
+    periods of `instance`, built only when read; `rounded_pairs` on the
+    factor-2 path; `split`, `decomposition`, `normalized` and `certified`
+    (density <= 7/12, so the certificate checks ran) on the two-grid path.
+    Fields a path does not reach stay None or False. Each stage keeps its
+    job lists as sorted (period, job) int pairs, the one job order of
+    `rounding.pairs_of`, from the stage that built them; the `JobPeriod`
+    tuples (`rounded` here, `split.b`, `normalized.bp`, ...) are built on
+    first read.
+    `ChainInstance` is where the lists are checked, and `normalized.y` is
     derived from B' and C'."""
 
     schedule: PeriodicSchedule
@@ -183,11 +261,15 @@ class Solution:
     config: ReductionConfig
     instance: BgtInstance
     density: Fraction
-    rounded: tuple[JobPeriod, ...] | None = None
+    rounded_pairs: Pairs | None = None
     split: SpecializedState | None = None
     decomposition: Decomposition | None = None
     normalized: NormalizedState | None = None
     certified: bool = False
+
+    @cached_property
+    def rounded(self) -> tuple[JobPeriod, ...] | None:
+        return None if self.rounded_pairs is None else jobs_of(self.rounded_pairs)
 
     @cached_property
     def pseudo(self) -> PseudoInstance:
@@ -200,7 +282,11 @@ def solve(instance: BgtInstance, config: ReductionConfig | None = None) -> Solut
     factor 2 skips the two-grid machinery and rounds everything onto
     powers of two; a single bamboo skips the rounding entirely (cut it
     every day). Everything up to the reported values runs on the garden
-    scaled to integers.
+    scaled to integers, and every job list on (period, job) int pairs.
+
+    The output is checked before it is returned, with CertificateViolation
+    (not an assertion, so `python -O` keeps it): one entry per job, no
+    offset past its cycle, and a max height within the guarantee.
     """
     config = config or DEFAULT_CONFIG
     garden = scaled(instance, config)
@@ -213,8 +299,8 @@ def solve(instance: BgtInstance, config: ReductionConfig | None = None) -> Solut
     if instance.n == 1:
         schedule = PeriodicSchedule((ScheduleEntry(0, 1, 1),))
     elif config.factor == 2:
-        rounded = specialize_instance(garden.floors(), 2)
-        schedule = schedule_chain(ChainInstance(rounded))
+        rounded = _specialized(garden.floors(), 2)
+        schedule = schedule_chain(ChainInstance.of_pairs(rounded))
     else:
         split = split_23(garden.floors())
         dec = decompose(split)
@@ -222,12 +308,18 @@ def solve(instance: BgtInstance, config: ReductionConfig | None = None) -> Solut
         certified = certificate(norm, rho)
         schedule = interleave(norm)
 
-    entries = schedule.entries
-    assert all(e.offset <= e.cycle for e in entries)
-    assert schedule.jobs == tuple(range(instance.n))
-    # job i peaks at h_i * max(offset, cycle), that is a_i * max(offset, cycle) / D
-    height = Fraction(max(a * max(e.offset, e.cycle) for a, e in zip(garden.rates, entries)), garden.scale)
-    assert height <= guarantee
+    if not schedule.covers(instance.n):
+        raise CertificateViolation(f"the schedule does not hold one entry for each of jobs 0..{instance.n - 1}")
+    offsets = list(map(attrgetter("offset"), schedule.entries))
+    cycles = list(map(attrgetter("cycle"), schedule.entries))
+    if any(map(gt, offsets, cycles)):
+        job = next(job for job, late in enumerate(map(gt, offsets, cycles)) if late)
+        raise CertificateViolation(f"job {job} is first cut on day {offsets[job]}, after its cycle of {cycles[job]}")
+    # job i peaks at h_i * max(offset, cycle); with offset <= cycle checked,
+    # that is a_i * cycle / D
+    height = Fraction(max(map(mul, garden.rates, cycles)), garden.scale)
+    if height > guarantee:
+        raise CertificateViolation(f"max height {height} exceeds the guarantee {guarantee}")
     return Solution(
         schedule=schedule,
         lower_bound=bound,
@@ -236,7 +328,7 @@ def solve(instance: BgtInstance, config: ReductionConfig | None = None) -> Solut
         config=config,
         instance=instance,
         density=rho,
-        rounded=rounded,
+        rounded_pairs=rounded,
         split=split,
         decomposition=dec,
         normalized=norm,

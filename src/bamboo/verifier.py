@@ -122,21 +122,11 @@ def check_collisions(schedule: PeriodicSchedule) -> CollisionReport:
     return CollisionReport(tuple(found))
 
 
-def _covers(schedule: PeriodicSchedule, n: int) -> bool:
-    """True iff the schedule has exactly one entry for each of jobs 0..n-1.
-
-    Entries are stored sorted by distinct non-negative job ids, so that
-    holds iff there are n of them and the last is job n - 1.
-    """
-    entries = schedule.entries
-    return len(entries) == n and (not entries or entries[-1].job == n - 1)
-
-
 def check_windows(schedule: PeriodicSchedule, pseudo: PseudoInstance) -> bool:
     """True iff every job fits its fractional window: offset and cycle both
     at most floor(p_i). That is exactly what keeps bamboo i at or below
     h_i * p_i forever."""
-    if not _covers(schedule, pseudo.n):
+    if not schedule.covers(pseudo.n):
         raise InvalidInstance(
             f"schedule covers jobs {sorted(schedule.jobs)} but the pseudo-instance has {pseudo.n} jobs"
         )
@@ -363,7 +353,7 @@ def evaluate(
 ) -> VerificationReport:
     """Run every check against one schedule and bundle the outcome."""
     collisions = check_collisions(schedule)
-    jobs_ok = _covers(schedule, instance.n)
+    jobs_ok = schedule.covers(instance.n)
     windows_ok: bool | None = None
     if pseudo is not None:
         windows_ok = check_windows(schedule, pseudo) if jobs_ok else False

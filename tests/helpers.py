@@ -9,15 +9,24 @@ from __future__ import annotations
 import math
 import random
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from bamboo import BgtInstance, PseudoInstance
-from bamboo.model import InvalidInstance, JobPeriod, PeriodicSchedule, ScheduleEntry, density
+from bamboo.model import InvalidInstance, JobPeriod, PeriodicSchedule, ScheduleEntry, density, int_period
 from bamboo.oracle import DEFAULT_STATE_CAP, PinwheelResult, StateSpaceTooLarge, _replay_witness
-from bamboo.reduction import PeriodBelowTwo, ReductionConfig
-from bamboo.rounding import CertificateViolation, NormalizedState
-from bamboo.scheduler import ChainInstance, schedule_chain
+from bamboo.reduction import DEFAULT_CONFIG, PeriodBelowTwo, ReductionConfig, bgt_to_pseudo, scaled
+from bamboo.rounding import (
+    CASE_RS,
+    GENERAL_RS,
+    SEVEN_TWELFTHS,
+    CertificateViolation,
+    NormalizedState,
+    UnroundablePeriod,
+)
+from bamboo.scheduler import ChainInstance, NotAChain, Overdense, schedule_chain
 from bamboo.verifier import (
     DEFAULT_HORIZON_CAP,
     Collision,
@@ -25,7 +34,6 @@ from bamboo.verifier import (
     HorizonOverflow,
     SimReport,
     VerificationReport,
-    _covers,
     _earliest_shared_day,
     _peak_heights,
     default_horizon,
@@ -160,7 +168,7 @@ def max_heights(schedule: PeriodicSchedule, instance: BgtInstance) -> tuple[Frac
     Job i peaks at h_i * max(offset, cycle): the first cut happens at the
     end of day offset, and later cuts every cycle days.
     """
-    if not _covers(schedule, instance.n):
+    if not schedule.covers(instance.n):
         raise InvalidInstance(
             f"schedule covers jobs {sorted(schedule.jobs)} but the instance has {instance.n} bamboos"
         )
@@ -517,3 +525,255 @@ def reference_bgt_to_pseudo(instance: BgtInstance, config: ReductionConfig | Non
             f"lower bound {bound}, mode {config.lb_mode})"
         )
     return PseudoInstance(periods, factor=config.factor, lower_bound=bound)
+
+
+# ---------------------------------------------------------- solve reference
+#
+# The solve pipeline as it was before the stages moved to (period, job) int
+# pairs: every stage list holds `JobPeriod`s, sorted with a key function,
+# and the chain pass makes its entries from the leaves. Only unchanged code
+# of the package is used: the integer reduction, the model types and the
+# exception classes. `solve` must return exactly what this returns, stage
+# by stage, and raise what this raises.
+
+
+def _ref_by_period(items: Iterable[JobPeriod]) -> tuple[JobPeriod, ...]:
+    return tuple(sorted(items, key=lambda jp: (jp.period, jp.job)))
+
+
+def _ref_specialize_single(p: Fraction | int, x: int) -> int:
+    if not isinstance(x, int) or x < 1:
+        raise ValueError(f"grid base must be a positive integer, got {x!r}")
+    m = math.floor(p)
+    if m < x:
+        raise UnroundablePeriod(f"period {p} lies below the smallest {{{x}, {2*x}, {4*x}, ...}} grid point")
+    return x << ((m // x).bit_length() - 1)
+
+
+def _ref_grid_weight(items: Iterable[JobPeriod]) -> tuple[int, int]:
+    periods = [jp.period for jp in items]
+    top = max(periods, default=1)
+    return sum(top // p for p in periods), top
+
+
+@dataclass(frozen=True)
+class RefSpecializedState:
+    b: tuple[JobPeriod, ...]
+    c: tuple[JobPeriod, ...]
+
+
+@dataclass(frozen=True)
+class RefDecomposition:
+    r: int
+    p: tuple[JobPeriod, ...]
+    s: int
+    q: tuple[JobPeriod, ...]
+
+
+@dataclass(frozen=True)
+class RefNormalizedState:
+    bp: tuple[JobPeriod, ...]
+    cp: tuple[JobPeriod, ...]
+    case: str
+    r: int
+    s: int
+
+    @cached_property
+    def y(self) -> Fraction:
+        wb, tb = _ref_grid_weight(self.bp)
+        wc, tc = _ref_grid_weight(self.cp)
+        return Fraction(-(-2 * wb // tb), 2) + Fraction(-(-3 * wc // tc), 3)
+
+
+def _ref_split_23(floors: Sequence[int]) -> RefSpecializedState:
+    b: list[JobPeriod] = []
+    c: list[JobPeriod] = []
+    for job, m in enumerate(floors):
+        if m < 2:
+            raise UnroundablePeriod(f"period of job {job} rounds down to {m}, below 2, and cannot be banded")
+        two = 1 << (m.bit_length() - 1)
+        three = two + (two >> 1)
+        if m < three:
+            b.append(JobPeriod(job, two))
+        else:
+            c.append(JobPeriod(job, three))
+    return RefSpecializedState(b=_ref_by_period(b), c=_ref_by_period(c))
+
+
+def _ref_extract_units(items: tuple[JobPeriod, ...], x: int) -> tuple[int, tuple[JobPeriod, ...]]:
+    weight, top = _ref_grid_weight(items)
+    count = x * weight // top
+    need = count * top // x
+    i = taken = 0
+    while taken < need:
+        taken += top // items[i].period
+        i += 1
+    assert taken == need, "grid divisibility violated"
+    return count, items[i:]
+
+
+def _ref_normalize(dec: RefDecomposition, state: RefSpecializedState) -> RefNormalizedState:
+    wp, tp = _ref_grid_weight(dec.p)
+    wq, tq = _ref_grid_weight(dec.q)
+    p_num, q_num, den = wp * tq, wq * tp, tp * tq
+    v3, w2 = 4 * p_num + 3 * q_num, 2 * p_num + 3 * q_num
+    if v3 == 0:
+        case = "none"
+    elif v3 <= den:
+        case = "a"
+    elif v3 <= 2 * den:
+        case = "b" if w2 <= den else "c"
+    else:
+        case = "d"
+
+    def without(items, removed):
+        gone = {jp.job for jp in removed}
+        return tuple(jp for jp in items if jp.job not in gone)
+
+    def regrid(items, x):
+        return tuple(JobPeriod(jp.job, _ref_specialize_single(jp.period, x)) for jp in items)
+
+    bp, cp = state.b, state.c
+    if case in ("a", "c"):
+        bp, cp = without(state.b, dec.p), _ref_by_period(state.c + regrid(dec.p, 3))
+    elif case == "b":
+        bp, cp = _ref_by_period(state.b + regrid(dec.q, 2)), without(state.c, dec.q)
+    return RefNormalizedState(bp=bp, cp=cp, case=case, r=dec.r, s=dec.s)
+
+
+def _ref_certificate(norm: RefNormalizedState, original_density: Fraction) -> bool:
+    original_density = Fraction(original_density)
+    checked = original_density <= SEVEN_TWELFTHS
+    if checked:
+        if norm.y > 1:
+            raise CertificateViolation(f"certificate y = {norm.y} > 1 at density {original_density} <= 7/12")
+        if (norm.r, norm.s) not in GENERAL_RS:
+            raise CertificateViolation(f"(r, s) = ({norm.r}, {norm.s}) is unreachable at density {original_density}")
+        if (norm.r, norm.s) not in CASE_RS[norm.case]:
+            raise CertificateViolation(f"(r, s) = ({norm.r}, {norm.s}) is unreachable in case {norm.case!r}")
+    return checked
+
+
+def _ref_chain(jobs: Iterable[JobPeriod]) -> tuple[JobPeriod, ...]:
+    jobs = _ref_by_period(jobs)
+    for jp in jobs:
+        int_period(jp.period, NotAChain)
+    for small, big in zip(jobs, jobs[1:]):
+        if big.period % small.period != 0:
+            raise NotAChain(f"{small.period} does not divide {big.period}")
+    p_max = jobs[-1].period if jobs else 1
+    weight = sum(p_max // jp.period for jp in jobs)
+    if weight > p_max:
+        raise Overdense(f"density {Fraction(weight, p_max)} exceeds 1")
+    return jobs
+
+
+def _ref_cut(jobs: tuple[JobPeriod, ...]) -> list[tuple[JobPeriod, ...]]:
+    p_max = jobs[-1].period
+    cap = p_max // jobs[0].period
+    bins = []
+    start = load = 0
+    for i, jp in enumerate(jobs):
+        load += p_max // jp.period
+        if load == cap:
+            bins.append(jobs[start : i + 1])
+            start, load = i + 1, 0
+    if start < len(jobs):
+        bins.append(jobs[start:])
+    return bins
+
+
+def _ref_place(jobs: tuple[JobPeriod, ...], first: int, spacing: int) -> list[ScheduleEntry]:
+    if not jobs:
+        return []
+    frames = [(b, first + j * spacing, jobs[0].period) for j, b in enumerate(_ref_cut(jobs))]
+    leaves: list[tuple[JobPeriod, int]] = []
+    while frames:
+        part, offset, step = frames.pop()
+        if len(part) == 1:
+            assert offset <= part[0].period
+            leaves.append((part[0], offset))
+        else:
+            frames.extend((b, offset + j * step, part[0].period) for j, b in enumerate(_ref_cut(part)))
+    return [ScheduleEntry(jp.job, offset, jp.period) for jp, offset in leaves]
+
+
+def _ref_interleave(norm: RefNormalizedState) -> PeriodicSchedule:
+    if norm.y > 1:
+        raise CertificateViolation(f"certificate y = {norm.y} exceeds 1; interleave has no calendar for this")
+    bp, cp = norm.bp, norm.cp
+    if not cp:
+        return PeriodicSchedule(tuple(_ref_place(_ref_chain(bp), 1, 1)))
+    if not bp:
+        return PeriodicSchedule(tuple(_ref_place(_ref_chain(cp), 1, 1)))
+    entries = _ref_place(_ref_chain(bp), 1, 2)
+    if any(jp.period == 3 for jp in cp):
+        assert len(cp) == 1, "a period-3 job only fits the density budget alone"
+        entries.append(ScheduleEntry(cp[0].job, 2, 2))
+    else:
+        entries += _ref_place(_ref_chain(cp), 2, 2)
+    return PeriodicSchedule(tuple(entries))
+
+
+@dataclass(frozen=True)
+class RefSolution:
+    schedule: PeriodicSchedule
+    lower_bound: Fraction
+    height_bound: Fraction
+    guarantee: Fraction
+    config: ReductionConfig
+    instance: BgtInstance
+    density: Fraction
+    rounded: tuple[JobPeriod, ...] | None = None
+    split: RefSpecializedState | None = None
+    decomposition: RefDecomposition | None = None
+    normalized: RefNormalizedState | None = None
+    certified: bool = False
+
+    @cached_property
+    def pseudo(self) -> PseudoInstance:
+        return bgt_to_pseudo(self.instance, self.config)
+
+
+def reference_solve(instance: BgtInstance, config: ReductionConfig | None = None) -> RefSolution:
+    config = config or DEFAULT_CONFIG
+    garden = scaled(instance, config)
+    bound = garden.lower_bound
+    rho = garden.density
+    guarantee = bound if instance.n == 1 else config.factor * bound
+    rounded = split = dec = norm = None
+    certified = False
+
+    if instance.n == 1:
+        schedule = PeriodicSchedule((ScheduleEntry(0, 1, 1),))
+    elif config.factor == 2:
+        rounded = _ref_by_period(JobPeriod(job, _ref_specialize_single(m, 2)) for job, m in enumerate(garden.floors()))
+        schedule = PeriodicSchedule(tuple(_ref_place(_ref_chain(rounded), 1, 1)))
+    else:
+        split = _ref_split_23(garden.floors())
+        r, p = _ref_extract_units(split.b, 2)
+        s, q = _ref_extract_units(split.c, 3)
+        dec = RefDecomposition(r=r, p=p, s=s, q=q)
+        norm = _ref_normalize(dec, split)
+        certified = _ref_certificate(norm, rho)
+        schedule = _ref_interleave(norm)
+
+    entries = schedule.entries
+    assert all(e.offset <= e.cycle for e in entries)
+    assert schedule.jobs == tuple(range(instance.n))
+    height = Fraction(max(a * max(e.offset, e.cycle) for a, e in zip(garden.rates, entries)), garden.scale)
+    assert height <= guarantee
+    return RefSolution(
+        schedule=schedule,
+        lower_bound=bound,
+        height_bound=height,
+        guarantee=guarantee,
+        config=config,
+        instance=instance,
+        density=rho,
+        rounded=rounded,
+        split=split,
+        decomposition=dec,
+        normalized=norm,
+        certified=certified,
+    )

@@ -15,9 +15,9 @@ from bamboo.rounding import (
     CASE_RS,
     GENERAL_RS,
     CertificateViolation,
+    NormalizedState,
     UnroundablePeriod,
     certificate,
-    certificate_value,
     decompose,
     normalize,
     specialize_instance,
@@ -239,7 +239,7 @@ def test_certificate_worked_example_passes():
 
 
 def test_certificate_empty_instance():
-    assert certificate_value((), ()) == 0
+    assert NormalizedState((), (), "none", 0, 0).y == 0
 
 
 def test_certificate_case_d_chunk_counts():

@@ -1,15 +1,20 @@
 """Divides-chain scheduling, the odd/even interleave, and the full solver."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from bamboo.cli import solution_to_obj
 from bamboo.model import BgtInstance, JobPeriod, PseudoInstance
 from bamboo.reduction import ReductionConfig, bgt_to_pseudo
-from bamboo.rounding import NormalizedState, decompose, normalize, split_23
+from bamboo.rounding import NormalizedState, decompose, normalize, pairs_of, split_23
 from bamboo.scheduler import (
     ChainInstance,
     NotAChain,
@@ -20,7 +25,7 @@ from bamboo.scheduler import (
     solve,
 )
 from bamboo.verifier import evaluate
-from helpers import floors, random_instance, reference_interleave, serves
+from helpers import floors, random_instance, reference_interleave, reference_solve, serves
 
 
 def chain(*periods):
@@ -180,7 +185,7 @@ def test_interleave_matches_reference_on_every_small_state():
             jobs = [JobPeriod(i, p) for i, p in enumerate(periods)]
             bp = tuple(jp for jp in jobs if jp.period % 3)
             cp = tuple(jp for jp in jobs if jp.period % 3 == 0)
-            norm = NormalizedState(bp=bp, cp=cp, case="none", r=0, s=0)
+            norm = NormalizedState(bp_pairs=pairs_of(bp), cp_pairs=pairs_of(cp), case="none", r=0, s=0)
             assert _outcome(interleave, norm) == _outcome(reference_interleave, norm), periods
             states += 1
     assert states == 3003
@@ -250,3 +255,125 @@ def test_solve_verifies_and_meets_guarantee(seed):
         if sol.normalized is not None:
             reported.append(sol.normalized.y)
         assert all(type(v) is Fraction for v in reported)
+
+
+# ------------------------------------------------- solve against reference
+
+CONFIGS = [ReductionConfig(factor, mode) for factor in (Fraction(12, 7), Fraction(2)) for mode in ("max-rule", "sum")]
+
+
+def _garden(seed, n, spread, rational):
+    rng = random.Random(seed)
+    if rational:
+        rates = [Fraction(rng.randint(1, spread), rng.choice((1, 2, 3, 7, 10, 12))) for _ in range(n)]
+    else:
+        rates = [rng.randint(1, spread) for _ in range(n)]
+    return sorted(rates, reverse=True)
+
+
+def _solved(build, instance, config):
+    try:
+        return build(instance, config)
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+
+
+@given(
+    st.builds(_garden, st.integers(0, 10**9), st.integers(1, 300), st.sampled_from((100, 10**6)), st.booleans()),
+    st.sampled_from(range(len(CONFIGS))),
+)
+@example([1, 1], 0)  # B' empty: both jobs in C' = {3, 3}
+@example([3, 1, 1], 0)  # B' empty after case a moves P into C'
+@example([3, 3, 3, 1], 0)  # C' empty after case b moves Q into B'
+@example([1], 0)
+@example(["9", "1/2"], 1)  # PeriodBelowTwo in sum mode, raised alike
+@settings(max_examples=150, deadline=None)
+def test_solve_matches_reference_stage_by_stage(rates, config_index):
+    instance = BgtInstance.from_values(rates)
+    config = CONFIGS[config_index]
+    got, ref = _solved(solve, instance, config), _solved(reference_solve, instance, config)
+    if isinstance(ref, tuple):
+        assert got == ref
+        return
+    assert solution_to_obj(got, include_trace=True) == solution_to_obj(ref, include_trace=True)
+    assert got.schedule.entries == ref.schedule.entries
+    for name in ("lower_bound", "height_bound", "guarantee", "config", "instance", "density", "rounded", "certified"):
+        assert getattr(got, name) == getattr(ref, name), name
+    assert (got.split is None) == (ref.split is None)
+    if ref.split is not None:
+        assert (got.split.b, got.split.c) == (ref.split.b, ref.split.c)
+        dec, ref_dec = got.decomposition, ref.decomposition
+        assert (dec.r, dec.p, dec.s, dec.q) == (ref_dec.r, ref_dec.p, ref_dec.s, ref_dec.q)
+        norm, ref_norm = got.normalized, ref.normalized
+        assert (norm.bp, norm.cp, norm.case, norm.r, norm.s) == (ref_norm.bp, ref_norm.cp, ref_norm.case, ref_norm.r, ref_norm.s)
+        assert norm.y == ref_norm.y and type(norm.y) is Fraction
+        assert norm.y_sixths == 6 * norm.y
+    else:
+        assert got.decomposition is ref.decomposition is None
+        assert got.normalized is ref.normalized is None
+
+
+def test_reference_examples_reach_both_empty_sides():
+    # the examples above really cover the one-sided interleave branches
+    for rates, side in (([1, 1], "bp_pairs"), ([3, 1, 1], "bp_pairs"), ([3, 3, 3, 1], "cp_pairs")):
+        norm = solve(BgtInstance.from_values(rates)).normalized
+        assert getattr(norm, side) == ()
+        assert norm.bp_pairs + norm.cp_pairs
+
+
+def test_stage_lists_are_built_on_first_read():
+    sol = solve(BgtInstance.from_values([9, 5, 4, 4, 2, 1]))
+    for record, names in ((sol.split, "bc"), (sol.decomposition, "pq"), (sol.normalized, ("bp", "cp"))):
+        for name in names:
+            assert name not in vars(record)
+            assert getattr(record, name) == tuple(JobPeriod(job, period) for period, job in getattr(record, f"{name}_pairs"))
+            assert getattr(record, name) is getattr(record, name)
+    chain = ChainInstance((JobPeriod(2, 8), JobPeriod(0, 4), JobPeriod(1, 4)))
+    assert chain.pairs == ((4, 0), (4, 1), (8, 2))
+    assert chain == ChainInstance.of_pairs(chain.pairs)
+    assert chain.jobs == (JobPeriod(0, 4), JobPeriod(1, 4), JobPeriod(2, 8))
+
+
+# ------------------------------------------------- output checks under -O
+
+_FAULTY = """
+import sys
+from bamboo import cli, scheduler
+from bamboo.model import BgtInstance, PeriodicSchedule, ScheduleEntry
+from bamboo.rounding import CertificateViolation
+
+print("optimize", sys.flags.optimize)
+faults = {
+    "missing": lambda norm: PeriodicSchedule((ScheduleEntry(0, 1, 2), ScheduleEntry(1, 2, 4))),
+    "late": lambda norm: PeriodicSchedule(tuple(ScheduleEntry(job, 5, 4) for job in range(3))),
+    "high": lambda norm: PeriodicSchedule(tuple(ScheduleEntry(job, 1, 1000) for job in range(3))),
+}
+for name, fake in faults.items():
+    scheduler.interleave = fake
+    try:
+        scheduler.solve(BgtInstance.from_values([4, 3, 1]))
+    except CertificateViolation as exc:
+        print(name, exc)
+    else:
+        print(name, "returned")
+sys.exit(cli.main(["solve", "--input", sys.argv[1]]))
+"""
+
+
+def test_output_checks_raise_under_python_O(tmp_path):
+    garden = tmp_path / "garden.json"
+    garden.write_text('{"rates": ["4", "3", "1"]}')
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _FAULTY, str(garden)], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.stdout.splitlines() == [
+        "optimize 1",
+        "missing the schedule does not hold one entry for each of jobs 0..2",
+        "late job 0 is first cut on day 5, after its cycle of 4",
+        "high max height 4000 exceeds the guarantee 96/7",
+    ]
+    # the CLI maps the violation to exit 2, as for every other refusal
+    assert proc.returncode == 2
+    assert proc.stderr == "internal error: max height 4000 exceeds the guarantee 96/7\n"
