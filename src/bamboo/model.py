@@ -8,18 +8,21 @@ does a period sit on a grid boundary?), so binary floating point and
 `bool` are rejected at the boundary instead of being silently converted.
 Each boundary rule has one home: `parse_rational` is the one coercion of
 rates, periods and factors, `int_period` the one check of an integral
-period and `PeriodicSchedule` the one check of schedule entries and the
-one home of the coverage rule (`covers`). The lower bound lives in
-`reduction.scaled` and the simulation horizon in
-`verifier.default_horizon`.
+period and `PeriodicSchedule`, which holds a schedule as int columns, the
+one check of schedule entries and the one home of the coverage rule
+(`covers`). The lower bound lives in `reduction.scaled` and the
+simulation horizon in `verifier.default_horizon`.
 """
 
 from __future__ import annotations
 
+import itertools
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from functools import cached_property
+from operator import attrgetter, lt
+from typing import Iterable, Sequence
 
 
 class InvalidInstance(ValueError):
@@ -162,49 +165,76 @@ class ScheduleEntry:
     cycle: int
 
 
-@dataclass(frozen=True)
-class PeriodicSchedule:
-    """One entry per job, stored sorted by job id.
+_FIELDS = ("job", "offset", "cycle")
 
-    This is the one check of schedule entries, from the builders and from
-    JSON alike: every field is a plain `int` (not a `bool`), checked in
-    the order given and before the sort by job, job ids are non-negative
-    and distinct, and offsets and cycles are positive. The stronger
-    offset <= cycle property is established by the builders and checked
-    where they run.
+
+@dataclass(frozen=True, init=False)
+class PeriodicSchedule:
+    """One entry per job, held as int columns sorted by job id: `jobs`,
+    `offsets` and `cycles`. `PeriodicSchedule(entries)` takes
+    `ScheduleEntry`s and `of_columns` the columns; `entries`, the
+    `ScheduleEntry` of each job, is built on first read and then kept.
+
+    This is the one check of schedule entries (`__post_init__`, on either
+    path): every field is a plain `int` (not a `bool`), checked in the
+    order given and before the sort by job; job ids are non-negative and
+    distinct; offsets and cycles are positive. Each rule is a native pass
+    over the columns, and only a failed pass scans them to name the first
+    fault. The builders establish offset <= cycle and check it themselves.
     """
 
-    entries: tuple[ScheduleEntry, ...]
+    jobs: tuple[int, ...]
+    offsets: tuple[int, ...]
+    cycles: tuple[int, ...]
+
+    def __init__(self, entries: Iterable[ScheduleEntry]) -> None:
+        entries = tuple(entries)
+        self._hold(*(tuple(map(attrgetter(name), entries)) for name in _FIELDS))
+        self.__post_init__()
+
+    @classmethod
+    def of_columns(cls, jobs: Sequence[int], offsets: Sequence[int], cycles: Sequence[int]) -> PeriodicSchedule:
+        schedule = cls.__new__(cls)
+        schedule._hold(jobs, offsets, cycles)
+        schedule.__post_init__()
+        return schedule
+
+    def _hold(self, *columns: Sequence[int]) -> None:
+        for name, column in zip(("jobs", "offsets", "cycles"), columns):
+            object.__setattr__(self, name, column)
 
     def __post_init__(self) -> None:
-        for e in self.entries:
-            if type(e.job) is not int or type(e.offset) is not int or type(e.cycle) is not int:
-                name, v = next((k, v) for k, v in vars(e).items() if type(v) is not int)
-                raise InvalidInstance(f'entry field "{name}" must be an integer, got {v!r}')
-        entries = tuple(sorted(self.entries, key=lambda e: e.job))
-        object.__setattr__(self, "entries", entries)
-        if entries and entries[0].job < 0:
-            raise InvalidInstance(f"job id {entries[0].job} is negative")
-        previous = None
-        for e in entries:
-            if e.offset < 1 or e.cycle < 1:
-                raise InvalidInstance(f"entry for job {e.job} needs offset >= 1 and cycle >= 1")
-            if e.job == previous:
-                raise InvalidInstance(f"job {e.job} appears twice")
-            previous = e.job
+        columns = self.jobs, self.offsets, self.cycles
+        if len(set(map(len, columns))) > 1:
+            raise InvalidInstance("schedule columns differ in length")
+        if not set(map(type, itertools.chain(*columns))) <= {int}:
+            name, v = next((k, v) for row in zip(*columns) for k, v in zip(_FIELDS, row) if type(v) is not int)
+            raise InvalidInstance(f'entry field "{name}" must be an integer, got {v!r}')
+        jobs = columns[0]
+        if not all(map(lt, jobs, jobs[1:])):
+            order = sorted(range(len(jobs)), key=jobs.__getitem__)
+            columns = [list(map(column.__getitem__, order)) for column in columns]
+        jobs, offsets, cycles = map(tuple, columns)
+        if jobs and jobs[0] < 0:
+            raise InvalidInstance(f"job id {jobs[0]} is negative")
+        if jobs and (min(offsets) < 1 or min(cycles) < 1 or not all(map(lt, jobs, jobs[1:]))):
+            for i, (job, offset, cycle) in enumerate(zip(jobs, offsets, cycles)):
+                if offset < 1 or cycle < 1:
+                    raise InvalidInstance(f"entry for job {job} needs offset >= 1 and cycle >= 1")
+                if i and job == jobs[i - 1]:
+                    raise InvalidInstance(f"job {job} appears twice")
+        self._hold(jobs, offsets, cycles)
 
-    @property
-    def jobs(self) -> tuple[int, ...]:
-        return tuple(e.job for e in self.entries)
+    @cached_property
+    def entries(self) -> tuple[ScheduleEntry, ...]:
+        return tuple(map(ScheduleEntry, self.jobs, self.offsets, self.cycles))
 
     def covers(self, n: int) -> bool:
-        """True iff there is exactly one entry for each of jobs 0..n-1.
-
-        Entries are stored sorted by distinct non-negative job ids, so that
-        holds iff there are n of them and the last is job n - 1.
-        """
-        entries = self.entries
-        return len(entries) == n and (not entries or entries[-1].job == n - 1)
+        """True iff there is exactly one entry for each of jobs 0..n-1: the
+        jobs are sorted, distinct and non-negative, so iff there are n of
+        them and the last is n - 1."""
+        jobs = self.jobs
+        return len(jobs) == n and (not jobs or jobs[-1] == n - 1)
 
 
 # ---------- JSON forms ----------
@@ -236,7 +266,7 @@ def pseudo_from_obj(obj: object) -> PseudoInstance:
 
 
 def entries_to_obj(schedule: PeriodicSchedule) -> list[dict]:
-    return [{"job": e.job, "offset": e.offset, "cycle": e.cycle} for e in schedule.entries]
+    return [{"job": j, "offset": o, "cycle": c} for j, o, c in zip(schedule.jobs, schedule.offsets, schedule.cycles)]
 
 
 def schedule_from_obj(obj: object) -> PeriodicSchedule:
@@ -245,12 +275,15 @@ def schedule_from_obj(obj: object) -> PeriodicSchedule:
     raw = obj.get("entries") if isinstance(obj, dict) else obj
     if not isinstance(raw, list):
         raise InvalidInstance('schedule JSON must be an entry list or carry an "entries" list')
-    entries = []
+    jobs, offsets, cycles = [], [], []
     for item in raw:
         if not isinstance(item, dict):
             raise InvalidInstance("each schedule entry must be an object")
         try:
-            entries.append(ScheduleEntry(item["job"], item["offset"], item["cycle"]))
+            job, offset, cycle = item["job"], item["offset"], item["cycle"]
         except KeyError as exc:
             raise InvalidInstance(f"schedule entry missing key {exc}") from exc
-    return PeriodicSchedule(tuple(entries))
+        jobs.append(job)
+        offsets.append(offset)
+        cycles.append(cycle)
+    return PeriodicSchedule.of_columns(jobs, offsets, cycles)

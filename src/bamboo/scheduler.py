@@ -16,8 +16,8 @@ The chains arrive from rounding as sorted (period, job) int pairs. Jobs
 of one period sit in one run, so bins are cut and weighed a run at a
 time, and a bin of one period places its jobs side by side without
 cutting. Placement writes each job's offset and cycle into per-job int
-lists; the `ScheduleEntry`s are built once, in job order, when a schedule
-is returned.
+lists, which become the schedule's int columns
+(`PeriodicSchedule.of_columns`); no `ScheduleEntry` is built.
 
 `solve` keeps each stage's value as a typed field of its `Solution`; only
 the CLI renders them, for `--explain`. Its output checks raise
@@ -30,10 +30,10 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import attrgetter, gt, itemgetter, mul
+from operator import gt, itemgetter, mul
 from typing import Iterable
 
-from .model import BgtInstance, InvalidInstance, JobPeriod, PeriodicSchedule, PseudoInstance, ScheduleEntry, int_period
+from .model import BgtInstance, InvalidInstance, JobPeriod, PeriodicSchedule, PseudoInstance, int_period
 from .reduction import DEFAULT_CONFIG, ReductionConfig, bgt_to_pseudo, scaled
 from .rounding import (
     CertificateViolation,
@@ -68,12 +68,11 @@ class ChainInstance:
 
     Kept as `pairs`, sorted (period, job) int pairs (`rounding.pairs_of`);
     `jobs`, their `JobPeriod`s, is built on first read. `ChainInstance(jobs)`
-    sorts the jobs it is given, and `of_pairs` takes pairs that rounding
-    has already sorted. This is the pipeline's one check of the lists that
-    rounding builds: validation happens on construction (`__post_init__`,
-    on either path), in integers, so the scheduling pass below can take
-    both properties for granted. With P the largest period, density <= 1
-    reads sum(P // p) <= P, exact because every period divides P.
+    sorts the jobs it is given, `of_pairs` takes pairs rounding has sorted.
+    Either way `__post_init__` is the one check of the lists rounding
+    builds, in integers and once per run of one period, so the scheduling
+    pass below can take both properties for granted. With P the largest
+    period, density <= 1 reads sum(P // p) <= P, as every period divides P.
     """
 
     pairs: Pairs
@@ -91,9 +90,12 @@ class ChainInstance:
 
     def __post_init__(self) -> None:
         pairs = self.pairs
-        for period, _ in pairs:
-            int_period(period, NotAChain)
-        periods = [period for period, _, _ in _runs(pairs)]
+        # name a period that is no plain int before `_runs` adds 1 to it;
+        # of sorted int pairs each run holds one period, checked once
+        if not set(map(type, map(itemgetter(0), pairs))) <= {int}:
+            for period, _ in pairs:
+                int_period(period, NotAChain)
+        periods = [int_period(period, NotAChain) for period, _, _ in _runs(pairs)]
         for small, big in zip(periods, periods[1:]):
             if big % small != 0:
                 raise NotAChain(f"{small} does not divide {big}")
@@ -190,10 +192,10 @@ def _place(chain: ChainInstance, first: int, spacing: int, offsets: list[int], c
 
 
 def _schedule(offsets: list[int], cycles: list[int]) -> PeriodicSchedule:
-    # the entries, built once and in job order; a job id that no chain
-    # placed keeps cycle 0 and is left out
-    placed = [itertools.compress(column, cycles) for column in (range(len(cycles)), offsets, cycles)]
-    return PeriodicSchedule(tuple(map(ScheduleEntry, *placed)))
+    # the columns in job order; a job id that no chain placed keeps cycle 0
+    # and is left out
+    placed = [list(itertools.compress(column, cycles)) for column in (range(len(cycles)), offsets, cycles)]
+    return PeriodicSchedule.of_columns(*placed)
 
 
 def schedule_chain(chain: ChainInstance) -> PeriodicSchedule:
@@ -297,7 +299,7 @@ def solve(instance: BgtInstance, config: ReductionConfig | None = None) -> Solut
     certified = False
 
     if instance.n == 1:
-        schedule = PeriodicSchedule((ScheduleEntry(0, 1, 1),))
+        schedule = PeriodicSchedule.of_columns((0,), (1,), (1,))
     elif config.factor == 2:
         rounded = _specialized(garden.floors(), 2)
         schedule = schedule_chain(ChainInstance.of_pairs(rounded))
@@ -310,8 +312,7 @@ def solve(instance: BgtInstance, config: ReductionConfig | None = None) -> Solut
 
     if not schedule.covers(instance.n):
         raise CertificateViolation(f"the schedule does not hold one entry for each of jobs 0..{instance.n - 1}")
-    offsets = list(map(attrgetter("offset"), schedule.entries))
-    cycles = list(map(attrgetter("cycle"), schedule.entries))
+    offsets, cycles = schedule.offsets, schedule.cycles
     if any(map(gt, offsets, cycles)):
         job = next(job for job, late in enumerate(map(gt, offsets, cycles)) if late)
         raise CertificateViolation(f"job {job} is first cut on day {offsets[job]}, after its cycle of {cycles[job]}")

@@ -2,18 +2,12 @@
 
 Nothing here trusts the builders: collisions are decided by congruence
 arithmetic, heights by the closed form h * max(offset, cycle), and both
-are cross-checked by a simulation over a finite horizon. Every check but
-the simulation is close to linear in the number of entries: collisions
-are searched only between cycles whose residue classes meet, and the job
-set is exactly 0..n-1 when the sorted entry list has n entries and ends
-at job n - 1. The simulation marks every cut on a calendar of one byte
-per day, so a day cut twice is seen directly, and reads each bamboo's
-peak off its cut gaps (first offset, then cycle, then the tail up to the
-horizon), so its memory is one byte per day whatever the number of cuts.
-The cuts repeat with the lcm of the cycles, so the calendar is filled one
-period at a time: each cycle's residues are marked once on a period that
-grows with the running lcm while it fits the horizon, and the period is
-then copied forward by doubling within the same calendar.
+are cross-checked by a simulation over a finite horizon (`simulate`, one
+byte of calendar per day). Every check reads the schedule's int columns
+(`jobs`, `offsets`, `cycles`, sorted by job) and is close to linear in
+their length but the simulation: collisions are searched only between
+cycles whose residue classes meet, and the job set is 0..n-1 when there
+are n jobs and the last is n - 1.
 """
 
 from __future__ import annotations
@@ -22,6 +16,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import AbstractSet
 
 from .model import BgtInstance, InvalidInstance, PeriodicSchedule, PseudoInstance
@@ -85,10 +80,10 @@ def check_collisions(schedule: PeriodicSchedule) -> CollisionReport:
     K^2 / 2 set tests, one pass over a cycle's residues per other gcd it
     has (O(K * n) at worst), and work in proportion to the collisions.
     """
-    entries = schedule.entries
+    jobs, offsets, cycles = schedule.jobs, schedule.offsets, schedule.cycles
     groups: dict[int, dict[int, list[int]]] = {}
-    for i, e in enumerate(entries):
-        groups.setdefault(e.cycle, {}).setdefault(e.offset % e.cycle, []).append(i)
+    for i, (o, c) in enumerate(zip(offsets, cycles)):
+        groups.setdefault(c, {}).setdefault(o % c, []).append(i)
     pairs: list[tuple[int, int]] = []
     for residues in groups.values():
         for bucket in residues.values():
@@ -117,8 +112,8 @@ def check_collisions(schedule: PeriodicSchedule) -> CollisionReport:
     pairs.sort()
     found = []
     for i, j in pairs:
-        a, b = entries[i], entries[j]
-        found.append(Collision(a.job, b.job, _earliest_shared_day(a.offset, a.cycle, b.offset, b.cycle)))
+        day = _earliest_shared_day(offsets[i], cycles[i], offsets[j], cycles[j])
+        found.append(Collision(jobs[i], jobs[j], day))
     return CollisionReport(tuple(found))
 
 
@@ -126,15 +121,15 @@ def check_windows(schedule: PeriodicSchedule, pseudo: PseudoInstance) -> bool:
     """True iff every job fits its fractional window: offset and cycle both
     at most floor(p_i). That is exactly what keeps bamboo i at or below
     h_i * p_i forever."""
+    jobs = schedule.jobs
     if not schedule.covers(pseudo.n):
-        raise InvalidInstance(
-            f"schedule covers jobs {sorted(schedule.jobs)} but the pseudo-instance has {pseudo.n} jobs"
-        )
+        span = f" (jobs {jobs[0]} to {jobs[-1]})" if jobs else ""
+        raise InvalidInstance(f"schedule has {len(jobs)} entries{span} but the pseudo-instance has {pseudo.n} jobs")
     periods = pseudo.periods
-    for e in schedule.entries:
-        p = periods[e.job]
+    for job, o, c in zip(jobs, schedule.offsets, schedule.cycles):
+        p = periods[job]
         window = p if type(p) is int else p.numerator // p.denominator
-        if e.offset > window or e.cycle > window:
+        if o > window or c > window:
             return False
     return True
 
@@ -143,7 +138,7 @@ def _peak_heights(schedule: PeriodicSchedule, instance: BgtInstance) -> list[int
     # the one home of the height formula: job i peaks at h_i * max(offset,
     # cycle), an int for an integer rate
     rates = instance.rates
-    return [rates[e.job] * (e.offset if e.offset > e.cycle else e.cycle) for e in schedule.entries]
+    return [rates[j] * (o if o > c else c) for j, o, c in zip(schedule.jobs, schedule.offsets, schedule.cycles)]
 
 
 def _repeat(view: memoryview, period: int, end: int) -> None:
@@ -200,10 +195,10 @@ def simulate(
     if horizon > DEFAULT_HORIZON_CAP:
         raise HorizonOverflow(f"horizon {horizon} exceeds the cap of {DEFAULT_HORIZON_CAP} days")
     n = instance.n
-    entries = schedule.entries
-    # entries are sorted by job: if any job is outside the instance, the last is
-    if entries and entries[-1].job >= n:
-        job = next(e.job for e in entries if e.job >= n)
+    jobs = schedule.jobs
+    # jobs are sorted: if any job is outside the instance, the last is
+    if jobs and jobs[-1] >= n:
+        job = next(job for job in jobs if job >= n)
         raise InvalidInstance(f"schedule mentions job {job} outside the instance")
 
     rates = instance.rates
@@ -216,8 +211,7 @@ def simulate(
     # >= 1 that is = offset (mod cycle), a late one only from its offset on
     periodic: dict[int, list[int]] = {}
     late: dict[int, list[int]] = {}
-    for e in entries:
-        o, c = e.offset, e.cycle
+    for job, o, c in zip(jobs, schedule.offsets, schedule.cycles):
         if o > horizon:
             continue
         if o > c:
@@ -228,13 +222,13 @@ def simulate(
             periodic[c] = [o]
         cuts_after_first = (horizon - o) // c
         gap, day = (c, o + c) if cuts_after_first and c > o else (o, o)
-        h = rates[e.job] * gap
+        h = rates[job] * gap
         # entries come in job order, so an equal cut wins only on an earlier day
         if h > best or (h == best and day < best_day):
-            best, best_day, best_job = h, day, e.job
+            best, best_day, best_job = h, day, job
         tail = horizon - o - cuts_after_first * c
         # a tail no longer than the job's own cut gap cannot beat every cut
-        tails[e.job] = tail if tail > gap else 0
+        tails[job] = tail if tail > gap else 0
     for job, tail in enumerate(tails):
         if tail:
             h = rates[job] * tail
@@ -333,11 +327,11 @@ def default_horizon(schedule: PeriodicSchedule) -> int:
     it alone carries the horizon to the cap: it only grows from there, and
     the full lcm of thousands of coprime cycles is a huge integer.
     """
-    if not schedule.entries:
+    if not schedule.jobs:
         return 1
-    start = max(e.offset for e in schedule.entries)
+    start = max(schedule.offsets)
     hyperperiod = 1
-    for cycle in {e.cycle for e in schedule.entries}:
+    for cycle in set(schedule.cycles):
         hyperperiod = math.lcm(hyperperiod, cycle)
         if start + 2 * hyperperiod >= DEFAULT_HORIZON_CAP:
             return DEFAULT_HORIZON_CAP
@@ -366,7 +360,8 @@ def evaluate(
     if horizon is None:
         horizon = default_horizon(schedule)
     sim = simulate(schedule, instance, horizon)
-    conclusive = jobs_ok and all(e.offset + e.cycle <= horizon for e in schedule.entries)
+    # jobs_ok means one entry per bamboo, so at least one
+    conclusive = jobs_ok and max(map(add, schedule.offsets, schedule.cycles)) <= horizon
     sim_matches: bool | None = None
     if conclusive and analytic is not None:
         sim_matches = sim.max_height == analytic

@@ -169,10 +169,17 @@ def max_heights(schedule: PeriodicSchedule, instance: BgtInstance) -> tuple[Frac
     end of day offset, and later cuts every cycle days.
     """
     if not schedule.covers(instance.n):
-        raise InvalidInstance(
-            f"schedule covers jobs {sorted(schedule.jobs)} but the instance has {instance.n} bamboos"
-        )
+        raise uncovered(schedule, f"the instance has {instance.n} bamboos")
     return tuple(map(Fraction, _peak_heights(schedule, instance)))
+
+
+def uncovered(schedule: PeriodicSchedule, what: str) -> InvalidInstance:
+    """The error for a schedule whose jobs are not 0..n-1, as
+    `check_windows` words it: the entry count and the first and last job,
+    not every job id."""
+    jobs = schedule.jobs
+    span = f" (jobs {jobs[0]} to {jobs[-1]})" if jobs else ""
+    return InvalidInstance(f"schedule has {len(jobs)} entries{span} but {what}")
 
 
 def pseudo_to_obj(pseudo: PseudoInstance) -> dict:
@@ -202,6 +209,48 @@ def reference_parse_rational(text: str) -> int | Fraction:
     except (ValueError, ZeroDivisionError) as exc:
         raise InvalidInstance(f"cannot parse a rational from {text!r}") from exc
     return value.numerator if value.denominator == 1 else value
+
+
+# ------------------------------------------------- schedule references
+#
+# The schedule check as it was when `PeriodicSchedule` held one
+# `ScheduleEntry` per job: fields checked entry by entry in the order
+# given, then a stable sort by job, then the negative, offset/cycle and
+# duplicate tests in that order. Both return the sorted entries or raise.
+
+
+def reference_schedule(entries: Iterable[ScheduleEntry]) -> tuple[ScheduleEntry, ...]:
+    entries = tuple(entries)
+    for e in entries:
+        if type(e.job) is not int or type(e.offset) is not int or type(e.cycle) is not int:
+            name, v = next((k, v) for k, v in vars(e).items() if type(v) is not int)
+            raise InvalidInstance(f'entry field "{name}" must be an integer, got {v!r}')
+    entries = tuple(sorted(entries, key=lambda e: e.job))
+    if entries and entries[0].job < 0:
+        raise InvalidInstance(f"job id {entries[0].job} is negative")
+    previous = None
+    for e in entries:
+        if e.offset < 1 or e.cycle < 1:
+            raise InvalidInstance(f"entry for job {e.job} needs offset >= 1 and cycle >= 1")
+        if e.job == previous:
+            raise InvalidInstance(f"job {e.job} appears twice")
+        previous = e.job
+    return entries
+
+
+def reference_schedule_from_obj(obj: object) -> tuple[ScheduleEntry, ...]:
+    raw = obj.get("entries") if isinstance(obj, dict) else obj
+    if not isinstance(raw, list):
+        raise InvalidInstance('schedule JSON must be an entry list or carry an "entries" list')
+    entries = []
+    for item in raw:
+        if not isinstance(item, dict):
+            raise InvalidInstance("each schedule entry must be an object")
+        try:
+            entries.append(ScheduleEntry(item["job"], item["offset"], item["cycle"]))
+        except KeyError as exc:
+            raise InvalidInstance(f"schedule entry missing key {exc}") from exc
+    return reference_schedule(entries)
 
 
 # ------------------------------------------------- lower-bound reference
@@ -297,9 +346,7 @@ def reference_simulate(
 
 def reference_check_windows(schedule: PeriodicSchedule, pseudo: PseudoInstance) -> bool:
     if set(schedule.jobs) != set(range(pseudo.n)):
-        raise InvalidInstance(
-            f"schedule covers jobs {sorted(schedule.jobs)} but the pseudo-instance has {pseudo.n} jobs"
-        )
+        raise uncovered(schedule, f"the pseudo-instance has {pseudo.n} jobs")
     for e in schedule.entries:
         window = math.floor(pseudo.periods[e.job])
         if e.offset > window or e.cycle > window:
@@ -309,9 +356,7 @@ def reference_check_windows(schedule: PeriodicSchedule, pseudo: PseudoInstance) 
 
 def reference_max_heights(schedule: PeriodicSchedule, instance: BgtInstance) -> tuple[Fraction, ...]:
     if set(schedule.jobs) != set(range(instance.n)):
-        raise InvalidInstance(
-            f"schedule covers jobs {sorted(schedule.jobs)} but the instance has {instance.n} bamboos"
-        )
+        raise uncovered(schedule, f"the instance has {instance.n} bamboos")
     rates = instance.rates
     return tuple(Fraction(rates[e.job] * max(e.offset, e.cycle)) for e in schedule.entries)
 

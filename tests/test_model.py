@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bamboo.model import (
     BgtInstance,
@@ -20,7 +20,15 @@ from bamboo.model import (
     entries_to_obj,
 )
 from bamboo.reduction import ReductionConfig, scaled
-from helpers import entry_of, pseudo_to_obj, reference_lower_bound, reference_parse_rational, serves
+from helpers import (
+    entry_of,
+    pseudo_to_obj,
+    reference_lower_bound,
+    reference_parse_rational,
+    reference_schedule,
+    reference_schedule_from_obj,
+    serves,
+)
 
 
 # ---------------------------------------------------------------- parsing
@@ -233,6 +241,86 @@ def test_pseudo_instance_density_and_validation():
         PseudoInstance((Fraction(0),))
     with pytest.raises(InvalidInstance):
         PseudoInstance((3.5,))  # type: ignore[arg-type]
+
+
+FIELDS = ("job", "offset", "cycle")
+HOSTILE = st.sampled_from([0, -1, True, False, "1", 1.0, 2.5, None])
+
+
+@st.composite
+def entry_lists(draw):
+    """Schedule entry dicts over jobs 0..6 in any order, most of them valid,
+    with up to three changes: a field made hostile (bool, str, float,
+    negative or zero), a job repeated (its copy's offset may be 0), a key
+    dropped, or an item that is no dict."""
+    jobs = draw(st.permutations(range(draw(st.integers(min_value=0, max_value=7)))))
+    items: list = [
+        {"job": j, "offset": draw(st.integers(min_value=1, max_value=4)), "cycle": draw(st.integers(min_value=1, max_value=4))}
+        for j in jobs
+    ]
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        dicts = [i for i, item in enumerate(items) if isinstance(item, dict)]
+        if not dicts:
+            break
+        i = draw(st.sampled_from(dicts))
+        change = draw(st.sampled_from(["field", "field", "repeat", "drop", "not a dict"]))
+        if change == "field":
+            items[i][draw(st.sampled_from(FIELDS))] = draw(HOSTILE)
+        elif change == "repeat":
+            copy = {**items[i], "offset": draw(st.integers(min_value=0, max_value=4))}
+            items.insert(draw(st.integers(min_value=0, max_value=len(items))), copy)
+        elif change == "drop":
+            items[i].pop(draw(st.sampled_from(FIELDS)), None)
+        else:
+            items[i] = draw(st.sampled_from([[], "entry", 3, None]))
+    return items
+
+
+def outcome(make):
+    try:
+        return "ok", make()
+    except InvalidInstance as exc:
+        return "error", type(exc), str(exc)
+
+
+@given(entry_lists(), st.booleans())
+@example([{"job": 0, "offset": 1, "cycle": 2}, {"job": 0, "offset": 0, "cycle": 2}], False)
+@example([{"job": 1, "offset": 1, "cycle": 2}, {"job": 0, "offset": 0, "cycle": 2}, {"job": 1, "offset": 0, "cycle": 2}], False)
+@example([{"job": 2, "offset": 1, "cycle": 2}, {"job": -1, "offset": 0, "cycle": 2}], True)
+@example([{"job": 1, "offset": 1, "cycle": 2}, {"job": 0, "offset": 1.0, "cycle": "2"}], False)
+@example([{"job": 0, "offset": 1, "cycle": True}, {"job": "0", "offset": 1, "cycle": 2}], False)  # entry order first
+@example([{"job": 0, "offset": 1}, 3], True)
+@settings(max_examples=300, deadline=None)
+def test_schedule_check_matches_reference(items, wrapped):
+    # the column check must refuse what the entry-by-entry check refused,
+    # with the same error, on every path into a schedule
+    obj = {"entries": items} if wrapped else items
+    expected = outcome(lambda: reference_schedule_from_obj(obj))
+    assert outcome(lambda: schedule_from_obj(obj).entries) == expected
+    if not all(isinstance(item, dict) and set(FIELDS) <= item.keys() for item in items):
+        return
+    entries = [ScheduleEntry(item["job"], item["offset"], item["cycle"]) for item in items]
+    columns = [[item[name] for item in items] for name in FIELDS]
+    assert outcome(lambda: reference_schedule(entries)) == expected
+    assert outcome(lambda: PeriodicSchedule(entries).entries) == expected
+    assert outcome(lambda: PeriodicSchedule.of_columns(*columns).entries) == expected
+    if expected[0] == "error":
+        return
+    ref = expected[1]
+    schedule = schedule_from_obj(obj)
+    assert schedule.jobs == tuple(e.job for e in ref)
+    for n in range(9):
+        assert schedule.covers(n) == ({e.job for e in ref} == set(range(n)))
+    assert schedule == PeriodicSchedule(ref) == PeriodicSchedule(entries[::-1]) == PeriodicSchedule.of_columns(*columns)
+    if ref:
+        last = ref[-1]
+        moved = ref[:-1] + (ScheduleEntry(last.job, last.offset + 1, last.cycle),)
+        assert reference_schedule(moved) != ref and PeriodicSchedule(moved) != schedule
+
+
+def test_schedule_columns_must_have_one_length():
+    with pytest.raises(InvalidInstance):
+        PeriodicSchedule.of_columns((0, 1), (1, 1), (2,))
 
 
 # ---------------------------------------------------------------- JSON round trips

@@ -60,6 +60,24 @@ def test_chain_instance_validation():
         ChainInstance((JobPeriod(0, True),))
 
 
+@pytest.mark.parametrize("bad", ["4", 4.0, True, 0])
+def test_chain_instance_names_a_bad_period(bad):
+    # periods are checked once per run of one period; one that is no plain
+    # int is named before the run search adds 1 to it, also inside a run
+    first = 1 if bad is True else 4
+    makes = [
+        lambda: ChainInstance((JobPeriod(0, bad),)),
+        lambda: ChainInstance.of_pairs(((bad, 0),)),
+        lambda: ChainInstance.of_pairs(((bad, 0), (8, 1))),
+    ]
+    if bad != 0:
+        makes.append(lambda: ChainInstance.of_pairs(((first, 0), (bad, 1), (8, 2))))
+    for make in makes:
+        with pytest.raises(NotAChain) as err:
+            make()
+        assert str(err.value) == f"period {bad!r} is not a positive integer"
+
+
 def test_partition_bins_examples():
     bins = partition_bins(chain(2, 4, 8, 8))
     assert [[jp.period for jp in b] for b in bins] == [[2], [4, 8, 8]]

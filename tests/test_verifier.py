@@ -112,8 +112,17 @@ def test_windows_against_pseudo_periods():
 
 def test_windows_requires_matching_job_sets():
     pseudo = PseudoInstance((Fraction(3),))
-    with pytest.raises(InvalidInstance):
+    with pytest.raises(InvalidInstance) as err:
         check_windows(sched((0, 1, 2), (1, 1, 3)), pseudo)
+    assert str(err.value) == "schedule has 2 entries (jobs 0 to 1) but the pseudo-instance has 1 jobs"
+    with pytest.raises(InvalidInstance) as err:
+        check_windows(sched(), pseudo)
+    assert str(err.value) == "schedule has 0 entries but the pseudo-instance has 1 jobs"
+    # the message names the count and the ends, not every job id
+    many = PeriodicSchedule.of_columns(range(1, 100_001), [1] * 100_000, [2] * 100_000)
+    with pytest.raises(InvalidInstance) as err:
+        check_windows(many, PseudoInstance((Fraction(3),) * 100_000))
+    assert str(err.value) == "schedule has 100000 entries (jobs 1 to 100000) but the pseudo-instance has 100000 jobs"
 
 
 # ---------------------------------------------------------------- heights
