@@ -153,13 +153,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise InvalidInstance("--input and --schedule are both stdin; only one of them can read it")
     instance = model.instance_from_obj(_read_json(args.input))
     schedule = model.schedule_from_obj(_read_json(args.schedule))
-    config = _config(args)
-    pseudo = reduction.bgt_to_pseudo(instance, config)
+    # the window floors and the lower bound in integers, as solve takes them
+    garden = reduction.scaled(instance, _config(args))
     report = verifier.evaluate(
         instance,
         schedule,
-        pseudo=pseudo,
-        lower_bound_value=pseudo.lower_bound,
+        pseudo=garden,
+        lower_bound_value=garden.lower_bound,
         horizon=args.horizon,
     )
     _emit(report.to_obj())

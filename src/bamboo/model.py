@@ -126,6 +126,11 @@ class PseudoInstance:
     def n(self) -> int:
         return len(self.periods)
 
+    def floors(self) -> list[int]:
+        """floor(p_i) for every job, in job-id order, as `ScaledGarden.floors`
+        gives them (an int is its own numerator over 1)."""
+        return [p.numerator // p.denominator for p in self.periods]
+
     @property
     def density(self) -> Fraction:
         """Sum of reciprocals of the periods; 0 for no period."""

@@ -66,6 +66,10 @@ class ScaledGarden:
     config: ReductionConfig
 
     @property
+    def n(self) -> int:
+        return len(self.rates)
+
+    @property
     def top(self) -> int:
         return self.config.factor.numerator * self.bound // self.config.factor.denominator
 

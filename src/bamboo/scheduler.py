@@ -68,11 +68,12 @@ class ChainInstance:
 
     Kept as `pairs`, sorted (period, job) int pairs (`rounding.pairs_of`);
     `jobs`, their `JobPeriod`s, is built on first read. `ChainInstance(jobs)`
-    sorts the jobs it is given, `of_pairs` takes pairs rounding has sorted.
-    Either way `__post_init__` is the one check of the lists rounding
-    builds, in integers and once per run of one period, so the scheduling
-    pass below can take both properties for granted. With P the largest
-    period, density <= 1 reads sum(P // p) <= P, as every period divides P.
+    sorts the jobs it is given, `of_pairs` takes pairs rounding has sorted
+    and refuses periods out of order. Either way `__post_init__` is the one
+    check of the lists rounding builds, in integers and once per run of one
+    period, so the scheduling pass below can take both properties for
+    granted. With P the largest period, density <= 1 reads
+    sum(P // p) <= P, as every period divides P.
     """
 
     pairs: Pairs
@@ -90,11 +91,16 @@ class ChainInstance:
 
     def __post_init__(self) -> None:
         pairs = self.pairs
+        column = list(map(itemgetter(0), pairs))
         # name a period that is no plain int before `_runs` adds 1 to it;
         # of sorted int pairs each run holds one period, checked once
-        if not set(map(type, map(itemgetter(0), pairs))) <= {int}:
-            for period, _ in pairs:
+        if not set(map(type, column)) <= {int}:
+            for period in column:
                 int_period(period, NotAChain)
+        # `_runs` bisects on the periods, so they must come in order
+        if sorted(column) != column:
+            i = next(i for i, (a, b) in enumerate(zip(column, column[1:])) if a > b)
+            raise NotAChain(f"pairs are not sorted: {pairs[i + 1]} comes after {pairs[i]}")
         periods = [int_period(period, NotAChain) for period, _, _ in _runs(pairs)]
         for small, big in zip(periods, periods[1:]):
             if big % small != 0:

@@ -7,7 +7,10 @@ byte of calendar per day). Every check reads the schedule's int columns
 (`jobs`, `offsets`, `cycles`, sorted by job) and is close to linear in
 their length but the simulation: collisions are searched only between
 cycles whose residue classes meet, and the job set is 0..n-1 when there
-are n jobs and the last is n - 1.
+are n jobs and the last is n - 1. The checks decide in integers: windows
+compare offsets and cycles with the int floors of the periods, and the
+per-job peaks stay `int` for an integer garden; a report builds
+`Fraction`s only for its maximum and ratio, and for `heights` when read.
 """
 
 from __future__ import annotations
@@ -16,10 +19,11 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
+from operator import add, gt
 from typing import AbstractSet
 
 from .model import BgtInstance, InvalidInstance, PeriodicSchedule, PseudoInstance
+from .reduction import ScaledGarden
 
 DEFAULT_HORIZON_CAP = 10**6
 
@@ -117,21 +121,19 @@ def check_collisions(schedule: PeriodicSchedule) -> CollisionReport:
     return CollisionReport(tuple(found))
 
 
-def check_windows(schedule: PeriodicSchedule, pseudo: PseudoInstance) -> bool:
+def check_windows(schedule: PeriodicSchedule, pseudo: PseudoInstance | ScaledGarden) -> bool:
     """True iff every job fits its fractional window: offset and cycle both
     at most floor(p_i). That is exactly what keeps bamboo i at or below
-    h_i * p_i forever."""
+    h_i * p_i forever. `pseudo` is read through `n` and `floors()` alone,
+    so a `PseudoInstance` and a `ScaledGarden` (as `bamboo verify` passes
+    it) give the same answer; once the jobs are 0..n-1, the floors line up
+    with the columns and two native passes compare ints."""
     jobs = schedule.jobs
     if not schedule.covers(pseudo.n):
         span = f" (jobs {jobs[0]} to {jobs[-1]})" if jobs else ""
         raise InvalidInstance(f"schedule has {len(jobs)} entries{span} but the pseudo-instance has {pseudo.n} jobs")
-    periods = pseudo.periods
-    for job, o, c in zip(jobs, schedule.offsets, schedule.cycles):
-        p = periods[job]
-        window = p if type(p) is int else p.numerator // p.denominator
-        if o > window or c > window:
-            return False
-    return True
+    floors = pseudo.floors()
+    return not (any(map(gt, schedule.offsets, floors)) or any(map(gt, schedule.cycles, floors)))
 
 
 def _peak_heights(schedule: PeriodicSchedule, instance: BgtInstance) -> list[int | Fraction]:
@@ -278,13 +280,18 @@ class VerificationReport:
     collisions: CollisionReport
     jobs_ok: bool
     windows_ok: bool | None
-    heights: tuple[Fraction, ...] | None
+    peaks: tuple[int | Fraction, ...] | None
     analytic_max: Fraction | None
     sim: SimReport
     sim_matches: bool | None
     horizon_conclusive: bool
     lower_bound: Fraction | None
     ratio: Fraction | None
+
+    @property
+    def heights(self) -> tuple[Fraction, ...] | None:
+        """The per-job peaks as Fractions, built on each read."""
+        return None if self.peaks is None else tuple(map(Fraction, self.peaks))
 
     @property
     def ok(self) -> bool:
@@ -305,7 +312,8 @@ class VerificationReport:
             ],
             "jobs_ok": self.jobs_ok,
             "windows_ok": self.windows_ok,
-            "per_job_heights": None if self.heights is None else [str(h) for h in self.heights],
+            # str(int) == str(Fraction(int)): an int peak prints as its Fraction would
+            "per_job_heights": None if self.peaks is None else list(map(str, self.peaks)),
             "analytic_max_height": None if self.analytic_max is None else str(self.analytic_max),
             "simulated_max_height": str(self.sim.max_height),
             "sim_matches_analytic": self.sim_matches,
@@ -341,22 +349,23 @@ def default_horizon(schedule: PeriodicSchedule) -> int:
 def evaluate(
     instance: BgtInstance,
     schedule: PeriodicSchedule,
-    pseudo: PseudoInstance | None = None,
+    pseudo: PseudoInstance | ScaledGarden | None = None,
     lower_bound_value: Fraction | None = None,
     horizon: int | None = None,
 ) -> VerificationReport:
-    """Run every check against one schedule and bundle the outcome."""
+    """Run every check against one schedule and bundle the outcome. The
+    peaks stay native (`int` for an integer garden); only the maximum and
+    the ratio are built as Fractions."""
     collisions = check_collisions(schedule)
     jobs_ok = schedule.covers(instance.n)
     windows_ok: bool | None = None
     if pseudo is not None:
         windows_ok = check_windows(schedule, pseudo) if jobs_ok else False
-    heights: tuple[Fraction, ...] | None = None
+    peaks: tuple[int | Fraction, ...] | None = None
     analytic: Fraction | None = None
     if jobs_ok:
-        raw = _peak_heights(schedule, instance)
-        heights = tuple(map(Fraction, raw))
-        analytic = Fraction(max(raw))
+        peaks = tuple(_peak_heights(schedule, instance))
+        analytic = Fraction(max(peaks))
     if horizon is None:
         horizon = default_horizon(schedule)
     sim = simulate(schedule, instance, horizon)
@@ -372,7 +381,7 @@ def evaluate(
         collisions=collisions,
         jobs_ok=jobs_ok,
         windows_ok=windows_ok,
-        heights=heights,
+        peaks=peaks,
         analytic_max=analytic,
         sim=sim,
         sim_matches=sim_matches,

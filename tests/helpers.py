@@ -392,7 +392,7 @@ def reference_evaluate(
         collisions=collisions,
         jobs_ok=jobs_ok,
         windows_ok=windows_ok,
-        heights=heights,
+        peaks=heights,
         analytic_max=analytic,
         sim=sim,
         sim_matches=sim_matches,

@@ -322,6 +322,9 @@ def test_period_below_two_reports_hint(tmp_path, capsys):
     assert code == 2
     assert "24/13" in err
     assert "hint: use --lower-bound max-rule" in err
+    # verify reduces the garden the same way and refuses it with the same words
+    sched = write_json(tmp_path, "sched.json", [{"job": 0, "offset": 1, "cycle": 2}, {"job": 1, "offset": 2, "cycle": 2}])
+    assert run(capsys, "verify", "-i", path, "--schedule", sched, "--lower-bound", "sum") == (2, "", err)
 
 
 def test_malformed_json(tmp_path, capsys):

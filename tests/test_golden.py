@@ -14,10 +14,14 @@ or the `StateSpaceTooLarge` message, for a separate corpus of small
 gardens at a state cap of 10^5. A fifth digest pins solve output, with and
 without the trace, on rational gardens given as decimal strings, "p/q"
 strings with denominators up to 10^6, and integral forms such as "6/3",
-so the rates have a common denominator above 1. If a change to the output
-is intended, recompute the values with `golden_digest()`,
-`golden_verify_digest()`, `golden_opt_digest()` or
-`golden_rational_digest()` and say why in the change log.
+so the rates have a common denominator above 1. A sixth digest pins
+verify output on the same rational gardens, built as in the third. The
+two verify digests are taken twice, once per windows source (the
+pseudo-instance and the scaled garden), and must read the same. If a
+change to the output is intended, recompute the values with
+`golden_digest()`, `golden_verify_digest()`, `golden_opt_digest()`,
+`golden_rational_digest()` or `golden_rational_verify_digest()` and say
+why in the change log.
 """
 
 import hashlib
@@ -29,7 +33,7 @@ from fractions import Fraction
 from bamboo.cli import solution_to_obj
 from bamboo.model import BgtInstance
 from bamboo.oracle import StateSpaceTooLarge, bgt_opt
-from bamboo.reduction import ReductionConfig, bgt_to_pseudo
+from bamboo.reduction import ReductionConfig, bgt_to_pseudo, scaled
 from bamboo.scheduler import solve
 from bamboo.verifier import evaluate
 from helpers import tampered
@@ -44,6 +48,7 @@ GOLDEN_TRACE_SHA256 = "1f80f64eb1efb0d4c61818775cab6cbb0e42283a27c9670817f7e7b55
 GOLDEN_VERIFY_SHA256 = "e6431d13602cdcc659c457352de9faefc56452d71b53193670a97aa6a030bf2d"
 GOLDEN_OPT_SHA256 = "c73eaa6f24b89f31aa04b0403d4cc598850d11de924bd3315d19dc380b70e2a2"
 GOLDEN_RATIONAL_SHA256 = "1315adfdcfa6660b414ab00bafbae91516f4ca34806b4ddf1fb68845a51d757f"
+GOLDEN_RATIONAL_VERIFY_SHA256 = "8e57e56c8bbdf10d7976eb916366cc3b5bd6a583e379a541d65d68b8e07763e0"
 
 OPT_CAP = 10**5
 OPT_GARDENS_PER_SIZE = 30
@@ -120,18 +125,30 @@ def golden_rational_digest() -> str:
     return _solve_digest(rational_corpus(), (False, True))
 
 
-def golden_verify_digest() -> str:
-    """Digest of the `bamboo verify` JSON for every corpus solve, evaluated
-    with the CLI's arguments (pseudo-instance, lower bound, default horizon)."""
+def _verify_digest(gardens, windows) -> str:
     h = hashlib.sha256()
-    for instance in corpus():
+    for instance in gardens:
         for config in CONFIGS:
             schedule = solve(instance, config).schedule
-            pseudo = bgt_to_pseudo(instance, config)
+            source = windows(instance, config)
             for s in (schedule, tampered(schedule)):
-                report = evaluate(instance, s, pseudo=pseudo, lower_bound_value=pseudo.lower_bound)
+                report = evaluate(instance, s, pseudo=source, lower_bound_value=source.lower_bound)
                 h.update((json.dumps(report.to_obj(), indent=2) + "\n").encode("utf-8"))
     return h.hexdigest()
+
+
+def golden_verify_digest(windows=bgt_to_pseudo) -> str:
+    """Digest of the `bamboo verify` JSON for every corpus solve, as built
+    and tampered, evaluated with the CLI's arguments (windows source, its
+    lower bound, default horizon). The windows source is `bgt_to_pseudo`,
+    as the library and perfbench pass it, or `scaled`, as `bamboo verify`
+    does; both must print the same bytes."""
+    return _verify_digest(corpus(), windows)
+
+
+def golden_rational_verify_digest(windows=bgt_to_pseudo) -> str:
+    """`golden_verify_digest` over the `rational_corpus` gardens."""
+    return _verify_digest(rational_corpus(), windows)
 
 
 def golden_opt_digest() -> str:
@@ -156,7 +173,13 @@ def test_solve_trace_matches_golden_digest():
 
 
 def test_verify_output_matches_golden_digest():
-    assert golden_verify_digest() == GOLDEN_VERIFY_SHA256
+    assert golden_verify_digest(bgt_to_pseudo) == GOLDEN_VERIFY_SHA256
+    assert golden_verify_digest(scaled) == GOLDEN_VERIFY_SHA256
+
+
+def test_rational_verify_output_matches_golden_digest():
+    assert golden_rational_verify_digest(bgt_to_pseudo) == GOLDEN_RATIONAL_VERIFY_SHA256
+    assert golden_rational_verify_digest(scaled) == GOLDEN_RATIONAL_VERIFY_SHA256
 
 
 def test_exact_optimum_matches_golden_digest():

@@ -78,6 +78,16 @@ def test_chain_instance_names_a_bad_period(bad):
         assert str(err.value) == f"period {bad!r} is not a positive integer"
 
 
+def test_chain_instance_of_pairs_refuses_unsorted_pairs():
+    # unsorted pairs once passed the check and failed later, in `_cut`
+    with pytest.raises(NotAChain) as err:
+        ChainInstance.of_pairs(((8, 0), (4, 1), (2, 2)))
+    assert str(err.value) == "pairs are not sorted: (4, 1) comes after (8, 0)"
+    with pytest.raises(NotAChain) as err:
+        ChainInstance.of_pairs(((2, 0), (4, 1), (2, 2), (8, 3)))
+    assert str(err.value) == "pairs are not sorted: (2, 2) comes after (4, 1)"
+
+
 def test_partition_bins_examples():
     bins = partition_bins(chain(2, 4, 8, 8))
     assert [[jp.period for jp in b] for b in bins] == [[2], [4, 8, 8]]

@@ -22,7 +22,7 @@ from bamboo.model import (
     PseudoInstance,
     ScheduleEntry,
 )
-from bamboo.reduction import bgt_to_pseudo
+from bamboo.reduction import PeriodBelowTwo, ReductionConfig, bgt_to_pseudo, scaled
 from bamboo.scheduler import solve
 from bamboo.verifier import (
     DEFAULT_HORIZON_CAP,
@@ -37,6 +37,7 @@ from helpers import (
     max_heights,
     random_instance,
     reference_check_collisions,
+    reference_check_windows,
     reference_evaluate,
     reference_simulate,
     serves,
@@ -123,6 +124,72 @@ def test_windows_requires_matching_job_sets():
     with pytest.raises(InvalidInstance) as err:
         check_windows(many, PseudoInstance((Fraction(3),) * 100_000))
     assert str(err.value) == "schedule has 100000 entries (jobs 1 to 100000) but the pseudo-instance has 100000 jobs"
+
+
+@st.composite
+def window_cases(draw):
+    """(garden, config, schedule): a solver schedule for a garden with
+    integer or rational rates, under either factor and bound mode, or a copy
+    with one job's offset or cycle set to floor(p_i) or floor(p_i) + 1, or
+    with the last job dropped or one job too many."""
+    n = draw(st.integers(min_value=1, max_value=40))
+    spread = draw(st.sampled_from([9, 100, 10**6]))
+    if draw(st.booleans()):
+        rates = draw(st.lists(st.integers(1, spread), min_size=n, max_size=n))
+    else:
+        rate = st.builds(Fraction, st.integers(1, spread), st.sampled_from([1, 2, 3, 7, 10, 12]))
+        rates = draw(st.lists(rate, min_size=n, max_size=n))
+    garden = BgtInstance(tuple(sorted(rates, reverse=True)))
+    config = ReductionConfig(draw(st.sampled_from([Fraction(12, 7), Fraction(2)])), draw(st.sampled_from(["max-rule", "sum"])))
+    try:
+        schedule = solve(garden, config).schedule
+    except PeriodBelowTwo:
+        return garden, config, None
+    jobs, offsets, cycles = map(list, (schedule.jobs, schedule.offsets, schedule.cycles))
+    change = draw(st.sampled_from(["none", "offset", "cycle", "drop", "extra"]))
+    if change in ("offset", "cycle"):
+        job = draw(st.integers(0, n - 1))
+        floor = bgt_to_pseudo(garden, config).periods[job] // 1
+        (offsets if change == "offset" else cycles)[job] = floor + draw(st.sampled_from([0, 1]))
+    elif change == "drop":
+        del jobs[-1], offsets[-1], cycles[-1]
+    elif change == "extra":
+        jobs.append(n)
+        offsets.append(1)
+        cycles.append(draw(st.integers(1, 4)))
+    return garden, config, PeriodicSchedule.of_columns(jobs, offsets, cycles)
+
+
+def window_outcome(schedule, source):
+    try:
+        return check_windows(schedule, source)
+    except InvalidInstance as exc:
+        return type(exc), str(exc)
+
+
+@given(window_cases())
+@example((WORKED, ReductionConfig(), sched((0, 2, 2), (1, 1, 4), (2, 3, 128))))
+@example((BgtInstance.from_values([1]), ReductionConfig(), sched((0, 1, 2))))  # floor(12/7) + 1
+@example((BgtInstance.from_values([10, 1]), ReductionConfig(Fraction(12, 7), "sum"), None))
+@settings(max_examples=200, deadline=None)
+def test_windows_agree_across_sources(case):
+    garden, config, schedule = case
+    if schedule is None:
+        # both windows sources refuse the garden with one message
+        messages = []
+        for source in (scaled, bgt_to_pseudo):
+            with pytest.raises(PeriodBelowTwo) as err:
+                source(garden, config)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+        return
+    pseudo = bgt_to_pseudo(garden, config)
+    expected = window_outcome(schedule, pseudo)
+    assert window_outcome(schedule, scaled(garden, config)) == expected
+    try:
+        assert reference_check_windows(schedule, pseudo) == expected
+    except InvalidInstance as exc:
+        assert (type(exc), str(exc)) == expected
 
 
 # ---------------------------------------------------------------- heights
