@@ -12,10 +12,10 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 from . import model, oracle, reduction, scheduler, verifier
-from .model import InvalidInstance, JobPeriod
+from .model import InvalidInstance
 from .oracle import StateSpaceTooLarge
 from .reduction import PeriodBelowTwo, ReductionConfig
-from .rounding import CertificateViolation
+from .rounding import CertificateViolation, Pairs
 
 
 def _over_digit_limit(exc: ValueError) -> bool:
@@ -94,8 +94,8 @@ def _config(args: argparse.Namespace) -> ReductionConfig:
     return ReductionConfig(factor=args.factor, lb_mode=args.lower_bound)
 
 
-def _jp_list(items: tuple[JobPeriod, ...]) -> list[dict]:
-    return [{"job": jp.job, "period": jp.period} for jp in items]
+def _jp_list(pairs: Pairs) -> list[dict]:
+    return [{"job": job, "period": period} for period, job in pairs]
 
 
 def trace_to_obj(sol: scheduler.Solution) -> dict:
@@ -111,8 +111,8 @@ def trace_to_obj(sol: scheduler.Solution) -> dict:
     return {
         **head,
         "path": "two-three",
-        "a2_jobs": sorted(jp.job for jp in split.b),
-        "a3_jobs": sorted(jp.job for jp in split.c),
+        "a2_jobs": sorted(job for _, job in split.b),
+        "a3_jobs": sorted(job for _, job in split.c),
         "b": _jp_list(split.b),
         "c": _jp_list(split.c),
         "r": dec.r,

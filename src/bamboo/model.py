@@ -176,9 +176,9 @@ _FIELDS = ("job", "offset", "cycle")
 @dataclass(frozen=True, init=False)
 class PeriodicSchedule:
     """One entry per job, held as int columns sorted by job id: `jobs`,
-    `offsets` and `cycles`. `PeriodicSchedule(entries)` takes
-    `ScheduleEntry`s and `of_columns` the columns; `entries`, the
-    `ScheduleEntry` of each job, is built on first read and then kept.
+    `offsets` and `cycles`, as `of_columns` takes them. perfbench reads
+    the entry forms: `PeriodicSchedule(entries)` takes `ScheduleEntry`s,
+    and `entries`, one per job, is built on first read and kept.
 
     This is the one check of schedule entries (`__post_init__`, on either
     path): every field is a plain `int` (not a `bool`), checked in the

@@ -313,6 +313,10 @@ def tightness_examples(
         raise InvalidInstance("epsilon must sit strictly between 0 and 1")
     if big_m < 4:
         raise InvalidInstance("big_m must be at least 4")
+    if not 0 < eta < Fraction(5, 7):
+        raise InvalidInstance("eta must keep the factor strictly between 1 and 12/7")
+    if not 0 < gamma < 3:
+        raise InvalidInstance("gamma must sit in (0, 3) so the rates stay sorted")
     periods = (3 - epsilon, 4 - epsilon, big_m)
     dens = density(periods)
     delta = dens - Fraction(7, 12)
@@ -329,10 +333,6 @@ def tightness_examples(
         "floors_feasible": pinwheel_feasible(floors, cap).feasible,
     }
 
-    if not 0 < eta < Fraction(5, 7):
-        raise InvalidInstance("eta must keep the factor strictly between 1 and 12/7")
-    if not 0 < gamma < 3:
-        raise InvalidInstance("gamma must sit in (0, 3) so the rates stay sorted")
     factor = Fraction(12, 7) - eta
     inst = BgtInstance((Fraction(4), Fraction(3), gamma))
     pseudo = bgt_to_pseudo(inst, ReductionConfig(factor=factor, lb_mode="sum"))

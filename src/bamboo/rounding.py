@@ -18,12 +18,11 @@ appears in the values reported out.
 
 Jobs travel through every stage as (period, job) pairs of plain ints,
 sorted where they are built by a native tuple sort: the one job order, by
-period, densest first, ties by job id (`pairs_of`). Each stage record keeps its lists as such pairs (`b_pairs`,
-`p_pairs`, `bp_pairs`, ...) and builds the `JobPeriod` tuples its readers
-see (`b`, `p`, `bp`, ...) on first read. Every period is put on its grid
-by the arithmetic that builds it; no stage re-checks the order or the
-grid. `scheduler.ChainInstance` is the one check, where the lists are
-consumed.
+period, densest first, ties by job id. Each stage record holds its lists
+as such pairs under the names the paper gives them (`b`, `p`, `bp`, ...).
+Every period is put on its grid by the arithmetic that builds it; no
+stage re-checks the order or the grid. `scheduler.ChainInstance` is the
+one check, where the lists are consumed.
 """
 
 from __future__ import annotations
@@ -33,9 +32,9 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
-from .model import InvalidInstance, JobPeriod
+from .model import InvalidInstance
 
 # jobs as (period, job) int pairs, sorted: period first, ties by job id
 Pairs = tuple[tuple[int, int], ...]
@@ -61,23 +60,6 @@ CASE_RS: dict[str, frozenset[tuple[int, int]]] = {
     "c": frozenset({(0, 0), (0, 1)}),
     "d": frozenset({(0, 0)}),
 }
-
-
-def pairs_of(items: Iterable[JobPeriod]) -> Pairs:
-    """Jobs as sorted (period, job) pairs: the one job order, by period,
-    densest first, ties by job id."""
-    return tuple(sorted((jp.period, jp.job) for jp in items))
-
-
-def jobs_of(pairs: Iterable[tuple[int, int]]) -> tuple[JobPeriod, ...]:
-    """The `JobPeriod` of each (period, job) pair, in the same order."""
-    return tuple(JobPeriod(job, period) for period, job in pairs)
-
-
-def jobs_field(pairs_field: str) -> cached_property:
-    """A record attribute: the `JobPeriod`s of the sorted pairs held in
-    `pairs_field`, built on first read and then kept."""
-    return cached_property(lambda record: jobs_of(getattr(record, pairs_field)))
 
 
 def specialize_single(p: Fraction | int, x: int) -> int:
@@ -115,28 +97,20 @@ def _grid_weight(pairs: Pairs) -> tuple[int, int]:
     return sum((end - start) * (top // period) for period, start, end in _runs(pairs)), top
 
 
-def _specialized(floors: Sequence[int], x: int) -> Pairs:
-    return tuple(sorted((specialize_single(m, x), job) for job, m in enumerate(floors)))
-
-
-def specialize_instance(floors: Sequence[int], x: int) -> tuple[JobPeriod, ...]:
+def specialize_instance(floors: Sequence[int], x: int) -> Pairs:
     """Round every period down onto the single grid {x, 2x, 4x, ...}, given
     floor(p_i) for each job in job-id order (grid points are integers, so
-    the floor decides as the period would)."""
-    return jobs_of(_specialized(floors, x))
+    the floor decides as the period would), as sorted pairs."""
+    return tuple(sorted((specialize_single(m, x), job) for job, m in enumerate(floors)))
 
 
 @dataclass(frozen=True)
 class SpecializedState:
     """Outcome of the two-grid split: B on powers of two, C on 3 * powers of
-    two, each as sorted (period, job) pairs (`split_23` builds them so);
-    `b` and `c` are their `JobPeriod`s, built on first read."""
+    two, each as sorted (period, job) pairs (`split_23` builds them so)."""
 
-    b_pairs: Pairs
-    c_pairs: Pairs
-
-    b = jobs_field("b_pairs")
-    c = jobs_field("c_pairs")
+    b: Pairs
+    c: Pairs
 
 
 def split_23(floors: Sequence[int]) -> SpecializedState:
@@ -166,15 +140,12 @@ def split_23(floors: Sequence[int]) -> SpecializedState:
 class Decomposition:
     """rho(B) written as r/2 + rho(P) with 0 <= rho(P) < 1/2 (P a sub-multiset
     of B, its suffix), and rho(C) as s/3 + rho(Q) likewise. P and Q are kept
-    as sorted pairs; `p` and `q` are built on first read."""
+    as sorted pairs."""
 
     r: int
-    p_pairs: Pairs
+    p: Pairs
     s: int
-    q_pairs: Pairs
-
-    p = jobs_field("p_pairs")
-    q = jobs_field("q_pairs")
+    q: Pairs
 
 
 def _extract_units(pairs: Pairs, x: int) -> tuple[int, Pairs]:
@@ -201,8 +172,8 @@ def _extract_units(pairs: Pairs, x: int) -> tuple[int, Pairs]:
 
 
 def decompose(state: SpecializedState) -> Decomposition:
-    r, p = _extract_units(state.b_pairs, 2)
-    s, q = _extract_units(state.c_pairs, 3)
+    r, p = _extract_units(state.b, 2)
+    s, q = _extract_units(state.c, 3)
     return Decomposition(r, p, s, q)
 
 
@@ -220,25 +191,21 @@ class NormalizedState:
 
     B' is on the {2, 4, 8, ...} grid and C' on the {3, 6, 12, ...} grid,
     each as sorted (period, job) pairs; `normalize` builds them so and
-    nothing here re-checks it. `bp` and `cp` are their `JobPeriod`s, built
-    on first read. `case` records which branch fired; r and s are the
-    pre-normalization chunk counts, kept for the certificate's reachability
-    check. The certificate is derived from B' and C', so it always agrees
-    with them: `y_sixths` is 6y, the integer the checks compare with 6, and
-    `y` the reported `Fraction`."""
+    nothing here re-checks it. `case` records which branch fired; r and s
+    are the pre-normalization chunk counts, kept for the certificate's
+    reachability check. The certificate is derived from B' and C', so it
+    always agrees with them: `y_sixths` is 6y, the integer the checks
+    compare with 6, and `y` the reported `Fraction`."""
 
-    bp_pairs: Pairs
-    cp_pairs: Pairs
+    bp: Pairs
+    cp: Pairs
     case: str
     r: int
     s: int
 
-    bp = jobs_field("bp_pairs")
-    cp = jobs_field("cp_pairs")
-
     @cached_property
     def y_sixths(self) -> int:
-        return _sixths(self.bp_pairs, self.cp_pairs)
+        return _sixths(self.bp, self.cp)
 
     @cached_property
     def y(self) -> Fraction:
@@ -268,8 +235,8 @@ def normalize(dec: Decomposition, state: SpecializedState) -> NormalizedState:
     # over den = top(P) * top(Q), rho(P) = p_num / den and rho(Q) = q_num / den;
     # then 3 * den * v and 2 * den * w are the integers v3 and w2 below, so
     # v <= 1/3, v <= 2/3 and w <= 1/2 read v3 <= den, v3 <= 2 * den, w2 <= den
-    wp, tp = _grid_weight(dec.p_pairs)
-    wq, tq = _grid_weight(dec.q_pairs)
+    wp, tp = _grid_weight(dec.p)
+    wq, tq = _grid_weight(dec.q)
     p_num, q_num, den = wp * tq, wq * tp, tp * tq
     v3, w2 = 4 * p_num + 3 * q_num, 2 * p_num + 3 * q_num
     if v3 == 0:
@@ -281,11 +248,11 @@ def normalize(dec: Decomposition, state: SpecializedState) -> NormalizedState:
     else:
         case = "d"
     # dropping jobs keeps a side sorted; only the side that grows is re-sorted
-    bp, cp = state.b_pairs, state.c_pairs
+    bp, cp = state.b, state.c
     if case in ("a", "c"):
-        bp, cp = _without(bp, dec.p_pairs), tuple(sorted((*cp, *_regrid(dec.p_pairs, 3))))
+        bp, cp = _without(bp, dec.p), tuple(sorted((*cp, *_regrid(dec.p, 3))))
     elif case == "b":
-        bp, cp = tuple(sorted((*bp, *_regrid(dec.q_pairs, 2)))), _without(cp, dec.q_pairs)
+        bp, cp = tuple(sorted((*bp, *_regrid(dec.q, 2)))), _without(cp, dec.q)
     return NormalizedState(bp, cp, case, dec.r, dec.s)
 
 

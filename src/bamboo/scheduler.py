@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import gt, itemgetter, mul
-from typing import Iterable
 
 from .model import BgtInstance, InvalidInstance, JobPeriod, PeriodicSchedule, PseudoInstance, int_period
 from .reduction import DEFAULT_CONFIG, ReductionConfig, bgt_to_pseudo, scaled
@@ -43,60 +42,54 @@ from .rounding import (
     SpecializedState,
     _grid_weight,
     _runs,
-    _specialized,
     certificate,
     decompose,
-    jobs_field,
-    jobs_of,
     normalize,
-    pairs_of,
+    specialize_instance,
     split_23,
 )
 
 
 class NotAChain(InvalidInstance):
-    """Periods do not form a divides chain."""
+    """Jobs that do not form a divides chain, or have a bad period or job id."""
 
 
 class Overdense(InvalidInstance):
     """Density exceeds 1, so no schedule can serve every job in time."""
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class ChainInstance:
     """Jobs with integral periods forming a divides chain of density <= 1.
 
-    Kept as `pairs`, sorted (period, job) int pairs (`rounding.pairs_of`);
-    `jobs`, their `JobPeriod`s, is built on first read. `ChainInstance(jobs)`
-    sorts the jobs it is given, `of_pairs` takes pairs rounding has sorted
-    and refuses periods out of order. Either way `__post_init__` is the one
-    check of the lists rounding builds, in integers and once per run of one
-    period, so the scheduling pass below can take both properties for
-    granted. With P the largest period, density <= 1 reads
-    sum(P // p) <= P, as every period divides P.
+    Held as `pairs`, (period, job) int pairs sorted as rounding sorts them.
+    `__post_init__` is the one check of the lists rounding builds, in
+    integers and once per run of one period, so the scheduling pass below
+    can take them for granted: the periods in order and dividing each
+    other, the job ids distinct non-negative ints. With P the largest
+    period, density <= 1 reads sum(P // p) <= P, as every period divides P.
     """
 
     pairs: Pairs
 
-    def __init__(self, jobs: Iterable[JobPeriod]) -> None:
-        object.__setattr__(self, "pairs", pairs_of(jobs))
-        self.__post_init__()
-
-    @classmethod
-    def of_pairs(cls, pairs: Pairs) -> ChainInstance:
-        chain = cls.__new__(cls)
-        object.__setattr__(chain, "pairs", pairs)
-        chain.__post_init__()
-        return chain
-
     def __post_init__(self) -> None:
         pairs = self.pairs
         column = list(map(itemgetter(0), pairs))
+        jobs = list(map(itemgetter(1), pairs))
         # name a period that is no plain int before `_runs` adds 1 to it;
         # of sorted int pairs each run holds one period, checked once
         if not set(map(type, column)) <= {int}:
             for period in column:
                 int_period(period, NotAChain)
+        # `_place` writes each job's slot by its id: one slot per job
+        if not set(map(type, jobs)) <= {int} or (jobs and min(jobs) < 0) or len(set(jobs)) < len(jobs):
+            seen: set[int] = set()
+            for job in jobs:
+                if type(job) is not int or job < 0:
+                    raise NotAChain(f"job id {job!r} is not a non-negative integer")
+                if job in seen:
+                    raise NotAChain(f"job {job} appears twice")
+                seen.add(job)
         # `_runs` bisects on the periods, so they must come in order
         if sorted(column) != column:
             i = next(i for i, (a, b) in enumerate(zip(column, column[1:])) if a > b)
@@ -109,9 +102,17 @@ class ChainInstance:
         if weight > p_max:
             raise Overdense(f"density {Fraction(weight, p_max)} exceeds 1")
 
-    jobs = jobs_field("pairs")
+    # perfbench's traced counters read the chain's `JobPeriod`s
+    @cached_property
+    def jobs(self) -> tuple[JobPeriod, ...]:
+        return _job_periods(self.pairs)
 
 
+def _job_periods(pairs: Pairs) -> tuple[JobPeriod, ...]:
+    return tuple(JobPeriod(job, period) for period, job in pairs)
+
+
+# perfbench's traced counters read each bin's `JobPeriod`s
 class Bins:
     """What `partition_bins` returns: the bins as runs of the chain's sorted
     (period, job) pairs (`pairs`). Indexing or iterating gives each bin's
@@ -125,10 +126,8 @@ class Bins:
     def __len__(self) -> int:
         return len(self.pairs)
 
-    def __getitem__(self, index: int | slice):
-        if isinstance(index, slice):
-            return tuple(map(jobs_of, self.pairs[index]))
-        return jobs_of(self.pairs[index])
+    def __getitem__(self, index: int) -> tuple[JobPeriod, ...]:
+        return _job_periods(self.pairs[index])
 
 
 def _cut(pairs: Pairs) -> list[Pairs]:
@@ -228,19 +227,19 @@ def interleave(norm: NormalizedState) -> PeriodicSchedule:
     """
     if norm.y_sixths > 6:
         raise CertificateViolation(f"certificate y = {norm.y} exceeds 1; interleave has no calendar for this")
-    bp, cp = norm.bp_pairs, norm.cp_pairs
+    bp, cp = norm.bp, norm.cp
     if not cp:
-        return schedule_chain(ChainInstance.of_pairs(bp))
+        return schedule_chain(ChainInstance(bp))
     if not bp:
-        return schedule_chain(ChainInstance.of_pairs(cp))
+        return schedule_chain(ChainInstance(cp))
     offsets, cycles = _slots(bp, cp)
-    _place(ChainInstance.of_pairs(bp), 1, 2, offsets, cycles)
+    _place(ChainInstance(bp), 1, 2, offsets, cycles)
     if cp[0][0] == 3:
         assert len(cp) == 1, "a period-3 job only fits the density budget alone"
         job = cp[0][1]
         offsets[job] = cycles[job] = 2
     else:
-        _place(ChainInstance.of_pairs(cp), 2, 2, offsets, cycles)
+        _place(ChainInstance(cp), 2, 2, offsets, cycles)
     return _schedule(offsets, cycles)
 
 
@@ -251,16 +250,13 @@ class Solution:
     guarantee = factor * L (equal to L itself for a single bamboo).
 
     Stage values: the `density` always, and `pseudo`, the fractional
-    periods of `instance`, built only when read; `rounded_pairs` on the
-    factor-2 path; `split`, `decomposition`, `normalized` and `certified`
-    (density <= 7/12, so the certificate checks ran) on the two-grid path.
-    Fields a path does not reach stay None or False. Each stage keeps its
-    job lists as sorted (period, job) int pairs, the one job order of
-    `rounding.pairs_of`, from the stage that built them; the `JobPeriod`
-    tuples (`rounded` here, `split.b`, `normalized.bp`, ...) are built on
-    first read.
-    `ChainInstance` is where the lists are checked, and `normalized.y` is
-    derived from B' and C'."""
+    periods of `instance`, built only when read; `rounded` on the factor-2
+    path; `split`, `decomposition`, `normalized` and `certified` (density
+    <= 7/12, so the certificate checks ran) on the two-grid path. Fields a
+    path does not reach stay None or False. Each stage holds its job lists
+    (`rounded`, `split.b`, `normalized.bp`, ...) as the sorted (period, job)
+    int pairs the stage built. `ChainInstance` is where the lists are
+    checked, and `normalized.y` is derived from B' and C'."""
 
     schedule: PeriodicSchedule
     lower_bound: Fraction
@@ -269,15 +265,11 @@ class Solution:
     config: ReductionConfig
     instance: BgtInstance
     density: Fraction
-    rounded_pairs: Pairs | None = None
+    rounded: Pairs | None = None
     split: SpecializedState | None = None
     decomposition: Decomposition | None = None
     normalized: NormalizedState | None = None
     certified: bool = False
-
-    @cached_property
-    def rounded(self) -> tuple[JobPeriod, ...] | None:
-        return None if self.rounded_pairs is None else jobs_of(self.rounded_pairs)
 
     @cached_property
     def pseudo(self) -> PseudoInstance:
@@ -307,8 +299,8 @@ def solve(instance: BgtInstance, config: ReductionConfig | None = None) -> Solut
     if instance.n == 1:
         schedule = PeriodicSchedule.of_columns((0,), (1,), (1,))
     elif config.factor == 2:
-        rounded = _specialized(garden.floors(), 2)
-        schedule = schedule_chain(ChainInstance.of_pairs(rounded))
+        rounded = specialize_instance(garden.floors(), 2)
+        schedule = schedule_chain(ChainInstance(rounded))
     else:
         split = split_23(garden.floors())
         dec = decompose(split)
@@ -335,7 +327,7 @@ def solve(instance: BgtInstance, config: ReductionConfig | None = None) -> Solut
         config=config,
         instance=instance,
         density=rho,
-        rounded_pairs=rounded,
+        rounded=rounded,
         split=split,
         decomposition=dec,
         normalized=norm,

@@ -10,7 +10,7 @@ cycles whose residue classes meet, and the job set is 0..n-1 when there
 are n jobs and the last is n - 1. The checks decide in integers: windows
 compare offsets and cycles with the int floors of the periods, and the
 per-job peaks stay `int` for an integer garden; a report builds
-`Fraction`s only for its maximum and ratio, and for `heights` when read.
+`Fraction`s only for its maximum and ratio.
 """
 
 from __future__ import annotations
@@ -287,11 +287,6 @@ class VerificationReport:
     horizon_conclusive: bool
     lower_bound: Fraction | None
     ratio: Fraction | None
-
-    @property
-    def heights(self) -> tuple[Fraction, ...] | None:
-        """The per-job peaks as Fractions, built on each read."""
-        return None if self.peaks is None else tuple(map(Fraction, self.peaks))
 
     @property
     def ok(self) -> bool:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 import random
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -23,7 +23,10 @@ from bamboo.rounding import (
     GENERAL_RS,
     SEVEN_TWELFTHS,
     CertificateViolation,
+    Decomposition,
     NormalizedState,
+    Pairs,
+    SpecializedState,
     UnroundablePeriod,
 )
 from bamboo.scheduler import ChainInstance, NotAChain, Overdense, schedule_chain
@@ -92,8 +95,8 @@ def pseudo_with_density(total: Fraction, parts: int, rng: random.Random) -> Pseu
 
 
 def floors(pseudo: PseudoInstance) -> list[int]:
-    """floor(p_i) for every period, what `split_23` and
-    `specialize_instance` take."""
+    """floor(p_i) for every period in job-id order, what `split_23` and
+    `specialize_instance` take to build their sorted (period, job) pairs."""
     return [math.floor(p) for p in pseudo.periods]
 
 
@@ -141,9 +144,9 @@ def entry_of(schedule: PeriodicSchedule, job: int) -> ScheduleEntry:
     raise KeyError(job)
 
 
-def grid_density(items: Iterable[JobPeriod]) -> Fraction:
-    """rho of a multiset of jobs, as an exact Fraction."""
-    return density([jp.period for jp in items])
+def grid_density(pairs: Pairs) -> Fraction:
+    """rho of a multiset of (period, job) pairs, as an exact Fraction."""
+    return density([period for period, _ in pairs])
 
 
 def ps_to_bgt(periods: Sequence[int]) -> tuple[BgtInstance, tuple[int, ...]]:
@@ -425,14 +428,14 @@ def reference_interleave(norm: NormalizedState) -> PeriodicSchedule:
             f"mixed state too dense to interleave: rho(B') = {rho_bp}, rho(C') = {rho_cp}"
         )
     entries: list[ScheduleEntry] = []
-    halved_b = ChainInstance(tuple(JobPeriod(jp.job, jp.period // 2) for jp in bp))
+    halved_b = ChainInstance(tuple((period // 2, job) for period, job in bp))
     for e in schedule_chain(halved_b).entries:
         entries.append(ScheduleEntry(e.job, 2 * e.offset - 1, 2 * e.cycle))
-    if any(jp.period == 3 for jp in cp):
+    if any(period == 3 for period, _ in cp):
         assert len(cp) == 1, "a period-3 job only fits the density budget alone"
-        entries.append(ScheduleEntry(cp[0].job, 2, 2))
+        entries.append(ScheduleEntry(cp[0][1], 2, 2))
     else:
-        halved_c = ChainInstance(tuple(JobPeriod(jp.job, jp.period // 2) for jp in cp))
+        halved_c = ChainInstance(tuple((period // 2, job) for period, job in cp))
         for e in schedule_chain(halved_c).entries:
             entries.append(ScheduleEntry(e.job, 2 * e.offset, 2 * e.cycle))
     return PeriodicSchedule(tuple(entries))
@@ -822,3 +825,22 @@ def reference_solve(instance: BgtInstance, config: ReductionConfig | None = None
         normalized=norm,
         certified=certified,
     )
+
+
+def _ref_pairs(items: Iterable[JobPeriod]) -> Pairs:
+    # in the reference's own order: not re-sorted, so a stage that hands on
+    # its jobs out of order does not compare equal
+    return tuple((jp.period, jp.job) for jp in items)
+
+
+def reference_as_pairs(ref: RefSolution) -> RefSolution:
+    """`ref` with each stage list as (period, job) pairs in the package's
+    stage records, as `solve` returns them."""
+    rounded, split, dec, norm = ref.rounded, ref.split, ref.decomposition, ref.normalized
+    if rounded is not None:
+        rounded = _ref_pairs(rounded)
+    if split is not None:
+        split = SpecializedState(_ref_pairs(split.b), _ref_pairs(split.c))
+        dec = Decomposition(dec.r, _ref_pairs(dec.p), dec.s, _ref_pairs(dec.q))
+        norm = NormalizedState(_ref_pairs(norm.bp), _ref_pairs(norm.cp), norm.case, norm.r, norm.s)
+    return replace(ref, rounded=rounded, split=split, decomposition=dec, normalized=norm)

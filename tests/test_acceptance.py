@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from bamboo.model import BgtInstance, JobPeriod, PseudoInstance
+from bamboo.model import BgtInstance, PseudoInstance
 from bamboo.oracle import bgt_opt, opt_tractable, pinwheel_feasible, tightness_examples
 from bamboo.reduction import PeriodBelowTwo, ReductionConfig, bgt_to_pseudo
 from bamboo.rounding import CASE_RS, GENERAL_RS, certificate, decompose, normalize, split_23
@@ -164,12 +164,13 @@ def test_criterion_7_chains_constructive_vs_exhaustive():
     for size in range(1, 5):
         for combo in itertools.combinations_with_replacement(range(1, 13), size):
             try:
-                chain = ChainInstance(tuple(JobPeriod(i, p) for i, p in enumerate(combo)))
+                # combo is sorted, so its (period, job) pairs are too
+                chain = ChainInstance(tuple((p, i) for i, p in enumerate(combo)))
             except (NotAChain, Overdense):
                 continue
             schedule = schedule_chain(chain)
             count += 1
-            by_job = {jp.job: jp.period for jp in chain.jobs}
+            by_job = {job: period for period, job in chain.pairs}
             for e in schedule.entries:
                 ok = ok and e.cycle == by_job[e.job] and 1 <= e.offset <= e.cycle
             ok = ok and check_collisions(schedule).ok

@@ -271,6 +271,17 @@ def test_oracle_tightness_defaults(capsys):
     assert obj["reduced"]["floors_feasible"] is False
 
 
+def test_oracle_tightness_checks_parameters_before_searching(capsys):
+    # the fixed family's search over 3x4x1000001 states is over the cap; a
+    # bad eta must be named before any search runs
+    code, out, err = run(capsys, "oracle", "tightness", "--big-m", "1000000", "--eta", "5")
+    assert code == 2 and out == ""
+    assert err == "error: eta must keep the factor strictly between 1 and 12/7\n"
+    code, out, err = run(capsys, "oracle", "tightness", "--big-m", "1000000", "--gamma", "3")
+    assert code == 2 and out == ""
+    assert err == "error: gamma must sit in (0, 3) so the rates stay sorted\n"
+
+
 def test_state_cap_env(capsys, monkeypatch):
     monkeypatch.setenv("BAMBOO_STATE_CAP", "10")
     code, _, err = run(capsys, "oracle", "pinwheel", "100", "100", "100")

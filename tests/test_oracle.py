@@ -18,7 +18,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bamboo.model import BgtInstance, InvalidInstance, JobPeriod
+from bamboo.model import BgtInstance, InvalidInstance
 from bamboo.oracle import (
     StateSpaceTooLarge,
     _chain_base,
@@ -181,7 +181,7 @@ def assert_chain_proof(ps, x, verdicts):
     within its own period and never on a day another job has, and the
     reference search agrees (looked up in `verdicts` by multiset)."""
     rounded = [specialize_single(p, x) for p in ps]
-    schedule = schedule_chain(ChainInstance(tuple(JobPeriod(i, q) for i, q in enumerate(rounded))))
+    schedule = schedule_chain(ChainInstance(tuple(sorted((q, i) for i, q in enumerate(rounded)))))
     assert check_collisions(schedule).ok, ps
     assert all(max(e.offset, e.cycle) <= ps[e.job] for e in schedule.entries), ps
     key = tuple(sorted(ps))

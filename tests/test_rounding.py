@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from bamboo.model import JobPeriod, PseudoInstance
+from bamboo.model import PseudoInstance
 from bamboo.rounding import (
     CASE_RS,
     GENERAL_RS,
@@ -61,7 +61,7 @@ def test_specialize_single_lands_on_grid_within_factor_two(p, x):
 def test_specialize_instance_sorts_by_period_then_job():
     ps = PseudoInstance((Fraction(9), Fraction(5), Fraction(31, 7)))
     rounded = specialize_instance(floors(ps), 2)
-    assert rounded == (JobPeriod(1, 4), JobPeriod(2, 4), JobPeriod(0, 8))
+    assert rounded == ((4, 1), (4, 2), (8, 0))
 
 
 # ---------------------------------------------------------------- two-grid split
@@ -70,17 +70,17 @@ def test_specialize_instance_sorts_by_period_then_job():
 def test_split_23_worked_example():
     ps = PseudoInstance((Fraction(24, 7), Fraction(32, 7), Fraction(960, 7)))
     state = split_23(floors(ps))
-    assert state.b == (JobPeriod(1, 4), JobPeriod(2, 128))
-    assert state.c == (JobPeriod(0, 3),)
+    assert state.b == ((4, 1), (128, 2))
+    assert state.c == ((3, 0),)
     assert grid_density(state.b) == Fraction(33, 128)
     assert grid_density(state.c) == Fraction(1, 3)
 
 
 def test_split_23_grid_points():
     state = split_23(floors(PseudoInstance((Fraction(2),))))
-    assert state.b == (JobPeriod(0, 2),) and state.c == ()
+    assert state.b == ((2, 0),) and state.c == ()
     state = split_23(floors(PseudoInstance((Fraction(6),))))
-    assert state.b == () and state.c == (JobPeriod(0, 6),)
+    assert state.b == () and state.c == ((6, 0),)
 
 
 def test_split_23_rejects_short_periods():
@@ -88,9 +88,9 @@ def test_split_23_rejects_short_periods():
         split_23(floors(PseudoInstance((Fraction(3, 2),))))
 
 
-def assert_sorted_on_grid(items, on_grid):
-    assert list(items) == sorted(items, key=lambda jp: (jp.period, jp.job))
-    assert all(on_grid(jp.period) for jp in items)
+def assert_sorted_on_grid(pairs, on_grid):
+    assert list(pairs) == sorted(pairs)
+    assert all(on_grid(period) for period, _ in pairs)
 
 
 @given(st.lists(st.fractions(min_value=Fraction(2), max_value=Fraction(5000)), min_size=1, max_size=10))
@@ -106,17 +106,15 @@ def test_split_23_band_membership(periods):
     # every job exactly once
     ps = PseudoInstance(tuple(periods))
     state = split_23(floors(ps))
-    for jp in state.b:
-        p = ps.periods[jp.job]
-        assert jp.period <= p < Fraction(3, 2) * jp.period  # [2*2^j, 3*2^j)
-    for jp in state.c:
-        p = ps.periods[jp.job]
-        assert jp.period <= p < Fraction(4, 3) * jp.period  # [3*2^j, 4*2^j)
+    for period, job in state.b:
+        assert period <= ps.periods[job] < Fraction(3, 2) * period  # [2*2^j, 3*2^j)
+    for period, job in state.c:
+        assert period <= ps.periods[job] < Fraction(4, 3) * period  # [3*2^j, 4*2^j)
     norm = normalize(decompose(state), state)
     for b, c in ((state.b, state.c), (norm.bp, norm.cp)):
         assert_sorted_on_grid(b, on_two_grid)
         assert_sorted_on_grid(c, on_three_grid)
-        assert sorted(jp.job for jp in b + c) == list(range(ps.n))
+        assert sorted(job for _, job in b + c) == list(range(ps.n))
 
 
 # ---------------------------------------------------------------- decomposition
@@ -131,7 +129,7 @@ def split_state(periods_b, periods_c):
 def test_decompose_examples():
     dec = decompose(split_state([4, 128], [3]))
     assert (dec.r, dec.s) == (0, 1)
-    assert tuple(jp.period for jp in dec.p) == (4, 128)
+    assert tuple(period for period, _ in dec.p) == (4, 128)
     assert dec.q == ()
 
     dec = decompose(split_state([2], []))
@@ -140,8 +138,8 @@ def test_decompose_examples():
 
     dec = decompose(split_state([8], [6]))
     assert (dec.r, dec.s) == (0, 0)
-    assert tuple(jp.period for jp in dec.p) == (8,)
-    assert tuple(jp.period for jp in dec.q) == (6,)
+    assert tuple(period for period, _ in dec.p) == (8,)
+    assert tuple(period for period, _ in dec.q) == (6,)
 
 
 def test_decompose_fills_units_from_densest_periods():
@@ -149,7 +147,7 @@ def test_decompose_fills_units_from_densest_periods():
     # and the leftover P is the suffix of largest periods.
     dec = decompose(split_state([4, 8, 8, 16, 64], []))
     assert dec.r == 1
-    assert tuple(jp.period for jp in dec.p) == (16, 64)
+    assert tuple(period for period, _ in dec.p) == (16, 64)
     assert grid_density(dec.p) == Fraction(5, 64)
 
 
@@ -174,8 +172,8 @@ def test_decompose_invariants(exponents, three_side):
         leftover = dec.p
         pool = state.b
     # leftover is a sub-multiset, and sits at the large-period end
-    pool_periods = sorted(jp.period for jp in pool)
-    left_periods = sorted(jp.period for jp in leftover)
+    pool_periods = sorted(period for period, _ in pool)
+    left_periods = sorted(period for period, _ in leftover)
     assert left_periods == pool_periods[len(pool_periods) - len(left_periods):]
 
 
@@ -187,7 +185,7 @@ def test_normalize_case_a_witness():
     norm = normalize(decompose(state), state)
     assert norm.case == "a"
     assert norm.bp == ()
-    assert sorted(jp.period for jp in norm.cp) == [6, 6]
+    assert [period for period, _ in norm.cp] == [6, 6]
     assert norm.y == Fraction(1, 3)
 
 
@@ -195,8 +193,8 @@ def test_normalize_case_b_witness():
     state = split_state([4, 128], [3])
     norm = normalize(decompose(state), state)
     assert norm.case == "b"
-    assert sorted(jp.period for jp in norm.bp) == [4, 128]
-    assert sorted(jp.period for jp in norm.cp) == [3]
+    assert [period for period, _ in norm.bp] == [4, 128]
+    assert [period for period, _ in norm.cp] == [3]
     assert norm.y == Fraction(5, 6)
 
 
@@ -205,7 +203,7 @@ def test_normalize_case_c_witness():
     norm = normalize(decompose(state), state)
     assert norm.case == "c"
     assert norm.bp == ()
-    assert sorted(jp.period for jp in norm.cp) == [3, 6, 6]
+    assert [period for period, _ in norm.cp] == [3, 6, 6]
     assert norm.y == Fraction(2, 3)
 
 
@@ -291,7 +289,6 @@ def test_pipeline_keeps_periods_within_factor_two_below_origin(seed, parts):
     ps = pseudo_with_density(total, parts, rng)
     state, dec, norm = run_pipeline(ps)
     certificate(norm, ps.density)
-    for jp in norm.bp + norm.cp:
-        origin = ps.periods[jp.job]
-        assert jp.period <= origin < 2 * jp.period
-    assert {jp.job for jp in norm.bp + norm.cp} == set(range(ps.n))
+    for period, job in norm.bp + norm.cp:
+        assert period <= ps.periods[job] < 2 * period
+    assert {job for _, job in norm.bp + norm.cp} == set(range(ps.n))

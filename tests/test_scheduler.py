@@ -12,9 +12,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bamboo.cli import solution_to_obj
-from bamboo.model import BgtInstance, JobPeriod, PseudoInstance
+from bamboo.model import BgtInstance, JobPeriod, PeriodicSchedule, PseudoInstance, ScheduleEntry
 from bamboo.reduction import ReductionConfig, bgt_to_pseudo
-from bamboo.rounding import NormalizedState, decompose, normalize, pairs_of, split_23
+from bamboo.rounding import NormalizedState, decompose, normalize, split_23
 from bamboo.scheduler import (
     ChainInstance,
     NotAChain,
@@ -25,11 +25,11 @@ from bamboo.scheduler import (
     solve,
 )
 from bamboo.verifier import evaluate
-from helpers import floors, random_instance, reference_interleave, reference_solve, serves
+from helpers import floors, random_instance, reference_as_pairs, reference_interleave, reference_solve, serves
 
 
 def chain(*periods):
-    return ChainInstance(tuple(JobPeriod(i, p) for i, p in enumerate(periods)))
+    return ChainInstance(tuple(sorted((p, i) for i, p in enumerate(periods))))
 
 
 def entry_triples(schedule):
@@ -57,7 +57,7 @@ def test_chain_instance_validation():
         chain(0, 4)
     # bool is an int subclass; True must not pass as period 1
     with pytest.raises(NotAChain):
-        ChainInstance((JobPeriod(0, True),))
+        ChainInstance(((True, 0),))
 
 
 @pytest.mark.parametrize("bad", ["4", 4.0, True, 0])
@@ -66,35 +66,54 @@ def test_chain_instance_names_a_bad_period(bad):
     # int is named before the run search adds 1 to it, also inside a run
     first = 1 if bad is True else 4
     makes = [
-        lambda: ChainInstance((JobPeriod(0, bad),)),
-        lambda: ChainInstance.of_pairs(((bad, 0),)),
-        lambda: ChainInstance.of_pairs(((bad, 0), (8, 1))),
+        lambda: ChainInstance(((bad, 0),)),
+        lambda: ChainInstance(((bad, 0), (8, 1))),
     ]
     if bad != 0:
-        makes.append(lambda: ChainInstance.of_pairs(((first, 0), (bad, 1), (8, 2))))
+        makes.append(lambda: ChainInstance(((first, 0), (bad, 1), (8, 2))))
     for make in makes:
         with pytest.raises(NotAChain) as err:
             make()
         assert str(err.value) == f"period {bad!r} is not a positive integer"
 
 
-def test_chain_instance_of_pairs_refuses_unsorted_pairs():
+def test_chain_instance_refuses_unsorted_pairs():
     # unsorted pairs once passed the check and failed later, in `_cut`
     with pytest.raises(NotAChain) as err:
-        ChainInstance.of_pairs(((8, 0), (4, 1), (2, 2)))
+        ChainInstance(((8, 0), (4, 1), (2, 2)))
     assert str(err.value) == "pairs are not sorted: (4, 1) comes after (8, 0)"
     with pytest.raises(NotAChain) as err:
-        ChainInstance.of_pairs(((2, 0), (4, 1), (2, 2), (8, 3)))
+        ChainInstance(((2, 0), (4, 1), (2, 2), (8, 3)))
     assert str(err.value) == "pairs are not sorted: (2, 2) comes after (4, 1)"
+
+
+@pytest.mark.parametrize(
+    "pairs, message",
+    [
+        (((4, -1),), "job id -1 is not a non-negative integer"),
+        (((4, 0), (4, 0)), "job 0 appears twice"),
+        (((2, 0), (4, "a")), "job id 'a' is not a non-negative integer"),
+        (((2, True), (4, 1)), "job id True is not a non-negative integer"),
+        (((2, 1), (4, 0), (8, 1)), "job 1 appears twice"),
+    ],
+    ids=["negative", "repeated", "str", "bool", "repeated-across-runs"],
+)
+def test_chain_instance_refuses_bad_job_ids(pairs, message):
+    # job ids index the placement slots: a negative one once raised
+    # IndexError there, a repeated one gave one entry for two jobs and a
+    # str one a bare TypeError
+    with pytest.raises(NotAChain) as err:
+        schedule_chain(ChainInstance(pairs))
+    assert str(err.value) == message
 
 
 def test_partition_bins_examples():
     bins = partition_bins(chain(2, 4, 8, 8))
-    assert [[jp.period for jp in b] for b in bins] == [[2], [4, 8, 8]]
+    assert bins.pairs == (((2, 0),), ((4, 1), (8, 2), (8, 3)))
     bins = partition_bins(chain(3, 6, 6))
-    assert [[jp.period for jp in b] for b in bins] == [[3], [6, 6]]
+    assert bins.pairs == (((3, 0),), ((6, 1), (6, 2)))
     bins = partition_bins(chain(5))
-    assert [[jp.period for jp in b] for b in bins] == [[5]]
+    assert bins.pairs == (((5, 0),),)
 
 
 @given(st.lists(st.integers(min_value=0, max_value=7), min_size=1, max_size=10))
@@ -105,16 +124,16 @@ def test_partition_bins_respects_capacity(exponents):
         ch = chain(*periods)
     except Overdense:
         return
-    bins = partition_bins(ch)
+    bins = partition_bins(ch).pairs
     cap = Fraction(1, periods[0])
     assert len(bins) <= periods[0]
     for b in bins:
-        assert sum(Fraction(1, jp.period) for jp in b) <= cap
+        assert sum(Fraction(1, period) for period, _ in b) <= cap
     # consecutive slices of the sorted chain, every bin but the last full
-    assert tuple(jp for b in bins for jp in b) == ch.jobs
+    assert tuple(pair for b in bins for pair in b) == ch.pairs
     p_min, p_max = periods[0], periods[-1]
     for b in bins[:-1]:
-        assert sum(p_max // jp.period for jp in b) == p_max // p_min
+        assert sum(p_max // period for period, _ in b) == p_max // p_min
 
 
 def test_schedule_chain_examples():
@@ -153,7 +172,7 @@ def test_schedule_chain_is_collision_free_and_window_true(data):
         return
     s = schedule_chain(ch)
     # cycle equals the period exactly, offset stays within it
-    by_job = {jp.job: jp.period for jp in ch.jobs}
+    by_job = {job: period for period, job in ch.pairs}
     for e in s.entries:
         assert e.cycle == by_job[e.job]
         assert 1 <= e.offset <= e.cycle
@@ -210,10 +229,10 @@ def test_interleave_matches_reference_on_every_small_state():
     states = 0
     for size in range(6):
         for periods in itertools.combinations_with_replacement(grid, size):
-            jobs = [JobPeriod(i, p) for i, p in enumerate(periods)]
-            bp = tuple(jp for jp in jobs if jp.period % 3)
-            cp = tuple(jp for jp in jobs if jp.period % 3 == 0)
-            norm = NormalizedState(bp_pairs=pairs_of(bp), cp_pairs=pairs_of(cp), case="none", r=0, s=0)
+            pairs = sorted((p, i) for i, p in enumerate(periods))
+            bp = tuple(pair for pair in pairs if pair[0] % 3)
+            cp = tuple(pair for pair in pairs if pair[0] % 3 == 0)
+            norm = NormalizedState(bp=bp, cp=cp, case="none", r=0, s=0)
             assert _outcome(interleave, norm) == _outcome(reference_interleave, norm), periods
             states += 1
     assert states == 3003
@@ -245,7 +264,7 @@ def test_solve_factor_two_pipeline():
     sol = solve(BgtInstance.from_values([1, 1]), ReductionConfig(Fraction(2), "sum"))
     assert entry_triples(sol.schedule) == [(0, 1, 4), (1, 2, 4)]
     assert sol.height_bound == 4 == 2 * 2
-    assert sol.rounded == (JobPeriod(0, 4), JobPeriod(1, 4))
+    assert sol.rounded == ((4, 0), (4, 1))
     assert sol.normalized is None
 
 
@@ -277,8 +296,10 @@ def test_solve_verifies_and_meets_guarantee(seed):
         )
         assert report.ok
         assert report.sim_matches is True
-        # integer rates stay int inside; every reported value is a Fraction
-        reported = [sol.lower_bound, sol.guarantee, sol.height_bound, sol.density, *report.heights]
+        # integer rates stay int inside, per-job peaks included; every
+        # reported value is a Fraction
+        assert all(type(v) is int for v in report.peaks)
+        reported = [sol.lower_bound, sol.guarantee, sol.height_bound, sol.density]
         reported += [report.analytic_max, report.ratio, report.sim.max_height]
         if sol.normalized is not None:
             reported.append(sol.normalized.y)
@@ -323,18 +344,20 @@ def test_solve_matches_reference_stage_by_stage(rates, config_index):
     if isinstance(ref, tuple):
         assert got == ref
         return
-    assert solution_to_obj(got, include_trace=True) == solution_to_obj(ref, include_trace=True)
+    # the reference's `JobPeriod` lists as pairs in its own order, not
+    # re-sorted, so the stage order is compared too
+    ref_pairs = reference_as_pairs(ref)
+    assert solution_to_obj(got, include_trace=True) == solution_to_obj(ref_pairs, include_trace=True)
     assert got.schedule.entries == ref.schedule.entries
     for name in ("lower_bound", "height_bound", "guarantee", "config", "instance", "density", "rounded", "certified"):
-        assert getattr(got, name) == getattr(ref, name), name
+        assert getattr(got, name) == getattr(ref_pairs, name), name
     assert (got.split is None) == (ref.split is None)
     if ref.split is not None:
-        assert (got.split.b, got.split.c) == (ref.split.b, ref.split.c)
-        dec, ref_dec = got.decomposition, ref.decomposition
-        assert (dec.r, dec.p, dec.s, dec.q) == (ref_dec.r, ref_dec.p, ref_dec.s, ref_dec.q)
-        norm, ref_norm = got.normalized, ref.normalized
-        assert (norm.bp, norm.cp, norm.case, norm.r, norm.s) == (ref_norm.bp, ref_norm.cp, ref_norm.case, ref_norm.r, ref_norm.s)
-        assert norm.y == ref_norm.y and type(norm.y) is Fraction
+        assert got.split == ref_pairs.split
+        assert got.decomposition == ref_pairs.decomposition
+        assert got.normalized == ref_pairs.normalized
+        norm = got.normalized
+        assert norm.y == ref.normalized.y and type(norm.y) is Fraction
         assert norm.y_sixths == 6 * norm.y
     else:
         assert got.decomposition is ref.decomposition is None
@@ -343,23 +366,45 @@ def test_solve_matches_reference_stage_by_stage(rates, config_index):
 
 def test_reference_examples_reach_both_empty_sides():
     # the examples above really cover the one-sided interleave branches
-    for rates, side in (([1, 1], "bp_pairs"), ([3, 1, 1], "bp_pairs"), ([3, 3, 3, 1], "cp_pairs")):
+    for rates, side in (([1, 1], "bp"), ([3, 1, 1], "bp"), ([3, 3, 3, 1], "cp")):
         norm = solve(BgtInstance.from_values(rates)).normalized
         assert getattr(norm, side) == ()
-        assert norm.bp_pairs + norm.cp_pairs
+        assert norm.bp + norm.cp
 
 
 def test_stage_lists_are_built_on_first_read():
-    sol = solve(BgtInstance.from_values([9, 5, 4, 4, 2, 1]))
-    for record, names in ((sol.split, "bc"), (sol.decomposition, "pq"), (sol.normalized, ("bp", "cp"))):
-        for name in names:
-            assert name not in vars(record)
-            assert getattr(record, name) == tuple(JobPeriod(job, period) for period, job in getattr(record, f"{name}_pairs"))
-            assert getattr(record, name) is getattr(record, name)
-    chain = ChainInstance((JobPeriod(2, 8), JobPeriod(0, 4), JobPeriod(1, 4)))
+    chain = ChainInstance(((4, 0), (4, 1), (8, 2)))
     assert chain.pairs == ((4, 0), (4, 1), (8, 2))
-    assert chain == ChainInstance.of_pairs(chain.pairs)
+    assert "jobs" not in vars(chain)
     assert chain.jobs == (JobPeriod(0, 4), JobPeriod(1, 4), JobPeriod(2, 8))
+    assert chain.jobs is chain.jobs
+
+
+def test_views_the_benchmark_reads():
+    # perfbench's traced counters and its tamper step read these objects,
+    # the JobPeriod and entry views only for it; perfbench is not Tier-1
+    ch = chain(2, 4, 8, 8)
+    assert ch.jobs[0].period == 2 and ch.jobs[-1].period == 8
+    bins = partition_bins(ch)
+    assert len(bins) == 2
+    assert [[jp.period for jp in b] for b in bins] == [[2], [4, 8, 8]]
+    assert bins[1] == (JobPeriod(1, 4), JobPeriod(2, 8), JobPeriod(3, 8))
+    instance = BgtInstance.from_values(["4", "3", "0.1"])
+    state = split_23(floors(bgt_to_pseudo(instance)))
+    assert (len(state.b), len(state.c)) == (2, 1)
+    assert normalize(decompose(state), state).case == "b"
+    sol = solve(instance)
+    entries = sol.schedule.entries
+    assert entries == (ScheduleEntry(0, 2, 2), ScheduleEntry(1, 1, 4), ScheduleEntry(2, 3, 128))
+    assert PeriodicSchedule(entries) == sol.schedule
+    # tamper: the second entry moved onto the first one's offset
+    moved = ScheduleEntry(entries[1].job, entries[0].offset, entries[1].cycle)
+    tampered = PeriodicSchedule((entries[0], moved, *entries[2:]))
+    assert tampered.entries == (entries[0], moved, *entries[2:])
+    assert evaluate(instance, sol.schedule, pseudo=bgt_to_pseudo(instance)).ok
+    report = evaluate(instance, tampered, pseudo=bgt_to_pseudo(instance), lower_bound_value=sol.lower_bound)
+    assert not report.ok and [(c.job_a, c.job_b) for c in report.collisions.collisions] == [(0, 1)]
+    assert solution_to_obj(sol)["entries"] == [{"job": e.job, "offset": e.offset, "cycle": e.cycle} for e in entries]
 
 
 # ------------------------------------------------- output checks under -O
