@@ -185,7 +185,9 @@ class PeriodicSchedule:
     order given and before the sort by job; job ids are non-negative and
     distinct; offsets and cycles are positive. Each rule is a native pass
     over the columns, and only a failed pass scans them to name the first
-    fault. The builders establish offset <= cycle and check it themselves.
+    fault. The scheduler's builders hand over their columns in placement
+    order, so this is also the one check of the job ids they place. They
+    establish offset <= cycle and check it themselves.
     """
 
     jobs: tuple[int, ...]

@@ -22,7 +22,8 @@ period, densest first, ties by job id. Each stage record holds its lists
 as such pairs under the names the paper gives them (`b`, `p`, `bp`, ...).
 Every period is put on its grid by the arithmetic that builds it; no
 stage re-checks the order or the grid. `scheduler.ChainInstance` is the
-one check, where the lists are consumed.
+one check of the chain rules, where the lists are consumed; the schedule
+they are placed into is the one check of their job ids.
 """
 
 from __future__ import annotations
@@ -65,8 +66,8 @@ CASE_RS: dict[str, frozenset[tuple[int, int]]] = {
 def specialize_single(p: Fraction | int, x: int) -> int:
     """The largest x * 2^j (j >= 0) that does not exceed p. Grid points are
     integers, so 2^j is the top bit of floor(p) // x. Needs p >= x."""
-    if not isinstance(x, int) or x < 1:
-        raise ValueError(f"grid base must be a positive integer, got {x!r}")
+    if type(x) is not int or x < 1:
+        raise InvalidInstance(f"grid base must be a positive integer, got {x!r}")
     m = math.floor(p)
     if m < x:
         raise UnroundablePeriod(f"period {p} lies below the smallest {{{x}, {2*x}, {4*x}, ...}} grid point")

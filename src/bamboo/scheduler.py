@@ -15,9 +15,10 @@ half of the calendar.
 The chains arrive from rounding as sorted (period, job) int pairs. Jobs
 of one period sit in one run, so bins are cut and weighed a run at a
 time, and a bin of one period places its jobs side by side without
-cutting. Placement writes each job's offset and cycle into per-job int
-lists, which become the schedule's int columns
-(`PeriodicSchedule.of_columns`); no `ScheduleEntry` is built.
+cutting. Placement appends each job's id, offset and cycle to three int
+lists, in placement order; they become the schedule's int columns
+(`PeriodicSchedule.of_columns`, which sorts them by job and is the one
+check of job ids); no `ScheduleEntry` is built.
 
 `solve` keeps each stage's value as a typed field of its `Solution`; only
 the CLI renders them, for `--explain`. Its output checks raise
@@ -26,7 +27,6 @@ the CLI renders them, for `--explain`. Its output checks raise
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -51,7 +51,7 @@ from .rounding import (
 
 
 class NotAChain(InvalidInstance):
-    """Jobs that do not form a divides chain, or have a bad period or job id."""
+    """Jobs that do not form a divides chain, or have a bad period."""
 
 
 class Overdense(InvalidInstance):
@@ -63,11 +63,11 @@ class ChainInstance:
     """Jobs with integral periods forming a divides chain of density <= 1.
 
     Held as `pairs`, (period, job) int pairs sorted as rounding sorts them.
-    `__post_init__` is the one check of the lists rounding builds, in
-    integers and once per run of one period, so the scheduling pass below
-    can take them for granted: the periods in order and dividing each
-    other, the job ids distinct non-negative ints. With P the largest
-    period, density <= 1 reads sum(P // p) <= P, as every period divides P.
+    `__post_init__` is the one check of the chain rules, in integers and
+    once per run of one period, so the scheduling pass below can take them
+    for granted: the periods in order and dividing each other. With P the
+    largest period, density <= 1 reads sum(P // p) <= P, as every period
+    divides P. Job ids are only carried along; the schedule checks them.
     """
 
     pairs: Pairs
@@ -75,21 +75,11 @@ class ChainInstance:
     def __post_init__(self) -> None:
         pairs = self.pairs
         column = list(map(itemgetter(0), pairs))
-        jobs = list(map(itemgetter(1), pairs))
         # name a period that is no plain int before `_runs` adds 1 to it;
         # of sorted int pairs each run holds one period, checked once
         if not set(map(type, column)) <= {int}:
             for period in column:
                 int_period(period, NotAChain)
-        # `_place` writes each job's slot by its id: one slot per job
-        if not set(map(type, jobs)) <= {int} or (jobs and min(jobs) < 0) or len(set(jobs)) < len(jobs):
-            seen: set[int] = set()
-            for job in jobs:
-                if type(job) is not int or job < 0:
-                    raise NotAChain(f"job id {job!r} is not a non-negative integer")
-                if job in seen:
-                    raise NotAChain(f"job {job} appears twice")
-                seen.add(job)
         # `_runs` bisects on the periods, so they must come in order
         if sorted(column) != column:
             i = next(i for i, (a, b) in enumerate(zip(column, column[1:])) if a > b)
@@ -169,45 +159,33 @@ def partition_bins(chain: ChainInstance) -> Bins:
     return bins
 
 
-def _slots(*sides: Pairs) -> tuple[list[int], list[int]]:
-    """Offset and cycle lists indexed by job id, up to the largest job on
-    the sides, all 0 until a job is placed."""
-    size = 1 + max(map(itemgetter(1), itertools.chain(*sides)), default=-1)
-    return [0] * size, [0] * size
-
-
-def _place(chain: ChainInstance, first: int, spacing: int, offsets: list[int], cycles: list[int]) -> None:
+def _place(chain: ChainInstance, first: int, spacing: int, columns: tuple[list[int], list[int], list[int]]) -> None:
     # One pass over a stack of (pairs, offset, step) frames: a frame owns the
     # days congruent to offset mod step, and bin j of its jobs takes the days
     # offset + j * step mod the period of the frame's first job. Top-level
     # bin j starts on day first + j * spacing and repeats every p_min days.
     # A frame of one period has a bin per job, and each job owns its bin's
-    # days outright: its offset and cycle go into the per-job lists.
+    # days outright: its id, offset and cycle are appended to the columns.
+    add_job, add_offset, add_cycle = (column.append for column in columns)
     frames = [(b, first + j * spacing, chain.pairs[0][0]) for j, b in enumerate(partition_bins(chain).pairs)]
     while frames:
         pairs, offset, step = frames.pop()
         period = pairs[0][0]
         if period == pairs[-1][0]:
             for _, job in pairs:
-                offsets[job] = offset
-                cycles[job] = period
+                add_job(job)
+                add_offset(offset)
+                add_cycle(period)
                 offset += step
         else:
             frames.extend((b, offset + j * step, period) for j, b in enumerate(_cut(pairs)))
 
 
-def _schedule(offsets: list[int], cycles: list[int]) -> PeriodicSchedule:
-    # the columns in job order; a job id that no chain placed keeps cycle 0
-    # and is left out
-    placed = [list(itertools.compress(column, cycles)) for column in (range(len(cycles)), offsets, cycles)]
-    return PeriodicSchedule.of_columns(*placed)
-
-
 def schedule_chain(chain: ChainInstance) -> PeriodicSchedule:
     """Collision-free schedule with cycle == period for every chain job."""
-    offsets, cycles = _slots(chain.pairs)
-    _place(chain, 1, 1, offsets, cycles)
-    return _schedule(offsets, cycles)
+    columns = [], [], []
+    _place(chain, 1, 1, columns)
+    return PeriodicSchedule.of_columns(*columns)
 
 
 def interleave(norm: NormalizedState) -> PeriodicSchedule:
@@ -223,7 +201,8 @@ def interleave(norm: NormalizedState) -> PeriodicSchedule:
     sides non-empty, y <= 1 (6y <= 6 in integers) forces both ceilings to
     1, that is rho(B') <= 1/2 and rho(C') <= 1/3, so each side fits its
     half of the calendar. `ChainInstance` checks each side's chain as it
-    is consumed.
+    is consumed, and the schedule checks the job ids of both sides
+    together: an id that B' and C' share is refused there.
     """
     if norm.y_sixths > 6:
         raise CertificateViolation(f"certificate y = {norm.y} exceeds 1; interleave has no calendar for this")
@@ -232,15 +211,15 @@ def interleave(norm: NormalizedState) -> PeriodicSchedule:
         return schedule_chain(ChainInstance(bp))
     if not bp:
         return schedule_chain(ChainInstance(cp))
-    offsets, cycles = _slots(bp, cp)
-    _place(ChainInstance(bp), 1, 2, offsets, cycles)
+    columns = [], [], []
+    _place(ChainInstance(bp), 1, 2, columns)
     if cp[0][0] == 3:
         assert len(cp) == 1, "a period-3 job only fits the density budget alone"
-        job = cp[0][1]
-        offsets[job] = cycles[job] = 2
+        for column, value in zip(columns, (cp[0][1], 2, 2)):
+            column.append(value)
     else:
-        _place(ChainInstance(cp), 2, 2, offsets, cycles)
-    return _schedule(offsets, cycles)
+        _place(ChainInstance(cp), 2, 2, columns)
+    return PeriodicSchedule.of_columns(*columns)
 
 
 @dataclass(frozen=True)
@@ -255,8 +234,9 @@ class Solution:
     <= 7/12, so the certificate checks ran) on the two-grid path. Fields a
     path does not reach stay None or False. Each stage holds its job lists
     (`rounded`, `split.b`, `normalized.bp`, ...) as the sorted (period, job)
-    int pairs the stage built. `ChainInstance` is where the lists are
-    checked, and `normalized.y` is derived from B' and C'."""
+    int pairs the stage built. `ChainInstance` checks the chain rules of
+    the lists and `schedule` their job ids, and `normalized.y` is derived
+    from B' and C'."""
 
     schedule: PeriodicSchedule
     lower_bound: Fraction

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from bamboo.model import PseudoInstance
+from bamboo.model import InvalidInstance, PseudoInstance
 from bamboo.rounding import (
     CASE_RS,
     GENERAL_RS,
@@ -43,6 +43,18 @@ def test_specialize_single_examples():
     assert specialize_single(2, 2) == 2
     with pytest.raises(UnroundablePeriod):
         specialize_single(Fraction(5, 2), 3)
+
+
+@pytest.mark.parametrize("base", [True, 0, 2.0])
+def test_specialize_single_refuses_a_bad_base(base):
+    # bool is an int subclass: True once passed as base 1 and rounded 5 to 4
+    message = f"grid base must be a positive integer, got {base!r}"
+    with pytest.raises(InvalidInstance) as err:
+        specialize_single(5, base)
+    assert str(err.value) == message
+    with pytest.raises(InvalidInstance) as err:
+        specialize_instance([5, 6], base)
+    assert str(err.value) == message
 
 
 @given(

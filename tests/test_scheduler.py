@@ -12,7 +12,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bamboo.cli import solution_to_obj
-from bamboo.model import BgtInstance, JobPeriod, PeriodicSchedule, PseudoInstance, ScheduleEntry
+from bamboo.model import (
+    BgtInstance,
+    InvalidInstance,
+    JobPeriod,
+    PeriodicSchedule,
+    PseudoInstance,
+    ScheduleEntry,
+    schedule_from_obj,
+)
 from bamboo.reduction import ReductionConfig, bgt_to_pseudo
 from bamboo.rounding import NormalizedState, decompose, normalize, split_23
 from bamboo.scheduler import (
@@ -87,24 +95,54 @@ def test_chain_instance_refuses_unsorted_pairs():
     assert str(err.value) == "pairs are not sorted: (2, 2) comes after (4, 1)"
 
 
+def schedule_sides(sides):
+    # one side is a chain for schedule_chain; two are B' and C' for interleave
+    if len(sides) == 1:
+        return schedule_chain(ChainInstance(sides[0]))
+    return interleave(NormalizedState(*sides, "none", 0, 0))
+
+
 @pytest.mark.parametrize(
-    "pairs, message",
+    "sides, message",
     [
-        (((4, -1),), "job id -1 is not a non-negative integer"),
-        (((4, 0), (4, 0)), "job 0 appears twice"),
-        (((2, 0), (4, "a")), "job id 'a' is not a non-negative integer"),
-        (((2, True), (4, 1)), "job id True is not a non-negative integer"),
-        (((2, 1), (4, 0), (8, 1)), "job 1 appears twice"),
+        ([((4, -1),)], "job id -1 is negative"),
+        ([((4, 0), (4, 0))], "job 0 appears twice"),
+        ([((2, 0), (4, "a"))], "entry field \"job\" must be an integer, got 'a'"),
+        ([((2, True), (4, 1))], "entry field \"job\" must be an integer, got True"),
+        ([((2, 1), (4, 0), (8, 1))], "job 1 appears twice"),
+        ([((4, 0),), ((3, -1),)], "job id -1 is negative"),
+        ([((4, 0),), ((6, 0),)], "job 0 appears twice"),
+        ([((4, "a"),), ((6, 1),)], "entry field \"job\" must be an integer, got 'a'"),
     ],
-    ids=["negative", "repeated", "str", "bool", "repeated-across-runs"],
+    ids=[
+        "negative",
+        "repeated",
+        "str",
+        "bool",
+        "repeated-across-runs",
+        "interleave-negative-period-3",
+        "interleave-shared",
+        "interleave-str",
+    ],
 )
-def test_chain_instance_refuses_bad_job_ids(pairs, message):
-    # job ids index the placement slots: a negative one once raised
-    # IndexError there, a repeated one gave one entry for two jobs and a
-    # str one a bare TypeError
-    with pytest.raises(NotAChain) as err:
-        schedule_chain(ChainInstance(pairs))
+def test_builders_refuse_bad_job_ids(sides, message):
+    # the schedule is the one check of job ids, on both sides of an
+    # interleave at once: a shared id once overwrote the other side's slot,
+    # the lone period-3 job of C' went unchecked and a str id raised a bare
+    # TypeError; the message is the one schedule JSON gets for the same ids
+    with pytest.raises(InvalidInstance) as err:
+        schedule_sides(sides)
     assert str(err.value) == message
+    entries = [{"job": job, "offset": 1, "cycle": 1} for side in sides for _, job in side]
+    with pytest.raises(InvalidInstance) as err:
+        schedule_from_obj(entries)
+    assert str(err.value) == message
+
+
+def test_schedule_chain_places_any_int_job_id():
+    # placement appends ids: no list is sized by the largest one
+    schedule = schedule_chain(ChainInstance(((4, 10**20),)))
+    assert (schedule.jobs, schedule.offsets, schedule.cycles) == ((10**20,), (1,), (4,))
 
 
 def test_partition_bins_examples():
