@@ -24,15 +24,18 @@ def _over_digit_limit(exc: ValueError) -> bool:
 
 
 def _read_json(path: str) -> object:
+    source = "stdin" if path == "-" else path
     try:
         if path == "-":
             return json.load(sys.stdin)
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
+    except UnicodeDecodeError as exc:
+        # a ValueError too, so it is caught before the clause below re-raises it
+        raise InvalidInstance(f"cannot decode {source}: {exc}") from exc
     except ValueError as exc:
         if not _over_digit_limit(exc):
             raise
-        source = "stdin" if path == "-" else path
         limit = sys.get_int_max_str_digits()
         raise InvalidInstance(f"{source} holds an integer of more than {limit} digits") from exc
 

@@ -12,13 +12,15 @@ period and `PeriodicSchedule`, which holds a schedule as int columns, the
 one check of schedule entries and the one home of the coverage rule
 (`covers`). The lower bound lives in `reduction.scaled` and the
 simulation horizon in `verifier.default_horizon`.
+
+Every value class of the package is a `record`: immutable, compared,
+hashed and printed by its fields.
 """
 
 from __future__ import annotations
 
 import itertools
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import attrgetter, lt
@@ -27,6 +29,62 @@ from typing import Iterable, Sequence
 
 class InvalidInstance(ValueError):
     """An instance, pseudo-instance, or schedule violates a basic invariant."""
+
+
+def _values(self) -> tuple:
+    return tuple([getattr(self, name) for name in self._fields])
+
+
+def _eq(self, other: object) -> bool:
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    return _values(self) == _values(other)
+
+
+def _hash(self) -> int:
+    return hash(_values(self))
+
+
+def _repr(self) -> str:
+    fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+    return f"{type(self).__qualname__}({fields})"
+
+
+def _setattr(self, name: str, value: object) -> None:
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
+def _delattr(self, name: str) -> None:
+    raise AttributeError(f"cannot delete field {name!r}")
+
+
+def record(cls: type | None = None, *, init: bool = True):
+    """Make `cls` an immutable value class over its annotated fields, in
+    order: equal to a record of the same class with equal fields, hashed
+    and printed by them, and refusing to assign or delete an attribute.
+    The `__init__` (unless `init=False` keeps the class's own) takes the
+    fields positionally or by keyword, defaults from the class body, sets
+    each with `object.__setattr__` and then calls `self.__post_init__()`,
+    if the class has one; it is looked up on each call, so a hook wrapped
+    on the class later runs too. The comparison methods are shared by
+    every record and read the field names from `_fields`; only `__init__`
+    is compiled, once per class."""
+    if cls is None:
+        return lambda cls: record(cls, init=init)
+    cls._fields = fields = tuple(cls.__dict__.get("__annotations__", ()))
+    if init:
+        lines = [f"def __init__(self, {', '.join(fields)}):"]
+        lines += [f"    _set(self, {name!r}, {name})" for name in fields]
+        if hasattr(cls, "__post_init__"):
+            lines.append("    self.__post_init__()")
+        namespace: dict = {}
+        exec("\n".join(lines), {"_set": object.__setattr__}, namespace)
+        cls.__init__ = namespace["__init__"]
+        cls.__init__.__defaults__ = tuple(cls.__dict__[name] for name in fields if name in cls.__dict__) or None
+        cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+    cls.__eq__, cls.__hash__, cls.__repr__ = _eq, _hash, _repr
+    cls.__setattr__, cls.__delattr__ = _setattr, _delattr
+    return cls
 
 
 def _int_if_integral(value: Fraction) -> int | Fraction:
@@ -69,7 +127,7 @@ def parse_rational(value: object) -> int | Fraction:
     raise InvalidInstance(f"cannot parse a rational from a {type(value).__name__}")
 
 
-@dataclass(frozen=True)
+@record
 class BgtInstance:
     """A garden of bamboos: growth rates per day, sorted non-increasing.
 
@@ -99,7 +157,7 @@ class BgtInstance:
         return len(self.rates)
 
 
-@dataclass(frozen=True)
+@record
 class PseudoInstance:
     """Fractional pinwheel periods, parallel to the job ids of the source
     instance. Like rates, each period is an `int` when integral and a
@@ -153,7 +211,7 @@ def int_period(p: object, error: type[InvalidInstance] = InvalidInstance) -> int
     return p
 
 
-@dataclass(frozen=True)
+@record
 class JobPeriod:
     """One job paired with an integral period (a rounded or scaled value)."""
 
@@ -161,7 +219,7 @@ class JobPeriod:
     period: int
 
 
-@dataclass(frozen=True)
+@record
 class ScheduleEntry:
     """Job `job` is served on days offset, offset+cycle, offset+2*cycle, ..."""
 
@@ -170,10 +228,7 @@ class ScheduleEntry:
     cycle: int
 
 
-_FIELDS = ("job", "offset", "cycle")
-
-
-@dataclass(frozen=True, init=False)
+@record(init=False)
 class PeriodicSchedule:
     """One entry per job, held as int columns sorted by job id: `jobs`,
     `offsets` and `cycles`, as `of_columns` takes them. perfbench reads
@@ -196,7 +251,7 @@ class PeriodicSchedule:
 
     def __init__(self, entries: Iterable[ScheduleEntry]) -> None:
         entries = tuple(entries)
-        self._hold(*(tuple(map(attrgetter(name), entries)) for name in _FIELDS))
+        self._hold(*(tuple(map(attrgetter(name), entries)) for name in ScheduleEntry._fields))
         self.__post_init__()
 
     @classmethod
@@ -207,7 +262,7 @@ class PeriodicSchedule:
         return schedule
 
     def _hold(self, *columns: Sequence[int]) -> None:
-        for name, column in zip(("jobs", "offsets", "cycles"), columns):
+        for name, column in zip(self._fields, columns):
             object.__setattr__(self, name, column)
 
     def __post_init__(self) -> None:
@@ -215,7 +270,7 @@ class PeriodicSchedule:
         if len(set(map(len, columns))) > 1:
             raise InvalidInstance("schedule columns differ in length")
         if not set(map(type, itertools.chain(*columns))) <= {int}:
-            name, v = next((k, v) for row in zip(*columns) for k, v in zip(_FIELDS, row) if type(v) is not int)
+            name, v = next((k, v) for row in zip(*columns) for k, v in zip(ScheduleEntry._fields, row) if type(v) is not int)
             raise InvalidInstance(f'entry field "{name}" must be an integer, got {v!r}')
         jobs = columns[0]
         if not all(map(lt, jobs, jobs[1:])):

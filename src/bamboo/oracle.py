@@ -41,11 +41,10 @@ import bisect
 import heapq
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .model import BgtInstance, InvalidInstance, density, int_period, parse_rational
+from .model import BgtInstance, InvalidInstance, density, int_period, parse_rational, record
 from .reduction import ReductionConfig, bgt_to_pseudo, scaled
 from .rounding import specialize_single
 
@@ -56,7 +55,7 @@ class StateSpaceTooLarge(RuntimeError):
     """The deadline-vector space exceeds the configured cap."""
 
 
-@dataclass(frozen=True)
+@record
 class PinwheelResult:
     feasible: bool
     # one block of a repeating day assignment (job ids), valid from day 1

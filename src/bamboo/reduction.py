@@ -13,10 +13,9 @@ callers that read them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import BgtInstance, InvalidInstance, PseudoInstance, parse_rational
+from .model import BgtInstance, InvalidInstance, PseudoInstance, parse_rational, record
 
 
 class PeriodBelowTwo(InvalidInstance):
@@ -25,7 +24,7 @@ class PeriodBelowTwo(InvalidInstance):
     mode, factor 12/7) when one rate dominates the garden."""
 
 
-@dataclass(frozen=True)
+@record
 class ReductionConfig:
     """Pipeline knobs. factor 12/7 with the max-rule bound is the default
     guarantee; factor 2 with the plain sum is the simpler fallback. Other
@@ -46,7 +45,7 @@ class ReductionConfig:
 DEFAULT_CONFIG = ReductionConfig()
 
 
-@dataclass(frozen=True)
+@record
 class ScaledGarden:
     """A garden and a config in integers, the form the solver decides on.
 

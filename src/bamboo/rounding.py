@@ -30,12 +30,11 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterator, Sequence
 
-from .model import InvalidInstance
+from .model import InvalidInstance, record
 
 # jobs as (period, job) int pairs, sorted: period first, ties by job id
 Pairs = tuple[tuple[int, int], ...]
@@ -105,7 +104,7 @@ def specialize_instance(floors: Sequence[int], x: int) -> Pairs:
     return tuple(sorted((specialize_single(m, x), job) for job, m in enumerate(floors)))
 
 
-@dataclass(frozen=True)
+@record
 class SpecializedState:
     """Outcome of the two-grid split: B on powers of two, C on 3 * powers of
     two, each as sorted (period, job) pairs (`split_23` builds them so)."""
@@ -137,7 +136,7 @@ def split_23(floors: Sequence[int]) -> SpecializedState:
     return SpecializedState(tuple(b), tuple(c))
 
 
-@dataclass(frozen=True)
+@record
 class Decomposition:
     """rho(B) written as r/2 + rho(P) with 0 <= rho(P) < 1/2 (P a sub-multiset
     of B, its suffix), and rho(C) as s/3 + rho(Q) likewise. P and Q are kept
@@ -186,7 +185,7 @@ def _sixths(bp: Pairs, cp: Pairs) -> int:
     return 3 * -(-2 * wb // tb) + 2 * -(-3 * wc // tc)
 
 
-@dataclass(frozen=True)
+@record
 class NormalizedState:
     """B' and C' after the leftover densities have been redistributed.
 

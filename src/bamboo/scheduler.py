@@ -27,12 +27,11 @@ the CLI renders them, for `--explain`. Its output checks raise
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import gt, itemgetter, mul
 
-from .model import BgtInstance, InvalidInstance, JobPeriod, PeriodicSchedule, PseudoInstance, int_period
+from .model import BgtInstance, InvalidInstance, JobPeriod, PeriodicSchedule, PseudoInstance, int_period, record
 from .reduction import DEFAULT_CONFIG, ReductionConfig, bgt_to_pseudo, scaled
 from .rounding import (
     CertificateViolation,
@@ -58,7 +57,7 @@ class Overdense(InvalidInstance):
     """Density exceeds 1, so no schedule can serve every job in time."""
 
 
-@dataclass(frozen=True)
+@record
 class ChainInstance:
     """Jobs with integral periods forming a divides chain of density <= 1.
 
@@ -222,7 +221,7 @@ def interleave(norm: NormalizedState) -> PeriodicSchedule:
     return PeriodicSchedule.of_columns(*columns)
 
 
-@dataclass(frozen=True)
+@record
 class Solution:
     """A schedule plus its exact accounting: the lower bound L used, the
     analytic max height actually reached, and the promised ceiling

@@ -1,28 +1,34 @@
 """Independent checks on periodic schedules.
 
 Nothing here trusts the builders: collisions are decided by congruence
-arithmetic, heights by the closed form h * max(offset, cycle), and both
-are cross-checked by a simulation over a finite horizon (`simulate`, one
-byte of calendar per day). Every check reads the schedule's int columns
-(`jobs`, `offsets`, `cycles`, sorted by job) and is close to linear in
-their length but the simulation: collisions are searched only between
-cycles whose residue classes meet, and the job set is 0..n-1 when there
-are n jobs and the last is n - 1. The checks decide in integers: windows
-compare offsets and cycles with the int floors of the periods, and the
-per-job peaks stay `int` for an integer garden; a report builds
-`Fraction`s only for its maximum and ratio.
+arithmetic and heights by the closed form h * max(offset, cycle). A
+simulation over a finite horizon (`simulate`, one byte of calendar per
+day) marks every cut, so its double-booked days cross-check the
+collisions. It does not cross-check the heights: it takes each peak from
+the entry's own gaps, and once offset + cycle fits the horizon that gap
+arithmetic gives exactly h * max(offset, cycle) while the tail is shorter
+than the cycle. So `sim_matches` cannot be False on a conclusive horizon;
+only `double_booked_days` comes from the calendar.
+
+Every check reads the schedule's int columns (`jobs`, `offsets`,
+`cycles`, sorted by job) and is close to linear in their length but the
+simulation: collisions are searched only between cycles whose residue
+classes meet, and the job set is 0..n-1 when there are n jobs and the
+last is n - 1. The checks decide in integers: windows compare offsets
+and cycles with the int floors of the periods, and the per-job peaks
+stay `int` for an integer garden; a report builds `Fraction`s only for
+its maximum and ratio.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, gt
 from typing import AbstractSet
 
-from .model import BgtInstance, InvalidInstance, PeriodicSchedule, PseudoInstance
+from .model import BgtInstance, InvalidInstance, PeriodicSchedule, PseudoInstance, record
 from .reduction import ScaledGarden
 
 DEFAULT_HORIZON_CAP = 10**6
@@ -35,14 +41,14 @@ class HorizonOverflow(InvalidInstance):
     """Requested simulation horizon exceeds DEFAULT_HORIZON_CAP."""
 
 
-@dataclass(frozen=True)
+@record
 class Collision:
     job_a: int
     job_b: int
     day: int
 
 
-@dataclass(frozen=True)
+@record
 class CollisionReport:
     collisions: tuple[Collision, ...]
 
@@ -79,10 +85,13 @@ def check_collisions(schedule: PeriodicSchedule) -> CollisionReport:
     cycle, equal residues collide. Across two cycles with gcd g, the sets
     of their residues modulo g are tested for a common class first (a
     cycle's own residues when g is the cycle, otherwise a set built once
-    per (cycle, g)), and only a pair of cycles that shares a class is
-    searched for its colliding entries. For K distinct cycles that is
-    K^2 / 2 set tests, one pass over a cycle's residues per other gcd it
-    has (O(K * n) at worst), and work in proportion to the collisions.
+    per (cycle, g), reduced from the set modulo 2g when that is built and
+    from the cycle's residues otherwise; the cycles meet from the largest
+    down, so on the solver's doubling grids the set modulo 2g usually
+    is), and only a pair of cycles that shares a class is searched for its
+    colliding entries. For K distinct cycles that is K^2 / 2 set tests,
+    one pass over at most a cycle's residues per other gcd it has
+    (O(K * n) at worst), and work in proportion to the collisions.
     """
     jobs, offsets, cycles = schedule.jobs, schedule.offsets, schedule.cycles
     groups: dict[int, dict[int, list[int]]] = {}
@@ -100,12 +109,19 @@ def check_collisions(schedule: PeriodicSchedule) -> CollisionReport:
             return groups[cycle].keys()
         cached = classes.get((cycle, g))
         if cached is None:
-            cached = classes[cycle, g] = frozenset(r % g for r in groups[cycle])
+            # the set modulo 2g, once built, has the residues modulo g of all
+            # the cycle's residues and is at most 2g long
+            source = classes.get((cycle, 2 * g)) or groups[cycle]
+            cached = classes[cycle, g] = frozenset(r % g for r in source)
         return cached
 
-    for (c1, residues1), (c2, residues2) in itertools.combinations(groups.items(), 2):
+    # larger cycles first: each cycle meets the others from the largest down,
+    # so on a doubling grid its set modulo 2g is built before the one modulo g
+    for (c1, residues1), (c2, residues2) in itertools.combinations(sorted(groups.items(), reverse=True), 2):
         g = math.gcd(c1, c2)
-        if residue_classes(c1, g).isdisjoint(residue_classes(c2, g)):
+        # only c2 < c1 can give its own residues, a dict view, which
+        # isdisjoint would scan in full as the argument
+        if residue_classes(c2, g).isdisjoint(residue_classes(c1, g)):
             continue
         by_class: dict[int, list[int]] = {}
         for r, bucket in residues1.items():
@@ -151,7 +167,7 @@ def _repeat(view: memoryview, period: int, end: int) -> None:
         period += step
 
 
-@dataclass(frozen=True)
+@record
 class SimReport:
     max_height: Fraction
     argmax_day: int
@@ -275,7 +291,7 @@ def simulate(
     )
 
 
-@dataclass(frozen=True)
+@record
 class VerificationReport:
     collisions: CollisionReport
     jobs_ok: bool

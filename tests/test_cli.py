@@ -424,6 +424,19 @@ def test_input_integer_over_digit_limit_names_the_input(tmp_path, capsys):
         assert str(named) in err and "printed" not in err, argv
 
 
+def test_input_not_utf8_names_the_input(tmp_path, capsys):
+    # a UnicodeDecodeError is a ValueError: it must not escape as a traceback
+    # with exit 1, the code of a failed verification
+    inst = write_json(tmp_path, "inst.json", WORKED)
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe{}")
+    for argv in (["solve", "-i", str(binary)], ["verify", "-i", inst, "--schedule", str(binary)]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error:") and err.count("\n") == 1, argv
+        assert str(binary) in err, argv
+
+
 def test_other_value_errors_still_raise(tmp_path, monkeypatch):
     def boom(*args, **kwargs):
         raise ValueError("boom")
