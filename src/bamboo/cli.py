@@ -1,5 +1,5 @@
 """Command-line front end. Exit codes: 0 success, 1 verification failure,
-2 input or usage error."""
+2 input or usage error, 3 verification inconclusive."""
 
 from __future__ import annotations
 
@@ -46,34 +46,39 @@ def _read_json(path: str) -> object:
 _LONG_LISTS = frozenset(("entries", "collisions", "per_job_heights", "double_booked_days"))
 
 
-def _render_list(items: list) -> str:
-    """json.dumps(items, indent=2) for a list that is the value of a
-    top-level key: ints, strs, or flat dicts of ints that share one key
-    order."""
+def _render_list(items: list, indent: str) -> str:
+    """json.dumps(items, indent=2) for a list that is the value of a key of
+    an object at `indent`: ints, strs, or flat dicts of ints that share one
+    key order."""
     if not items:
         return "[]"
+    inner = indent + "    "
     first = items[0]
     if isinstance(first, dict):
-        fmt = "{\n" + ",\n".join(f"      {json.dumps(k)}: %d" for k in first) + "\n    }"
+        fmt = "{\n" + ",\n".join(f"{inner}  {json.dumps(k)}: %d" for k in first) + f"\n{inner}}}"
         lines = [fmt % tuple(d.values()) for d in items]
     elif isinstance(first, str):
         lines = map(encode_basestring_ascii, items)
     else:
         lines = map(str, items)
-    return "[\n    " + ",\n    ".join(lines) + "\n  ]"
+    return f"[\n{inner}" + f",\n{inner}".join(lines) + f"\n{indent}  ]"
 
 
-def _render(obj: dict) -> str:
-    """Exactly json.dumps(obj, indent=2) for a non-empty dict, with the
-    long lists formatted by `_render_list`."""
+def _render(obj: dict, indent: str = "") -> str:
+    """Exactly json.dumps(obj, indent=2) for a non-empty dict whose
+    top-level object starts at `indent`, with the long lists formatted by
+    `_render_list` and non-empty dicts by `_render` itself."""
+    inner = indent + "  "
     fields = []
     for key, value in obj.items():
         if key in _LONG_LISTS and isinstance(value, list):
-            text = _render_list(value)
+            text = _render_list(value, indent)
+        elif isinstance(value, dict) and value:
+            text = _render(value, inner)
         else:
-            text = json.dumps(value, indent=2).replace("\n", "\n  ")
-        fields.append(f"  {json.dumps(key)}: {text}")
-    return "{\n" + ",\n".join(fields) + "\n}"
+            text = json.dumps(value, indent=2).replace("\n", "\n" + inner)
+        fields.append(f"{inner}{json.dumps(key)}: {text}")
+    return "{\n" + ",\n".join(fields) + f"\n{indent}}}"
 
 
 def _emit(obj: dict) -> None:
@@ -151,6 +156,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     return 0
 
 
+_VERIFY_EXIT = {"ok": 0, "failed": 1, "inconclusive": 3}
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.input == "-" and args.schedule == "-":
         raise InvalidInstance("--input and --schedule are both stdin; only one of them can read it")
@@ -166,7 +174,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         horizon=args.horizon,
     )
     _emit(report.to_obj())
-    return 0 if report.ok else 1
+    return _VERIFY_EXIT[report.verdict]
 
 
 def _cmd_density(args: argparse.Namespace) -> int:
@@ -305,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="check a schedule against an instance")
     p_verify.add_argument("--input", "-i", default="-", help="instance JSON path, or - for stdin")
     p_verify.add_argument("--schedule", required=True, help="schedule JSON path, or - for stdin")
-    p_verify.add_argument("--horizon", type=int, default=None, help="simulation horizon in days")
+    p_verify.add_argument("--horizon", type=int, default=None, help="also run the calendar up to this many days")
     _add_config_flags(p_verify)
     p_verify.set_defaults(func=_cmd_verify)
 

@@ -1,32 +1,33 @@
-"""Independent checks on periodic schedules.
+"""Independent checks on periodic schedules, and a tri-state verdict.
 
-Nothing here trusts the builders: collisions are decided by congruence
-arithmetic and heights by the closed form h * max(offset, cycle). A
-simulation over a finite horizon (`simulate`, one byte of calendar per
-day) marks every cut, so its double-booked days cross-check the
-collisions. It does not cross-check the heights: it takes each peak from
-the entry's own gaps, and once offset + cycle fits the horizon that gap
-arithmetic gives exactly h * max(offset, cycle) while the tail is shorter
-than the cycle. So `sim_matches` cannot be False on a conclusive horizon;
-only `double_booked_days` comes from the calendar.
+Nothing here trusts the builders. Four exact checks decide, in integers
+and close to linear in the schedule's int columns: collisions by
+congruence arithmetic, job coverage, windows (offsets and cycles against
+the int floors of the periods) and heights by the closed form
+h * max(offset, cycle), `int` for an integer garden.
 
-Every check reads the schedule's int columns (`jobs`, `offsets`,
-`cycles`, sorted by job) and is close to linear in their length but the
-simulation: collisions are searched only between cycles whose residue
-classes meet, and the job set is 0..n-1 when there are n jobs and the
-last is n - 1. The checks decide in integers: windows compare offsets
-and cycles with the int floors of the periods, and the per-job peaks
-stay `int` for an integer garden; a report builds `Fraction`s only for
-its maximum and ratio.
+A cross-check must agree with the collision check before the verdict is
+`ok`. It is a second algorithm over the same congruence fact (o1 + k*t1
+and o2 + k*t2 meet iff o1 = o2 mod gcd(t1, t2)), not a second proof: the
+chain check, with no horizon, where the cycles form divides chains (every
+solver schedule: B' on odd days and C' on even days are each a chain, as
+in Holte et al. 1989 and Chan and Chin 1992); otherwise, or when a
+horizon is given, the calendar of `simulate`, complete only when its
+horizon covers every pair. The verdict is `failed` when an exact check
+fails or a cross-check disagrees, `ok` when the exact checks pass and a
+complete cross-check agrees, and `inconclusive` otherwise. The calendar's
+peaks come from the same gap arithmetic as the closed form, so it does not
+cross-check the heights.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import defaultdict
 from fractions import Fraction
 from operator import add, gt
-from typing import AbstractSet
+from typing import AbstractSet, Iterable
 
 from .model import BgtInstance, InvalidInstance, PeriodicSchedule, PseudoInstance, record
 from .reduction import ScaledGarden
@@ -137,6 +138,49 @@ def check_collisions(schedule: PeriodicSchedule) -> CollisionReport:
     return CollisionReport(tuple(found))
 
 
+def _divides_chain(descending: list[int]) -> bool:
+    return all(a % b == 0 for a, b in zip(descending, descending[1:]))
+
+
+def _chain_check(schedule: PeriodicSchedule) -> bool | None:
+    """Whether no two entries ever meet, decided without a horizon; None
+    when the cycles have no chain structure.
+
+    The entries form one class when the distinct cycles are a divides
+    chain, or else, when every cycle is even, two classes by offset parity:
+    2 divides every gcd, so entries of opposite parity never meet. The
+    cycles of each class must be a divides chain. Within one, entries with
+    cycles c | C meet iff the residue modulo C, reduced modulo c, is the
+    other's residue. So from the largest cycle down, the residues of the
+    larger cycles are reduced modulo each smaller one (a set of at most c
+    members) and tested against its own, which must be distinct.
+    """
+    offsets, cycles = schedule.offsets, schedule.cycles
+    distinct = sorted(set(cycles), reverse=True)
+    if _divides_chain(distinct):
+        parity = 0
+    elif not any(c & 1 for c in distinct):
+        parity = 1
+    else:
+        return None
+    classes: tuple[defaultdict[int, list[int]], ...] = (defaultdict(list), defaultdict(list))
+    for c, o in zip(cycles, offsets):
+        classes[o & parity][c].append(o)
+    chains = [sorted(by_cycle, reverse=True) for by_cycle in classes]
+    if not all(map(_divides_chain, chains)):
+        return None
+    for by_cycle, chain in zip(classes, chains):
+        taken: set[int] = set()
+        for c in chain:
+            own = by_cycle[c]
+            mine = set(map(c.__rmod__, own))
+            taken = set(map(c.__rmod__, taken))
+            if len(mine) < len(own) or not taken.isdisjoint(mine):
+                return False
+            taken |= mine
+    return True
+
+
 def check_windows(schedule: PeriodicSchedule, pseudo: PseudoInstance | ScaledGarden) -> bool:
     """True iff every job fits its fractional window: offset and cycle both
     at most floor(p_i). That is exactly what keeps bamboo i at or below
@@ -152,6 +196,21 @@ def check_windows(schedule: PeriodicSchedule, pseudo: PseudoInstance | ScaledGar
     return not (any(map(gt, schedule.offsets, floors)) or any(map(gt, schedule.cycles, floors)))
 
 
+@record
+class WindowViolation:
+    job: int
+    offset: int
+    cycle: int
+    floor: int
+
+
+def _first_window_violation(schedule: PeriodicSchedule, pseudo: PseudoInstance | ScaledGarden) -> WindowViolation:
+    """The lowest job whose offset or cycle passes its floor, for a schedule
+    that covers the jobs and fails `check_windows`."""
+    rows = zip(schedule.jobs, schedule.offsets, schedule.cycles, pseudo.floors())
+    return next(WindowViolation(*row) for row in rows if row[1] > row[3] or row[2] > row[3])
+
+
 def _peak_heights(schedule: PeriodicSchedule, instance: BgtInstance) -> list[int | Fraction]:
     # the one home of the height formula: job i peaks at h_i * max(offset,
     # cycle), an int for an integer rate
@@ -165,6 +224,14 @@ def _repeat(view: memoryview, period: int, end: int) -> None:
         step = period if 2 * period <= end else end - period
         view[period : period + step] = view[:step]
         period += step
+
+
+def _check_jobs_within(schedule: PeriodicSchedule, n: int) -> None:
+    jobs = schedule.jobs
+    # jobs are sorted: if any job is outside the instance, the last is
+    if jobs and jobs[-1] >= n:
+        job = next(job for job in jobs if job >= n)
+        raise InvalidInstance(f"schedule mentions job {job} outside the instance")
 
 
 @record
@@ -213,12 +280,8 @@ def simulate(
     if horizon > DEFAULT_HORIZON_CAP:
         raise HorizonOverflow(f"horizon {horizon} exceeds the cap of {DEFAULT_HORIZON_CAP} days")
     n = instance.n
+    _check_jobs_within(schedule, n)
     jobs = schedule.jobs
-    # jobs are sorted: if any job is outside the instance, the last is
-    if jobs and jobs[-1] >= n:
-        job = next(job for job in jobs if job >= n)
-        raise InvalidInstance(f"schedule mentions job {job} outside the instance")
-
     rates = instance.rates
     cal = bytearray(horizon + 1)
     tails = [horizon] * n
@@ -294,67 +357,95 @@ def simulate(
 @record
 class VerificationReport:
     collisions: CollisionReport
+    chain_collision_free: bool | None
     jobs_ok: bool
     windows_ok: bool | None
+    window_violation: WindowViolation | None
     peaks: tuple[int | Fraction, ...] | None
     analytic_max: Fraction | None
-    sim: SimReport
-    sim_matches: bool | None
-    horizon_conclusive: bool
+    sim: SimReport | None
+    gaps_seen: int
+    pairs_covered: bool
     lower_bound: Fraction | None
     ratio: Fraction | None
 
     @property
+    def horizon_conclusive(self) -> bool:
+        """The calendar ran and its horizon saw every job's first gap and
+        cycle; False when it did not run."""
+        return self.sim is not None and self.jobs_ok and self.gaps_seen == len(self.peaks)
+
+    @property
+    def verdict(self) -> str:
+        if not (self.collisions.ok and self.jobs_ok and self.windows_ok is not False):
+            return "failed"
+        # the exact check found no collision, so a cross-check that found one disagrees
+        if self.chain_collision_free is False or (self.sim is not None and self.sim.double_booked_days):
+            return "failed"
+        if self.chain_collision_free or self.pairs_covered:
+            return "ok"
+        return "inconclusive"
+
+    @property
     def ok(self) -> bool:
-        return (
-            self.collisions.ok
-            and self.jobs_ok
-            and self.windows_ok is not False
-            and not self.sim.double_booked_days
-            and self.sim_matches is not False
-        )
+        return self.verdict == "ok"
 
     def to_obj(self) -> dict:
-        return {
-            "ok": self.ok,
+        verdict = self.verdict
+        obj = {
+            "verdict": verdict,
+            "ok": verdict == "ok",
             "collision_free": self.collisions.ok,
             "collisions": [
                 {"job_a": c.job_a, "job_b": c.job_b, "day": c.day} for c in self.collisions.collisions
             ],
+            "chain_collision_free": self.chain_collision_free,
             "jobs_ok": self.jobs_ok,
             "windows_ok": self.windows_ok,
-            # str(int) == str(Fraction(int)): an int peak prints as its Fraction would
-            "per_job_heights": None if self.peaks is None else list(map(str, self.peaks)),
-            "analytic_max_height": None if self.analytic_max is None else str(self.analytic_max),
-            "simulated_max_height": str(self.sim.max_height),
-            "sim_matches_analytic": self.sim_matches,
-            "argmax_day": self.sim.argmax_day,
-            "argmax_job": self.sim.argmax_job,
-            "double_booked_days": list(self.sim.double_booked_days),
-            "horizon": self.sim.horizon,
-            "horizon_conclusive": self.horizon_conclusive,
-            "lower_bound": None if self.lower_bound is None else str(self.lower_bound),
-            "ratio_vs_lower_bound": None if self.ratio is None else str(self.ratio),
         }
+        v = self.window_violation
+        if v is not None:
+            obj["window_violation"] = {"job": v.job, "offset": v.offset, "cycle": v.cycle, "floor": v.floor}
+        # str(int) == str(Fraction(int)): an int peak prints as its Fraction would
+        obj["per_job_heights"] = None if self.peaks is None else list(map(str, self.peaks))
+        obj["analytic_max_height"] = None if self.analytic_max is None else str(self.analytic_max)
+        sim = self.sim
+        if sim is not None:
+            obj["simulation"] = {
+                "horizon": sim.horizon,
+                "gaps_seen": self.gaps_seen,
+                "pairs_covered": self.pairs_covered,
+                "max_height": str(sim.max_height),
+                "argmax_day": sim.argmax_day,
+                "argmax_job": sim.argmax_job,
+                "double_booked_days": list(sim.double_booked_days),
+            }
+        obj["lower_bound"] = None if self.lower_bound is None else str(self.lower_bound)
+        obj["ratio_vs_lower_bound"] = None if self.ratio is None else str(self.ratio)
+        return obj
+
+
+def _lcm_within(cycles: Iterable[int], limit: int) -> int | None:
+    """The lcm of the cycles, or None once it passes `limit`. It is folded
+    one distinct cycle at a time and given up as soon as it passes: it
+    only grows from there, and the full lcm of thousands of coprime cycles
+    is a huge integer."""
+    hyperperiod = 1
+    for cycle in set(cycles):
+        hyperperiod = math.lcm(hyperperiod, cycle)
+        if hyperperiod > limit:
+            return None
+    return hyperperiod
 
 
 def default_horizon(schedule: PeriodicSchedule) -> int:
     """max offset + two hyperperiods (lcm of the cycles), capped at
-    DEFAULT_HORIZON_CAP; enough to witness every gap.
-
-    The lcm is folded one distinct cycle at a time and given up as soon as
-    it alone carries the horizon to the cap: it only grows from there, and
-    the full lcm of thousands of coprime cycles is a huge integer.
-    """
+    DEFAULT_HORIZON_CAP; enough to witness every gap and every shared day."""
     if not schedule.jobs:
         return 1
     start = max(schedule.offsets)
-    hyperperiod = 1
-    for cycle in set(schedule.cycles):
-        hyperperiod = math.lcm(hyperperiod, cycle)
-        if start + 2 * hyperperiod >= DEFAULT_HORIZON_CAP:
-            return DEFAULT_HORIZON_CAP
-    return start + 2 * hyperperiod
+    hyperperiod = _lcm_within(schedule.cycles, (DEFAULT_HORIZON_CAP - start - 1) // 2)
+    return DEFAULT_HORIZON_CAP if hyperperiod is None else start + 2 * hyperperiod
 
 
 def evaluate(
@@ -364,39 +455,51 @@ def evaluate(
     lower_bound_value: Fraction | None = None,
     horizon: int | None = None,
 ) -> VerificationReport:
-    """Run every check against one schedule and bundle the outcome. The
-    peaks stay native (`int` for an integer garden); only the maximum and
-    the ratio are built as Fractions."""
+    """Run every check against one schedule and bundle the outcome; the
+    peaks stay native, and only the maximum and the ratio are Fractions.
+    The calendar runs only when a `horizon` is given or the cycles have no
+    chain structure (then up to `default_horizon`). Entries that meet do so
+    by their max offset + lcm - 1, so it covers every pair when the max
+    offset + the lcm of all the cycles - 1 fits its horizon."""
+    _check_jobs_within(schedule, instance.n)
     collisions = check_collisions(schedule)
+    chain = _chain_check(schedule)
     jobs_ok = schedule.covers(instance.n)
     windows_ok: bool | None = None
+    violation = None
     if pseudo is not None:
         windows_ok = check_windows(schedule, pseudo) if jobs_ok else False
+        if jobs_ok and not windows_ok:
+            violation = _first_window_violation(schedule, pseudo)
     peaks: tuple[int | Fraction, ...] | None = None
     analytic: Fraction | None = None
     if jobs_ok:
         peaks = tuple(_peak_heights(schedule, instance))
         analytic = Fraction(max(peaks))
-    if horizon is None:
-        horizon = default_horizon(schedule)
-    sim = simulate(schedule, instance, horizon)
-    # jobs_ok means one entry per bamboo, so at least one
-    conclusive = jobs_ok and max(map(add, schedule.offsets, schedule.cycles)) <= horizon
-    sim_matches: bool | None = None
-    if conclusive and analytic is not None:
-        sim_matches = sim.max_height == analytic
+    sim = None
+    gaps_seen = 0
+    pairs_covered = False
+    if horizon is not None or chain is None:
+        if horizon is None:
+            horizon = default_horizon(schedule)
+        sim = simulate(schedule, instance, horizon)
+        offsets, cycles = schedule.offsets, schedule.cycles
+        gaps_seen = sum(map(horizon.__ge__, map(add, offsets, cycles)))
+        pairs_covered = not offsets or _lcm_within(cycles, horizon + 1 - max(offsets)) is not None
     ratio = None
     if lower_bound_value is not None and analytic is not None:
         ratio = analytic / lower_bound_value
     return VerificationReport(
         collisions=collisions,
+        chain_collision_free=chain,
         jobs_ok=jobs_ok,
         windows_ok=windows_ok,
+        window_violation=violation,
         peaks=peaks,
         analytic_max=analytic,
         sim=sim,
-        sim_matches=sim_matches,
-        horizon_conclusive=conclusive,
+        gaps_seen=gaps_seen,
+        pairs_covered=pairs_covered,
         lower_bound=lower_bound_value,
         ratio=ratio,
     )

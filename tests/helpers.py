@@ -37,6 +37,8 @@ from bamboo.verifier import (
     HorizonOverflow,
     SimReport,
     VerificationReport,
+    WindowViolation,
+    _chain_check,
     _earliest_shared_day,
     _peak_heights,
     default_horizon,
@@ -371,35 +373,49 @@ def reference_evaluate(
     lower_bound_value: Fraction | None = None,
     horizon: int | None = None,
 ) -> VerificationReport:
-    """The set-based evaluate over the all-pairs collision check; the
-    simulation and the horizon are the verifier's own, which have their
-    own references."""
+    """The set-based evaluate over the all-pairs collision check, with the
+    calendar's pair coverage from the full lcm; the simulation, the horizon
+    and the chain check are the verifier's own, which have their own
+    references."""
+    for e in schedule.entries:
+        if e.job >= instance.n:
+            raise InvalidInstance(f"schedule mentions job {e.job} outside the instance")
     collisions = reference_check_collisions(schedule)
+    chain = _chain_check(schedule)
     jobs_ok = set(schedule.jobs) == set(range(instance.n))
     windows_ok: bool | None = None
+    violation = None
     if pseudo is not None:
         windows_ok = reference_check_windows(schedule, pseudo) if jobs_ok else False
+        if jobs_ok and not windows_ok:
+            e = next(e for e in schedule.entries if max(e.offset, e.cycle) > math.floor(pseudo.periods[e.job]))
+            violation = WindowViolation(e.job, e.offset, e.cycle, math.floor(pseudo.periods[e.job]))
     heights = reference_max_heights(schedule, instance) if jobs_ok else None
     analytic = max(heights) if heights else None
-    if horizon is None:
-        horizon = default_horizon(schedule)
-    sim = simulate(schedule, instance, horizon)
-    conclusive = jobs_ok and all(e.offset + e.cycle <= horizon for e in schedule.entries)
-    sim_matches: bool | None = None
-    if conclusive and analytic is not None:
-        sim_matches = sim.max_height == analytic
+    sim = None
+    gaps_seen = 0
+    pairs_covered = False
+    if horizon is not None or chain is None:
+        if horizon is None:
+            horizon = default_horizon(schedule)
+        sim = simulate(schedule, instance, horizon)
+        entries = schedule.entries
+        gaps_seen = sum(e.offset + e.cycle <= horizon for e in entries)
+        pairs_covered = not entries or max(e.offset for e in entries) + math.lcm(*schedule.cycles) - 1 <= horizon
     ratio = None
     if lower_bound_value is not None and analytic is not None:
         ratio = analytic / lower_bound_value
     return VerificationReport(
         collisions=collisions,
+        chain_collision_free=chain,
         jobs_ok=jobs_ok,
         windows_ok=windows_ok,
+        window_violation=violation,
         peaks=heights,
         analytic_max=analytic,
         sim=sim,
-        sim_matches=sim_matches,
-        horizon_conclusive=conclusive,
+        gaps_seen=gaps_seen,
+        pairs_covered=pairs_covered,
         lower_bound=lower_bound_value,
         ratio=ratio,
     )

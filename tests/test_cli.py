@@ -122,16 +122,35 @@ def records(*keys):
 
 
 INTS = st.integers(min_value=0, max_value=10**30)
+# verify's nested objects: the long lists at the second and third level
+SIMULATIONS = st.fixed_dictionaries(
+    {"horizon": INTS, "pairs_covered": st.booleans(), "double_booked_days": small_lists(INTS)},
+    optional={"inner": st.fixed_dictionaries({"collisions": small_lists(records("job_a", "job_b", "day"))})},
+)
 SHAPES = st.tuples(
     st.booleans(),
     small_lists(records("job_a", "job_b", "day")),
+    records("job", "offset", "cycle", "floor") | st.just({}),
     st.none() | small_lists(st.text()),
     small_lists(INTS),
+    SIMULATIONS,
     small_lists(records("job", "offset", "cycle")),
     st.dictionaries(st.text(max_size=4), st.none() | st.text() | small_lists(INTS), max_size=3),
 ).map(
     lambda values: dict(
-        zip(("ok", "collisions", "per_job_heights", "double_booked_days", "entries", "trace"), values)
+        zip(
+            (
+                "ok",
+                "collisions",
+                "window_violation",
+                "per_job_heights",
+                "double_booked_days",
+                "simulation",
+                "entries",
+                "trace",
+            ),
+            values,
+        )
     )
 )
 
@@ -152,8 +171,11 @@ def test_solve_and_verify_output_is_json_dumps_indent_2(seed, explain):
     sol = solve(inst)
     objs = [solution_to_obj(sol, include_trace=explain)]
     pseudo = bgt_to_pseudo(inst)
+    # with a horizon, the calendar's object and its list are printed too
+    horizon = rng.choice([None, 50])
     for schedule in (sol.schedule, tampered(sol.schedule)):
-        objs.append(evaluate(inst, schedule, pseudo=pseudo, lower_bound_value=pseudo.lower_bound).to_obj())
+        report = evaluate(inst, schedule, pseudo=pseudo, lower_bound_value=pseudo.lower_bound, horizon=horizon)
+        objs.append(report.to_obj())
     if inst.n > 1:
         assert objs[-1]["ok"] is False  # the tampered schedule collides
     for obj in objs:
@@ -195,7 +217,58 @@ def test_verify_flags_tampered_schedule(tmp_path, capsys):
     report = json.loads(out)
     assert report["ok"] is False
     assert report["collisions"] == [{"job_a": 0, "job_b": 1, "day": 2}]
-    assert report["double_booked_days"][:1] == [2]
+    assert report["verdict"] == "failed" and report["chain_collision_free"] is False
+    assert "simulation" not in report
+    code, out, _ = run(capsys, "verify", "-i", inst, "--schedule", sched, "--horizon", "8")
+    assert code == 1
+    assert json.loads(out)["simulation"]["double_booked_days"] == [2, 6]
+
+
+# six bamboos of rate 1: every window floor is 10 (12/7 * 6 = 72/7). Cycles
+# 6 and 9 form no divides chain and 9 is odd, so only the calendar can
+# cross-check it; no two entries meet, and they would by day 6 + 18 - 1.
+NON_CHAIN = [
+    {"job": 0, "offset": 1, "cycle": 6},
+    {"job": 1, "offset": 2, "cycle": 9},
+    {"job": 2, "offset": 3, "cycle": 6},
+    {"job": 3, "offset": 4, "cycle": 6},
+    {"job": 4, "offset": 6, "cycle": 6},
+    {"job": 5, "offset": 5, "cycle": 9},
+]
+
+
+def test_verify_non_chain_schedule_needs_a_covering_calendar(tmp_path, capsys):
+    inst = write_json(tmp_path, "inst.json", {"rates": ["1"] * 6})
+    sched = write_json(tmp_path, "sched.json", NON_CHAIN)
+    code, out, _ = run(capsys, "verify", "-i", inst, "--schedule", sched)
+    report = json.loads(out)
+    assert code == 0 and report["verdict"] == "ok"
+    assert report["chain_collision_free"] is None
+    assert report["simulation"]["horizon"] == 6 + 2 * 18
+    assert report["simulation"]["pairs_covered"] is True
+    code, out, _ = run(capsys, "verify", "-i", inst, "--schedule", sched, "--horizon", "23")
+    assert code == 0 and json.loads(out)["verdict"] == "ok"
+    # one day short of every pair: nothing failed, nothing proved
+    code, out, _ = run(capsys, "verify", "-i", inst, "--schedule", sched, "--horizon", "22")
+    report = json.loads(out)
+    assert code == 3 and report["verdict"] == "inconclusive" and report["ok"] is False
+    assert report["simulation"]["pairs_covered"] is False
+    code, out, _ = run(capsys, "verify", "-i", inst, "--schedule", sched, "--horizon", "10")
+    report = json.loads(out)
+    assert code == 3 and report["verdict"] == "inconclusive"
+    assert report["simulation"]["gaps_seen"] == 3 and report["simulation"]["double_booked_days"] == []
+
+
+def test_verify_names_the_first_window_violation(tmp_path, capsys):
+    inst = write_json(tmp_path, "inst.json", {"rates": ["1"] * 6})
+    entries = [dict(e) for e in NON_CHAIN]
+    entries[4]["cycle"] = entries[5]["cycle"] = 12  # floor 10; job 4 stays collision-free
+    entries[5]["offset"] = 11
+    sched = write_json(tmp_path, "sched.json", entries)
+    code, out, _ = run(capsys, "verify", "-i", inst, "--schedule", sched)
+    report = json.loads(out)
+    assert code == 1 and report["verdict"] == "failed" and report["windows_ok"] is False
+    assert report["window_violation"] == {"job": 4, "offset": 6, "cycle": 12, "floor": 10}
 
 
 def test_verify_refuses_two_inputs_on_stdin(capsys, monkeypatch):

@@ -45,10 +45,10 @@ CONFIGS = (ReductionConfig(Fraction(12, 7), "max-rule"), ReductionConfig(Fractio
 
 GOLDEN_SHA256 = "33b9836ee0dadd858987a67a132504b0dec2fee022715022614e5249f19a3c04"
 GOLDEN_TRACE_SHA256 = "1f80f64eb1efb0d4c61818775cab6cbb0e42283a27c9670817f7e7b5544db09b"
-GOLDEN_VERIFY_SHA256 = "e6431d13602cdcc659c457352de9faefc56452d71b53193670a97aa6a030bf2d"
+GOLDEN_VERIFY_SHA256 = "42669dba544b51a3ef3d0b206c37845a2edcb46f729318b14c2622bcd4caa11d"
 GOLDEN_OPT_SHA256 = "c73eaa6f24b89f31aa04b0403d4cc598850d11de924bd3315d19dc380b70e2a2"
 GOLDEN_RATIONAL_SHA256 = "1315adfdcfa6660b414ab00bafbae91516f4ca34806b4ddf1fb68845a51d757f"
-GOLDEN_RATIONAL_VERIFY_SHA256 = "8e57e56c8bbdf10d7976eb916366cc3b5bd6a583e379a541d65d68b8e07763e0"
+GOLDEN_RATIONAL_VERIFY_SHA256 = "b627d48581e6f63e3da216b1ace1a7e820244d0a35554964b9a0b0b0b1e1c139"
 
 OPT_CAP = 10**5
 OPT_GARDENS_PER_SIZE = 30

@@ -21,7 +21,7 @@ RECORDS = {
     model: ("BgtInstance", "PseudoInstance", "JobPeriod", "ScheduleEntry", "PeriodicSchedule"),
     reduction: ("ReductionConfig", "ScaledGarden"),
     oracle: ("PinwheelResult",),
-    verifier: ("Collision", "CollisionReport", "SimReport", "VerificationReport"),
+    verifier: ("Collision", "CollisionReport", "WindowViolation", "SimReport", "VerificationReport"),
     rounding: ("SpecializedState", "Decomposition", "NormalizedState"),
     scheduler: ("ChainInstance", "Solution"),
 }
@@ -32,7 +32,7 @@ def test_every_value_class_is_a_record():
         for name in names:
             cls = getattr(module, name)
             assert cls._fields == tuple(cls.__annotations__), name
-    assert sum(map(len, RECORDS.values())) == 17
+    assert sum(map(len, RECORDS.values())) == 18
 
 
 def test_equal_by_value_within_one_class():

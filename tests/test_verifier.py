@@ -1,9 +1,11 @@
-"""Collision analysis, window checks, analytic heights, and the simulator.
+"""Collision analysis, window checks, analytic heights, the chain
+cross-check, the simulator and the verdict.
 
 The gcd/CRT collision test is the part most worth distrusting, so it gets a
 brute-force shadow: enumerate days over a couple of hyperperiods and compare.
 The grouped collision check and the calendar simulation must also report
-exactly what the all-pairs and sorted-event references in `helpers` report.
+exactly what the all-pairs and sorted-event references in `helpers` report,
+and the chain check must agree with the collision check wherever it applies.
 """
 
 import itertools
@@ -26,7 +28,13 @@ from bamboo.reduction import PeriodBelowTwo, ReductionConfig, bgt_to_pseudo, sca
 from bamboo.scheduler import solve
 from bamboo.verifier import (
     DEFAULT_HORIZON_CAP,
+    Collision,
+    CollisionReport,
     HorizonOverflow,
+    SimReport,
+    VerificationReport,
+    WindowViolation,
+    _chain_check,
     check_collisions,
     check_windows,
     default_horizon,
@@ -220,7 +228,7 @@ def test_simulate_worked_example_matches_analytic():
 
 def test_simulate_single_bamboo():
     rep = simulate(sched((0, 1, 1)), BgtInstance.from_values([1]), 10)
-    assert rep.max_height == 1
+    assert rep.max_height == 1 and type(rep.max_height) is Fraction
 
 
 def test_simulate_flags_double_booking():
@@ -453,9 +461,11 @@ def test_evaluate_worked_example_report():
     assert obj["windows_ok"] is True
     assert obj["per_job_heights"] == ["8", "12", "64/5"]
     assert obj["analytic_max_height"] == "64/5"
-    assert obj["sim_matches_analytic"] is True
     assert obj["ratio_vs_lower_bound"] == "8/5"
-    assert obj["horizon_conclusive"] is True
+    # ok from the chain cross-check: no calendar ran
+    assert obj["verdict"] == "ok" and obj["chain_collision_free"] is True
+    assert "simulation" not in obj and "window_violation" not in obj
+    assert report.sim is None and report.horizon_conclusive is False
 
 
 def test_evaluate_catches_tampering():
@@ -464,9 +474,154 @@ def test_evaluate_catches_tampering():
     entries[1] = ScheduleEntry(1, 2, 4)  # now lands on job0's days
     bad = PeriodicSchedule(tuple(entries))
     report = evaluate(WORKED, bad, pseudo=bgt_to_pseudo(WORKED))
-    assert not report.ok
+    assert not report.ok and report.verdict == "failed"
     assert not report.collisions.ok
-    assert report.sim.double_booked_days
+    assert report.chain_collision_free is False and report.sim is None
+    # with a horizon the calendar runs as well, and shows the shared days
+    report = evaluate(WORKED, bad, pseudo=bgt_to_pseudo(WORKED), horizon=12)
+    assert report.verdict == "failed" and report.sim.double_booked_days == (2, 6, 10)
+
+
+def test_evaluate_names_the_lowest_window_violation():
+    # floors 3, 4 and 137: jobs 1 and 2 pass theirs, job 0 does not
+    bad = sched((0, 2, 2), (1, 1, 8), (2, 3, 256))
+    report = evaluate(WORKED, bad, pseudo=bgt_to_pseudo(WORKED))
+    assert report.verdict == "failed" and report.windows_ok is False
+    assert report.window_violation == WindowViolation(job=1, offset=1, cycle=8, floor=4)
+    assert report.to_obj()["window_violation"] == {"job": 1, "offset": 1, "cycle": 8, "floor": 4}
+    # a missing job fails the windows without a violation to name
+    report = evaluate(WORKED, sched((0, 2, 2), (1, 1, 4)), pseudo=bgt_to_pseudo(WORKED))
+    assert report.windows_ok is False and report.window_violation is None
+
+
+# ---------------------------------------------------------------- chain cross-check
+
+CONFIG_PAIR = (ReductionConfig(), ReductionConfig(Fraction(2), "sum"))
+
+
+def shifted(schedule: PeriodicSchedule, rng: random.Random) -> PeriodicSchedule:
+    """One entry's offset one day earlier or later: its residue off by one."""
+    entries = list(schedule.entries)
+    i = rng.randrange(len(entries))
+    e = entries[i]
+    entries[i] = ScheduleEntry(e.job, e.offset + 1 if e.offset == 1 else e.offset + rng.choice((-1, 1)), e.cycle)
+    return PeriodicSchedule(entries)
+
+
+@given(st.integers(min_value=0, max_value=10**9), st.sampled_from([9, 100, 10**6]))
+@settings(max_examples=150, deadline=None)
+def test_chain_check_equals_check_collisions(seed, rate_max):
+    """Every solver schedule has chain structure and no collision; a
+    tampered copy keeps the structure or loses it, and where it keeps it the
+    chain check and the collision check agree."""
+    rng = random.Random(seed)
+    instance = random_instance(rng, n_lo=1, n_hi=40, rate_hi=rate_max)
+    for config in CONFIG_PAIR:
+        schedule = solve(instance, config).schedule
+        assert _chain_check(schedule) is True
+        for copy in (tampered(schedule), shifted(schedule, rng)):
+            chain = _chain_check(copy)
+            assert chain is None or chain == check_collisions(copy).ok
+
+
+@st.composite
+def chain_schedules(draw):
+    """Schedules with chain structure and any offsets: one class, cycles
+    base * 2^k, or two parity classes, cycles 2^k and 6 * 2^k, each entry
+    on an offset of its class's parity."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    entries = []
+    if draw(st.booleans()):
+        base = draw(st.sampled_from([1, 3, 5]))
+        for job in range(n):
+            cycle = base << draw(st.integers(min_value=0, max_value=4))
+            entries.append(ScheduleEntry(job, draw(st.integers(min_value=1, max_value=2 * cycle)), cycle))
+    else:
+        for job in range(n):
+            parity = draw(st.integers(min_value=0, max_value=1))
+            cycle = (2 if parity else 6) << draw(st.integers(min_value=0, max_value=3))
+            offset = 2 * draw(st.integers(min_value=0, max_value=cycle)) + parity
+            entries.append(ScheduleEntry(job, offset or 2, cycle))
+    return PeriodicSchedule(entries)
+
+
+@given(chain_schedules())
+@settings(max_examples=300, deadline=None)
+def test_chain_check_decides_every_chain_schedule(schedule):
+    assert _chain_check(schedule) == check_collisions(schedule).ok
+
+
+def test_chain_check_mutants():
+    # one class: cycles 2 | 4 | 8, residues 1, 2 and 4
+    clean = sched((0, 1, 2), (1, 2, 4), (2, 4, 8))
+    assert _chain_check(clean) is True
+    # a residue off by one: 3 and 5 are 1 modulo 2, job 0's day
+    for offset in (3, 5):
+        assert _chain_check(sched((0, 1, 2), (1, 2, 4), (2, offset, 8))) is False
+    # equal residues within one cycle, and a larger cycle's residue reduced onto a smaller one's
+    assert _chain_check(sched((0, 2, 4), (1, 6, 4), (2, 3, 16))) is False
+    assert _chain_check(sched((0, 2, 4), (1, 1, 8), (2, 14, 16))) is False
+    # parity classes: B' on odd days (4 | 8), C' on even days (6 | 12)
+    parity = sched((0, 1, 4), (1, 2, 6), (2, 3, 8), (3, 4, 12))
+    assert _chain_check(parity) is True
+    assert _chain_check(sched((0, 1, 4), (1, 2, 6), (2, 5, 8), (3, 4, 12))) is False
+    assert _chain_check(sched((0, 1, 4), (1, 2, 6), (2, 3, 8), (3, 8, 12))) is False
+    # a chain-breaking cycle (10 in the even class) and an odd cycle mixed
+    # into the parity classes: no chain structure, so the calendar decides.
+    # Odd cycles void the parity argument: 3 | 6 on odd days would be a
+    # chain, but job 0 (day 1 mod 3) meets job 2 (day 2 mod 4) on day 10
+    for broken in (
+        sched((0, 1, 4), (1, 2, 6), (2, 3, 8), (3, 4, 10)),
+        sched((0, 1, 4), (1, 2, 6), (2, 3, 8), (3, 5, 9)),
+        sched((0, 1, 3), (1, 3, 6), (2, 2, 4)),
+    ):
+        assert _chain_check(broken) is None
+        report = evaluate(BgtInstance.from_values([1] * len(broken.jobs)), broken)
+        assert report.chain_collision_free is None and report.sim is not None
+        assert report.ok == (report.sim.double_booked_days == ()) == check_collisions(broken).ok
+
+
+def test_verdict_rules():
+    clean, bad = CollisionReport(()), CollisionReport((Collision(0, 1, 2),))
+    sim = SimReport(max_height=Fraction(4), argmax_day=4, argmax_job=0, double_booked_days=(), horizon=8)
+    doubled = SimReport(max_height=Fraction(4), argmax_day=4, argmax_job=0, double_booked_days=(2,), horizon=8)
+
+    def verdict(collisions=clean, chain=True, jobs_ok=True, windows_ok=True, sim=None, pairs_covered=False):
+        fields = dict(collisions=collisions, chain_collision_free=chain, jobs_ok=jobs_ok, windows_ok=windows_ok)
+        fields.update(window_violation=None, peaks=(4, 4), analytic_max=Fraction(4), sim=sim, gaps_seen=2)
+        report = VerificationReport(**fields, pairs_covered=pairs_covered, lower_bound=None, ratio=None)
+        assert report.ok == (report.verdict == "ok")
+        return report.verdict
+
+    assert verdict() == verdict(windows_ok=None) == verdict(chain=None, sim=sim, pairs_covered=True) == "ok"
+    # an exact check fails
+    assert verdict(collisions=bad, chain=False) == verdict(jobs_ok=False) == verdict(windows_ok=False) == "failed"
+    # a cross-check disagrees with the collision check
+    assert verdict(chain=False) == verdict(sim=doubled) == verdict(chain=None, sim=doubled) == "failed"
+    # nothing failed, and nothing covered every pair
+    assert verdict(chain=None, sim=sim) == "inconclusive"
+
+
+def test_chain_check_on_a_single_bamboo_and_a_period_three_job():
+    # n = 1 (cycle 1), the lone period-3 C' job with its pair, and C' alone
+    # on 3 | 6 | 12, which parity classes alone could not check
+    for rates, cycles in (([5], (1,)), ([8, 5], (3, 3)), ([8, 3], (3, 6)), ([38, 14, 8], (3, 6, 12))):
+        instance = BgtInstance.from_values(rates)
+        schedule = solve(instance).schedule
+        assert schedule.cycles == cycles
+        report = evaluate(instance, schedule, pseudo=bgt_to_pseudo(instance))
+        assert report.verdict == "ok" and report.chain_collision_free is True and report.sim is None
+
+
+@pytest.mark.parametrize("n", [1, 10, 100, 1_000, 5_000, 20_000])
+def test_every_solver_schedule_reads_ok_from_the_chain(n):
+    for rate_max in (100, 10**6):
+        rng = random.Random(f"grid:{n}:{rate_max}")
+        instance = BgtInstance.from_values(sorted((rng.randint(1, rate_max) for _ in range(n)), reverse=True))
+        for config in CONFIG_PAIR:
+            garden = scaled(instance, config)
+            report = evaluate(instance, solve(instance, config).schedule, pseudo=garden, lower_bound_value=garden.lower_bound)
+            assert report.verdict == "ok" and report.chain_collision_free is True and report.sim is None
 
 
 PERIODS = st.sampled_from([2, 3, Fraction(7, 2), Fraction(13, 3), 5, 8, Fraction(64, 5)])
