@@ -39,12 +39,6 @@ from .scheduler import (
     schedule_chain,
     solve,
 )
-from .verifier import (
-    HorizonOverflow,
-    check_collisions,
-    check_windows,
-    evaluate,
-    simulate,
-)
+from .verifier import check_collisions, check_windows, evaluate
 
 __version__ = "0.1.0"

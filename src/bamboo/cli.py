@@ -38,6 +38,8 @@ def _read_json(path: str) -> object:
             raise
         limit = sys.get_int_max_str_digits()
         raise InvalidInstance(f"{source} holds an integer of more than {limit} digits") from exc
+    except RecursionError as exc:
+        raise InvalidInstance(f"{source} is nested too deeply to parse") from exc
 
 
 # The lists that grow with n: solve's entries and verify's long fields.
@@ -166,13 +168,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     schedule = model.schedule_from_obj(_read_json(args.schedule))
     # the window floors and the lower bound in integers, as solve takes them
     garden = reduction.scaled(instance, _config(args))
-    report = verifier.evaluate(
-        instance,
-        schedule,
-        pseudo=garden,
-        lower_bound_value=garden.lower_bound,
-        horizon=args.horizon,
-    )
+    report = verifier.evaluate(instance, schedule, pseudo=garden, lower_bound_value=garden.lower_bound)
     _emit(report.to_obj())
     return _VERIFY_EXIT[report.verdict]
 
@@ -313,7 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="check a schedule against an instance")
     p_verify.add_argument("--input", "-i", default="-", help="instance JSON path, or - for stdin")
     p_verify.add_argument("--schedule", required=True, help="schedule JSON path, or - for stdin")
-    p_verify.add_argument("--horizon", type=int, default=None, help="also run the calendar up to this many days")
     _add_config_flags(p_verify)
     p_verify.set_defaults(func=_cmd_verify)
 

@@ -10,9 +10,9 @@ Each boundary rule has one home: `parse_rational` is the one coercion of
 rates, periods and factors, `int_period` the one check of an integral
 period and `PeriodicSchedule`, which holds a schedule as int columns, the
 one check of schedule entries and the one home of the coverage rule
-(`covers`). The lower bound lives in `reduction.scaled` and the default
-horizon of the verifier's calendar, which runs only when it is asked for or
-a schedule has no chain structure, in `verifier.default_horizon`.
+(`covers`). The lower bound lives in `reduction.scaled`, and the horizon
+of the verifier's calendar, which runs only on a schedule without chain
+structure, in `verifier._calendar`.
 
 Every value class of the package is a `record`: immutable, compared,
 hashed and printed by its fields.

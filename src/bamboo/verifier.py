@@ -4,20 +4,19 @@ Nothing here trusts the builders. Four exact checks decide, in integers
 and close to linear in the schedule's int columns: collisions by
 congruence arithmetic, job coverage, windows (offsets and cycles against
 the int floors of the periods) and heights by the closed form
-h * max(offset, cycle), `int` for an integer garden.
+h * max(offset, cycle), `int` for an integer garden, the one home of the
+height rule.
 
 A cross-check must agree with the collision check before the verdict is
 `ok`. It is a second algorithm over the same congruence fact (o1 + k*t1
 and o2 + k*t2 meet iff o1 = o2 mod gcd(t1, t2)), not a second proof: the
 chain check, with no horizon, where the cycles form divides chains (every
 solver schedule: B' on odd days and C' on even days are each a chain, as
-in Holte et al. 1989 and Chan and Chin 1992); otherwise, or when a
-horizon is given, the calendar of `simulate`, complete only when its
-horizon covers every pair. The verdict is `failed` when an exact check
-fails or a cross-check disagrees, `ok` when the exact checks pass and a
-complete cross-check agrees, and `inconclusive` otherwise. The calendar's
-peaks come from the same gap arithmetic as the closed form, so it does not
-cross-check the heights.
+in Holte et al. 1989 and Chan and Chin 1992); otherwise a calendar of the
+cuts up to a horizon derived from the schedule, complete only when that
+horizon is not capped. The verdict is `failed` when an exact check fails
+or a cross-check disagrees, `ok` when the exact checks pass and a
+complete cross-check agrees, and `inconclusive` otherwise.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ import itertools
 import math
 from collections import defaultdict
 from fractions import Fraction
-from operator import add, gt
+from operator import gt
 from typing import AbstractSet, Iterable
 
 from .model import BgtInstance, InvalidInstance, PeriodicSchedule, PseudoInstance, record
@@ -36,10 +35,6 @@ DEFAULT_HORIZON_CAP = 10**6
 
 # translate table for one more cut on a calendar day: 0 -> 1, 1 and up -> 2
 _INC = bytes([1] + [2] * 255)
-
-
-class HorizonOverflow(InvalidInstance):
-    """Requested simulation horizon exceeds DEFAULT_HORIZON_CAP."""
 
 
 @record
@@ -234,87 +229,29 @@ def _check_jobs_within(schedule: PeriodicSchedule, n: int) -> None:
         raise InvalidInstance(f"schedule mentions job {job} outside the instance")
 
 
-@record
-class SimReport:
-    max_height: Fraction
-    argmax_day: int
-    argmax_job: int | None
-    double_booked_days: tuple[int, ...]
-    horizon: int
+def _double_booked_days(schedule: PeriodicSchedule, horizon: int) -> tuple[int, ...]:
+    """The days from 1 to `horizon` that hold two or more cuts.
 
-
-def simulate(
-    schedule: PeriodicSchedule,
-    instance: BgtInstance,
-    horizon: int,
-) -> SimReport:
-    """Cut the garden up to `horizon` days and report the tallest bamboo.
-
-    Heights are observed at the end of each day just before cutting, so a
-    bamboo's local maxima occur exactly at its own cut days and at the
-    horizon. Every cut is marked on a calendar of one byte per day, and a
-    day holding two or more cuts is reported instead of silently merged.
-    A job's gaps between cuts are its offset (the first cut), then its
-    cycle (from the second cut on, if that falls within the horizon), then
-    the tail from its last cut to the horizon; a job with no cut up to the
-    horizon, or none in the schedule, has a tail of `horizon`.
-
-    An entry with offset <= cycle is cut on every day >= 1 that is
-    congruent to its offset modulo its cycle, so the marks of such entries
-    repeat with the lcm of their cycles. Their distinct cycles are taken in
-    ascending order while the running lcm fits in horizon + 1 days: the
-    marked period is copied forward to the new lcm, and each residue of
-    the cycle is marked once on it. That period is then copied out to the
-    horizon, day 0 (which stands for the day the period ends) is cleared,
-    and the remaining entries (cycles that would carry the lcm past the
-    horizon, and offsets past their cycle) are marked over the whole
-    horizon one by one. The copies are slice copies within the calendar,
-    so memory stays one byte per day.
-
-    Ties: `argmax` is the first (day, job) in calendar order whose cut
-    reaches the maximum; a tail wins only if strictly higher than every
-    cut, and among tails the lowest job id wins.
+    Every cut is marked on a calendar of one byte per day. An entry with
+    offset <= cycle is cut on every day >= 1 that is congruent to its
+    offset modulo its cycle, so the marks of such entries repeat with the
+    lcm of their cycles. Their distinct cycles are taken in ascending order
+    while the running lcm fits in horizon + 1 days: the marked period is
+    copied forward to the new lcm, and each residue of the cycle is marked
+    once on it. That period is then copied out to the horizon, day 0
+    (which stands for the day the period ends) is cleared, and the
+    remaining entries (cycles that would carry the lcm past the horizon,
+    and offsets past their cycle) are marked over the whole horizon one by
+    one. The copies are slice copies within the calendar, so memory stays
+    one byte per day.
     """
-    if horizon < 1:
-        raise InvalidInstance(f"horizon must be at least 1, got {horizon}")
-    if horizon > DEFAULT_HORIZON_CAP:
-        raise HorizonOverflow(f"horizon {horizon} exceeds the cap of {DEFAULT_HORIZON_CAP} days")
-    n = instance.n
-    _check_jobs_within(schedule, n)
-    jobs = schedule.jobs
-    rates = instance.rates
     cal = bytearray(horizon + 1)
-    tails = [horizon] * n
-    best = 0
-    best_day = 0
-    best_job: int | None = None
     # offsets by cycle: an entry with offset <= cycle is cut on every day
     # >= 1 that is = offset (mod cycle), a late one only from its offset on
     periodic: dict[int, list[int]] = {}
     late: dict[int, list[int]] = {}
-    for job, o, c in zip(jobs, schedule.offsets, schedule.cycles):
-        if o > horizon:
-            continue
-        if o > c:
-            late.setdefault(c, []).append(o)
-        elif c in periodic:
-            periodic[c].append(o)
-        else:
-            periodic[c] = [o]
-        cuts_after_first = (horizon - o) // c
-        gap, day = (c, o + c) if cuts_after_first and c > o else (o, o)
-        h = rates[job] * gap
-        # entries come in job order, so an equal cut wins only on an earlier day
-        if h > best or (h == best and day < best_day):
-            best, best_day, best_job = h, day, job
-        tail = horizon - o - cuts_after_first * c
-        # a tail no longer than the job's own cut gap cannot beat every cut
-        tails[job] = tail if tail > gap else 0
-    for job, tail in enumerate(tails):
-        if tail:
-            h = rates[job] * tail
-            if h > best:
-                best, best_day, best_job = h, horizon, job
+    for o, c in zip(schedule.offsets, schedule.cycles):
+        (late if o > c else periodic).setdefault(c, []).append(o)
 
     if periodic:
         # day 0 stands for the day the period ends; the blank calendar
@@ -345,13 +282,38 @@ def simulate(
     while day != -1:
         doubled.append(day)
         day = cal.find(2, day + 1)
-    return SimReport(
-        max_height=Fraction(best),
-        argmax_day=best_day,
-        argmax_job=best_job,
-        double_booked_days=tuple(doubled),
-        horizon=horizon,
-    )
+    return tuple(doubled)
+
+
+@record
+class SimReport:
+    horizon: int
+    pairs_covered: bool
+    double_booked_days: tuple[int, ...]
+
+
+def _lcm_within(cycles: Iterable[int], limit: int) -> int | None:
+    """The lcm of the cycles, or None once it passes `limit`. It is folded
+    one distinct cycle at a time and given up as soon as it passes: it
+    only grows from there, and the full lcm of thousands of coprime cycles
+    is a huge integer."""
+    hyperperiod = 1
+    for cycle in set(cycles):
+        hyperperiod = math.lcm(hyperperiod, cycle)
+        if hyperperiod > limit:
+            return None
+    return hyperperiod
+
+
+def _calendar(schedule: PeriodicSchedule) -> SimReport:
+    """The shared days of a non-empty schedule up to max offset + lcm of
+    all the cycles - 1, capped at DEFAULT_HORIZON_CAP. Two entries that
+    ever meet do so by their larger offset + the lcm of their cycles - 1,
+    so the days cover every pair exactly when the cap is not hit."""
+    start = max(schedule.offsets)
+    hyperperiod = _lcm_within(schedule.cycles, DEFAULT_HORIZON_CAP + 1 - start)
+    horizon = DEFAULT_HORIZON_CAP if hyperperiod is None else start + hyperperiod - 1
+    return SimReport(horizon, hyperperiod is not None, _double_booked_days(schedule, horizon))
 
 
 @record
@@ -364,25 +326,25 @@ class VerificationReport:
     peaks: tuple[int | Fraction, ...] | None
     analytic_max: Fraction | None
     sim: SimReport | None
-    gaps_seen: int
-    pairs_covered: bool
     lower_bound: Fraction | None
     ratio: Fraction | None
 
     @property
     def horizon_conclusive(self) -> bool:
-        """The calendar ran and its horizon saw every job's first gap and
-        cycle; False when it did not run."""
-        return self.sim is not None and self.jobs_ok and self.gaps_seen == len(self.peaks)
+        """Always False: the calendar marks shared days and measures no
+        heights. Kept for callers that read it, such as the benchmark's
+        check of clean reports."""
+        return False
 
     @property
     def verdict(self) -> str:
         if not (self.collisions.ok and self.jobs_ok and self.windows_ok is not False):
             return "failed"
         # the exact check found no collision, so a cross-check that found one disagrees
-        if self.chain_collision_free is False or (self.sim is not None and self.sim.double_booked_days):
+        sim = self.sim
+        if self.chain_collision_free is False or (sim is not None and sim.double_booked_days):
             return "failed"
-        if self.chain_collision_free or self.pairs_covered:
+        if self.chain_collision_free or (sim is not None and sim.pairs_covered):
             return "ok"
         return "inconclusive"
 
@@ -413,11 +375,7 @@ class VerificationReport:
         if sim is not None:
             obj["simulation"] = {
                 "horizon": sim.horizon,
-                "gaps_seen": self.gaps_seen,
-                "pairs_covered": self.pairs_covered,
-                "max_height": str(sim.max_height),
-                "argmax_day": sim.argmax_day,
-                "argmax_job": sim.argmax_job,
+                "pairs_covered": sim.pairs_covered,
                 "double_booked_days": list(sim.double_booked_days),
             }
         obj["lower_bound"] = None if self.lower_bound is None else str(self.lower_bound)
@@ -425,42 +383,15 @@ class VerificationReport:
         return obj
 
 
-def _lcm_within(cycles: Iterable[int], limit: int) -> int | None:
-    """The lcm of the cycles, or None once it passes `limit`. It is folded
-    one distinct cycle at a time and given up as soon as it passes: it
-    only grows from there, and the full lcm of thousands of coprime cycles
-    is a huge integer."""
-    hyperperiod = 1
-    for cycle in set(cycles):
-        hyperperiod = math.lcm(hyperperiod, cycle)
-        if hyperperiod > limit:
-            return None
-    return hyperperiod
-
-
-def default_horizon(schedule: PeriodicSchedule) -> int:
-    """max offset + two hyperperiods (lcm of the cycles), capped at
-    DEFAULT_HORIZON_CAP; enough to witness every gap and every shared day."""
-    if not schedule.jobs:
-        return 1
-    start = max(schedule.offsets)
-    hyperperiod = _lcm_within(schedule.cycles, (DEFAULT_HORIZON_CAP - start - 1) // 2)
-    return DEFAULT_HORIZON_CAP if hyperperiod is None else start + 2 * hyperperiod
-
-
 def evaluate(
     instance: BgtInstance,
     schedule: PeriodicSchedule,
     pseudo: PseudoInstance | ScaledGarden | None = None,
     lower_bound_value: Fraction | None = None,
-    horizon: int | None = None,
 ) -> VerificationReport:
     """Run every check against one schedule and bundle the outcome; the
     peaks stay native, and only the maximum and the ratio are Fractions.
-    The calendar runs only when a `horizon` is given or the cycles have no
-    chain structure (then up to `default_horizon`). Entries that meet do so
-    by their max offset + lcm - 1, so it covers every pair when the max
-    offset + the lcm of all the cycles - 1 fits its horizon."""
+    The calendar runs only when the cycles have no chain structure."""
     _check_jobs_within(schedule, instance.n)
     collisions = check_collisions(schedule)
     chain = _chain_check(schedule)
@@ -476,16 +407,6 @@ def evaluate(
     if jobs_ok:
         peaks = tuple(_peak_heights(schedule, instance))
         analytic = Fraction(max(peaks))
-    sim = None
-    gaps_seen = 0
-    pairs_covered = False
-    if horizon is not None or chain is None:
-        if horizon is None:
-            horizon = default_horizon(schedule)
-        sim = simulate(schedule, instance, horizon)
-        offsets, cycles = schedule.offsets, schedule.cycles
-        gaps_seen = sum(map(horizon.__ge__, map(add, offsets, cycles)))
-        pairs_covered = not offsets or _lcm_within(cycles, horizon + 1 - max(offsets)) is not None
     ratio = None
     if lower_bound_value is not None and analytic is not None:
         ratio = analytic / lower_bound_value
@@ -497,9 +418,7 @@ def evaluate(
         window_violation=violation,
         peaks=peaks,
         analytic_max=analytic,
-        sim=sim,
-        gaps_seen=gaps_seen,
-        pairs_covered=pairs_covered,
+        sim=None if chain is not None else _calendar(schedule),
         lower_bound=lower_bound_value,
         ratio=ratio,
     )

@@ -34,15 +34,13 @@ from bamboo.verifier import (
     DEFAULT_HORIZON_CAP,
     Collision,
     CollisionReport,
-    HorizonOverflow,
     SimReport,
     VerificationReport,
     WindowViolation,
     _chain_check,
+    _double_booked_days,
     _earliest_shared_day,
     _peak_heights,
-    default_horizon,
-    simulate,
 )
 
 
@@ -297,56 +295,14 @@ def reference_check_collisions(schedule: PeriodicSchedule) -> CollisionReport:
     return CollisionReport(tuple(found))
 
 
-def reference_simulate(
-    schedule: PeriodicSchedule,
-    instance: BgtInstance,
-    horizon: int,
-) -> SimReport:
-    if horizon < 1:
-        raise InvalidInstance(f"horizon must be at least 1, got {horizon}")
-    if horizon > DEFAULT_HORIZON_CAP:
-        raise HorizonOverflow(f"horizon {horizon} exceeds the cap of {DEFAULT_HORIZON_CAP} days")
+def reference_double_booked_days(schedule: PeriodicSchedule, horizon: int) -> tuple[int, ...]:
+    """The days from 1 to `horizon` that hold two or more cuts, from every
+    cut listed and counted."""
+    cuts: dict[int, int] = {}
     for e in schedule.entries:
-        if e.job >= instance.n:
-            raise InvalidInstance(f"schedule mentions job {e.job} outside the instance")
-
-    events: list[tuple[int, int]] = []
-    for e in schedule.entries:
-        events.extend((day, e.job) for day in range(e.offset, horizon + 1, e.cycle))
-    events.sort()
-
-    last_cut = {job: 0 for job in range(instance.n)}
-    best = Fraction(0)
-    best_day = 0
-    best_job: int | None = None
-    doubled: list[int] = []
-    i = 0
-    while i < len(events):
-        j = i
-        day = events[i][0]
-        while j < len(events) and events[j][0] == day:
-            j += 1
-        if j - i > 1:
-            doubled.append(day)
-        for _, job in events[i:j]:
-            h = instance.rates[job] * (day - last_cut[job])
-            if h > best:
-                best, best_day, best_job = h, day, job
-            last_cut[job] = day
-        i = j
-    for job in range(instance.n):
-        gap = horizon - last_cut[job]
-        if gap > 0:
-            h = instance.rates[job] * gap
-            if h > best:
-                best, best_day, best_job = h, horizon, job
-    return SimReport(
-        max_height=best,
-        argmax_day=best_day,
-        argmax_job=best_job,
-        double_booked_days=tuple(doubled),
-        horizon=horizon,
-    )
+        for day in range(e.offset, horizon + 1, e.cycle):
+            cuts[day] = cuts.get(day, 0) + 1
+    return tuple(sorted(day for day, count in cuts.items() if count > 1))
 
 
 def reference_check_windows(schedule: PeriodicSchedule, pseudo: PseudoInstance) -> bool:
@@ -371,12 +327,11 @@ def reference_evaluate(
     schedule: PeriodicSchedule,
     pseudo: PseudoInstance | None = None,
     lower_bound_value: Fraction | None = None,
-    horizon: int | None = None,
 ) -> VerificationReport:
     """The set-based evaluate over the all-pairs collision check, with the
-    calendar's pair coverage from the full lcm; the simulation, the horizon
-    and the chain check are the verifier's own, which have their own
-    references."""
+    calendar's horizon and pair coverage from the full lcm; the marking of
+    the calendar and the chain check are the verifier's own, which have
+    their own references."""
     for e in schedule.entries:
         if e.job >= instance.n:
             raise InvalidInstance(f"schedule mentions job {e.job} outside the instance")
@@ -393,15 +348,10 @@ def reference_evaluate(
     heights = reference_max_heights(schedule, instance) if jobs_ok else None
     analytic = max(heights) if heights else None
     sim = None
-    gaps_seen = 0
-    pairs_covered = False
-    if horizon is not None or chain is None:
-        if horizon is None:
-            horizon = default_horizon(schedule)
-        sim = simulate(schedule, instance, horizon)
-        entries = schedule.entries
-        gaps_seen = sum(e.offset + e.cycle <= horizon for e in entries)
-        pairs_covered = not entries or max(e.offset for e in entries) + math.lcm(*schedule.cycles) - 1 <= horizon
+    if chain is None:
+        full = max(schedule.offsets) + math.lcm(*schedule.cycles) - 1
+        horizon = min(full, DEFAULT_HORIZON_CAP)
+        sim = SimReport(horizon, full == horizon, _double_booked_days(schedule, horizon))
     ratio = None
     if lower_bound_value is not None and analytic is not None:
         ratio = analytic / lower_bound_value
@@ -414,8 +364,6 @@ def reference_evaluate(
         peaks=heights,
         analytic_max=analytic,
         sim=sim,
-        gaps_seen=gaps_seen,
-        pairs_covered=pairs_covered,
         lower_bound=lower_bound_value,
         ratio=ratio,
     )

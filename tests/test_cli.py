@@ -17,9 +17,10 @@ from hypothesis import given, settings, strategies as st
 
 from bamboo import BgtInstance
 from bamboo.cli import _render, main, solution_to_obj
+from bamboo.model import PeriodicSchedule
 from bamboo.reduction import bgt_to_pseudo
 from bamboo.scheduler import solve
-from bamboo.verifier import evaluate
+from bamboo.verifier import DEFAULT_HORIZON_CAP, evaluate
 from helpers import tampered
 
 
@@ -171,11 +172,17 @@ def test_solve_and_verify_output_is_json_dumps_indent_2(seed, explain):
     sol = solve(inst)
     objs = [solution_to_obj(sol, include_trace=explain)]
     pseudo = bgt_to_pseudo(inst)
-    # with a horizon, the calendar's object and its list are printed too
-    horizon = rng.choice([None, 50])
-    for schedule in (sol.schedule, tampered(sol.schedule)):
-        report = evaluate(inst, schedule, pseudo=pseudo, lower_bound_value=pseudo.lower_bound, horizon=horizon)
+    schedule = sol.schedule
+    non_chain = inst.n > 1 and rng.random() < 0.5
+    if non_chain:
+        # the last cycle made odd and past every other one: no chain
+        # structure, so the calendar's object and its list are printed too
+        cycles = schedule.cycles
+        schedule = PeriodicSchedule.of_columns(schedule.jobs, schedule.offsets, cycles[:-1] + (2 * max(cycles[:-1]) + 1,))
+    for s in (schedule, tampered(schedule)):
+        report = evaluate(inst, s, pseudo=pseudo, lower_bound_value=pseudo.lower_bound)
         objs.append(report.to_obj())
+    assert ("simulation" in objs[1]) == non_chain
     if inst.n > 1:
         assert objs[-1]["ok"] is False  # the tampered schedule collides
     for obj in objs:
@@ -219,9 +226,6 @@ def test_verify_flags_tampered_schedule(tmp_path, capsys):
     assert report["collisions"] == [{"job_a": 0, "job_b": 1, "day": 2}]
     assert report["verdict"] == "failed" and report["chain_collision_free"] is False
     assert "simulation" not in report
-    code, out, _ = run(capsys, "verify", "-i", inst, "--schedule", sched, "--horizon", "8")
-    assert code == 1
-    assert json.loads(out)["simulation"]["double_booked_days"] == [2, 6]
 
 
 # six bamboos of rate 1: every window floor is 10 (12/7 * 6 = 72/7). Cycles
@@ -244,19 +248,7 @@ def test_verify_non_chain_schedule_needs_a_covering_calendar(tmp_path, capsys):
     report = json.loads(out)
     assert code == 0 and report["verdict"] == "ok"
     assert report["chain_collision_free"] is None
-    assert report["simulation"]["horizon"] == 6 + 2 * 18
-    assert report["simulation"]["pairs_covered"] is True
-    code, out, _ = run(capsys, "verify", "-i", inst, "--schedule", sched, "--horizon", "23")
-    assert code == 0 and json.loads(out)["verdict"] == "ok"
-    # one day short of every pair: nothing failed, nothing proved
-    code, out, _ = run(capsys, "verify", "-i", inst, "--schedule", sched, "--horizon", "22")
-    report = json.loads(out)
-    assert code == 3 and report["verdict"] == "inconclusive" and report["ok"] is False
-    assert report["simulation"]["pairs_covered"] is False
-    code, out, _ = run(capsys, "verify", "-i", inst, "--schedule", sched, "--horizon", "10")
-    report = json.loads(out)
-    assert code == 3 and report["verdict"] == "inconclusive"
-    assert report["simulation"]["gaps_seen"] == 3 and report["simulation"]["double_booked_days"] == []
+    assert report["simulation"] == {"horizon": 6 + 18 - 1, "pairs_covered": True, "double_booked_days": []}
 
 
 def test_verify_names_the_first_window_violation(tmp_path, capsys):
@@ -279,13 +271,30 @@ def test_verify_refuses_two_inputs_on_stdin(capsys, monkeypatch):
     assert "stdin" in err
 
 
+# four bamboos, window floors 548, 1096, 1096 and 1096 (12/7 * 320): the
+# windows pass and no two entries meet, but cycles 2, 1002, 1038 and 1074
+# have lcm 6 * 167 * 173 * 179, so the calendar stops at the cap
+CAPPED = [
+    {"job": 0, "offset": 2, "cycle": 2},
+    {"job": 1, "offset": 1, "cycle": 1002},
+    {"job": 2, "offset": 3, "cycle": 1038},
+    {"job": 3, "offset": 5, "cycle": 1074},
+]
+
+
 def test_verify_horizon_cap(tmp_path, capsys):
-    inst = write_json(tmp_path, "inst.json", WORKED)
-    _, out, _ = run(capsys, "solve", "-i", inst)
-    sched = write_json(tmp_path, "sched.json", json.loads(out)["entries"])
-    code, _, err = run(capsys, "verify", "-i", inst, "--schedule", sched, "--horizon", str(10**9))
-    assert code == 2
-    assert "error:" in err
+    inst = write_json(tmp_path, "inst.json", {"rates": ["320", "1", "1", "1"]})
+    sched = write_json(tmp_path, "sched.json", CAPPED)
+    code, out, _ = run(capsys, "verify", "-i", inst, "--schedule", sched)
+    report = json.loads(out)
+    assert code == 3 and report["verdict"] == "inconclusive" and report["ok"] is False
+    assert report["collision_free"] is True and report["windows_ok"] is True
+    assert report["simulation"] == {"horizon": DEFAULT_HORIZON_CAP, "pairs_covered": False, "double_booked_days": []}
+    # the horizon is derived, not asked for
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "-i", inst, "--schedule", sched, "--horizon", "5"])
+    assert exc.value.code == 2
+    assert "--horizon" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- density and oracle
@@ -508,6 +517,21 @@ def test_input_not_utf8_names_the_input(tmp_path, capsys):
         assert code == 2 and out == "", argv
         assert err.startswith("error:") and err.count("\n") == 1, argv
         assert str(binary) in err, argv
+
+
+def test_input_nested_too_deeply_names_the_input(tmp_path, capsys, monkeypatch):
+    # json.load raises RecursionError past the interpreter's nesting limit,
+    # which must read as an input error, not as a failed verification
+    inst = write_json(tmp_path, "inst.json", WORKED)
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    for argv in (["solve", "-i", str(deep)], ["verify", "-i", inst, "--schedule", str(deep)]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err == f"error: {deep} is nested too deeply to parse\n", argv
+    monkeypatch.setattr("sys.stdin", io.StringIO(deep.read_text(encoding="utf-8")))
+    code, out, err = run(capsys, "solve")
+    assert code == 2 and out == "" and err == "error: stdin is nested too deeply to parse\n"
 
 
 def test_other_value_errors_still_raise(tmp_path, monkeypatch):

@@ -45,10 +45,10 @@ CONFIGS = (ReductionConfig(Fraction(12, 7), "max-rule"), ReductionConfig(Fractio
 
 GOLDEN_SHA256 = "33b9836ee0dadd858987a67a132504b0dec2fee022715022614e5249f19a3c04"
 GOLDEN_TRACE_SHA256 = "1f80f64eb1efb0d4c61818775cab6cbb0e42283a27c9670817f7e7b5544db09b"
-GOLDEN_VERIFY_SHA256 = "42669dba544b51a3ef3d0b206c37845a2edcb46f729318b14c2622bcd4caa11d"
+GOLDEN_VERIFY_SHA256 = "75b733e1e8ff11f00f67b493af4d0388df89bacce71fe5879daced69ebaca3b3"
 GOLDEN_OPT_SHA256 = "c73eaa6f24b89f31aa04b0403d4cc598850d11de924bd3315d19dc380b70e2a2"
 GOLDEN_RATIONAL_SHA256 = "1315adfdcfa6660b414ab00bafbae91516f4ca34806b4ddf1fb68845a51d757f"
-GOLDEN_RATIONAL_VERIFY_SHA256 = "b627d48581e6f63e3da216b1ace1a7e820244d0a35554964b9a0b0b0b1e1c139"
+GOLDEN_RATIONAL_VERIFY_SHA256 = "d4854ecb7c1b5107f9a315f760984495df01d227362906cae9962e0e2d0f6467"
 
 OPT_CAP = 10**5
 OPT_GARDENS_PER_SIZE = 30
@@ -139,10 +139,10 @@ def _verify_digest(gardens, windows) -> str:
 
 def golden_verify_digest(windows=bgt_to_pseudo) -> str:
     """Digest of the `bamboo verify` JSON for every corpus solve, as built
-    and tampered, evaluated with the CLI's arguments (windows source, its
-    lower bound, default horizon). The windows source is `bgt_to_pseudo`,
-    as the library and perfbench pass it, or `scaled`, as `bamboo verify`
-    does; both must print the same bytes."""
+    and tampered, evaluated with the CLI's arguments (windows source and
+    its lower bound). The windows source is `bgt_to_pseudo`, as the
+    library and perfbench pass it, or `scaled`, as `bamboo verify` does;
+    both must print the same bytes."""
     return _verify_digest(corpus(), windows)
 
 

@@ -1,10 +1,10 @@
 """Collision analysis, window checks, analytic heights, the chain
-cross-check, the simulator and the verdict.
+cross-check, the calendar and the verdict.
 
 The gcd/CRT collision test is the part most worth distrusting, so it gets a
 brute-force shadow: enumerate days over a couple of hyperperiods and compare.
-The grouped collision check and the calendar simulation must also report
-exactly what the all-pairs and sorted-event references in `helpers` report,
+The grouped collision check and the calendar's shared days must also be
+exactly what the all-pairs and cut-counting references in `helpers` report,
 and the chain check must agree with the collision check wherever it applies.
 """
 
@@ -15,7 +15,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from bamboo.model import (
     BgtInstance,
@@ -30,24 +30,23 @@ from bamboo.verifier import (
     DEFAULT_HORIZON_CAP,
     Collision,
     CollisionReport,
-    HorizonOverflow,
     SimReport,
     VerificationReport,
     WindowViolation,
+    _calendar,
     _chain_check,
+    _double_booked_days,
     check_collisions,
     check_windows,
-    default_horizon,
     evaluate,
-    simulate,
 )
 from helpers import (
     max_heights,
     random_instance,
     reference_check_collisions,
     reference_check_windows,
+    reference_double_booked_days,
     reference_evaluate,
-    reference_simulate,
     serves,
     tampered,
 )
@@ -215,63 +214,26 @@ def test_max_heights_small_cases():
     ) == (4, 4)
 
 
-# ---------------------------------------------------------------- simulation
-
-
-def test_simulate_worked_example_matches_analytic():
-    s = sched((0, 2, 2), (1, 1, 4), (2, 3, 128))
-    rep = simulate(s, WORKED, 3 * 128)
-    assert rep.max_height == Fraction(64, 5)
-    assert rep.argmax_job == 2 and rep.argmax_day == 3 + 128
-    assert rep.double_booked_days == ()
-
-
-def test_simulate_single_bamboo():
-    rep = simulate(sched((0, 1, 1)), BgtInstance.from_values([1]), 10)
-    assert rep.max_height == 1 and type(rep.max_height) is Fraction
+# ---------------------------------------------------------------- calendar
 
 
 def test_simulate_flags_double_booking():
-    rep = simulate(sched((0, 1, 2), (1, 3, 4)), BgtInstance.from_values([1, 1]), 8)
-    assert rep.double_booked_days == (3, 7)
+    assert _double_booked_days(sched((0, 1, 2), (1, 3, 4)), 8) == (3, 7)
 
 
 def test_simulate_memory_is_one_byte_per_day():
     # 64 jobs share cycle 64 at offsets 1..64: no collisions, about 10**6
     # cuts, and a calendar of 10**6 + 1 bytes
     s = PeriodicSchedule(tuple(ScheduleEntry(j, j + 1, 64) for j in range(64)))
-    inst = BgtInstance.from_values([1] * 64)
+    horizon = 10**6
     tracemalloc.start()
     try:
-        rep = simulate(s, inst, 10**6)
+        days = _double_booked_days(s, horizon)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 8 * 2**20
-    assert rep.double_booked_days == ()
-    assert rep.max_height == 64
-
-
-def test_simulate_rejects_huge_horizons():
-    with pytest.raises(HorizonOverflow):
-        simulate(sched((0, 1, 1)), BgtInstance.from_values([1]), 10**7)
-    with pytest.raises(InvalidInstance):
-        simulate(sched((0, 1, 1)), BgtInstance.from_values([1]), 0)
-
-
-@given(st.integers(min_value=0, max_value=10**9))
-@settings(max_examples=60, deadline=None)
-def test_simulation_equals_analytic_on_solved_instances(seed):
-    rng = random.Random(seed)
-    n = rng.randint(2, 8)
-    rates = sorted((rng.randint(1, 60) for _ in range(n)), reverse=True)
-    inst = BgtInstance.from_values(rates)
-    sol = solve(inst)
-    s = sol.schedule
-    horizon = max(e.offset + e.cycle for e in s.entries)
-    rep = simulate(s, inst, horizon)
-    assert rep.max_height == max(max_heights(s, inst))
-    assert rep.max_height == sol.height_bound
+    assert 10 * peak < 11 * (horizon + 1)
+    assert days == ()
 
 
 # ------------------------------------------------- equality with references
@@ -307,15 +269,13 @@ TRIPLE = (BgtInstance.from_values([1, 1, 1]), sched((0, 2, 2), (1, 3, 3), (2, 6,
 @example(TRIPLE)
 @example((BgtInstance.from_values([1]), sched((0, 1, 1)), 1))
 @example((BgtInstance.from_values([1, 1]), sched(), 3))  # no job in the schedule
-@example((BgtInstance.from_values([1, 1]), sched((0, 3, 3), (1, 3, 3)), 3))  # a double-booked day ties
-@example((BgtInstance.from_values([1, 1]), sched((0, 6, 6)), 6))  # a cut ties the missing job's tail
-@example((BgtInstance.from_values([1, 1, 1]), sched((0, 1, 7)), 5))  # two tails tie
-@example((BgtInstance.from_values([2, 1, 1]), sched((0, 2, 2), (1, 4, 8), (2, 8, 4)), 20))  # cuts tie
-@example((BgtInstance.from_values(["1/2", "1/2"]), sched((1, 5, 2)), 1))
+@example((BgtInstance.from_values([1, 1]), sched((0, 3, 3), (1, 3, 3)), 3))  # shared on the horizon
+@example((BgtInstance.from_values([2, 1, 1]), sched((0, 2, 2), (1, 4, 8), (2, 8, 4)), 20))  # an offset past its cycle
+@example((BgtInstance.from_values(["1/2", "1/2"]), sched((1, 5, 2)), 1))  # and past the horizon
 @settings(max_examples=600, deadline=None)
 def test_simulate_equals_reference(case):
-    instance, schedule, horizon = case
-    assert simulate(schedule, instance, horizon) == reference_simulate(schedule, instance, horizon)
+    _, schedule, horizon = case
+    assert _double_booked_days(schedule, horizon) == reference_double_booked_days(schedule, horizon)
 
 
 @given(small_schedules(max_jobs=30, max_offset=40, max_cycle=24))
@@ -355,20 +315,9 @@ def test_check_collisions_equals_reference_over_many_cycles():
 
 
 def test_triple_cut_day_is_reported_once():
-    instance, schedule, horizon = TRIPLE
-    rep = simulate(schedule, instance, horizon)
-    assert rep.double_booked_days == (6, 12)
+    _, schedule, horizon = TRIPLE
+    assert _double_booked_days(schedule, horizon) == (6, 12)
     assert len(check_collisions(schedule).collisions) == 3
-
-
-def test_simulate_rejects_what_the_reference_rejects():
-    inst = BgtInstance.from_values([1, 1])
-    for schedule, horizon in ((sched((0, 1, 1)), 0), (sched((0, 1, 1)), 10**6 + 1), (sched((0, 1, 1), (2, 1, 3)), 5)):
-        with pytest.raises(ValueError) as new:
-            simulate(schedule, inst, horizon)
-        with pytest.raises(ValueError) as ref:
-            reference_simulate(schedule, inst, horizon)
-        assert type(new.value) is type(ref.value) and str(new.value) == str(ref.value)
 
 
 @given(st.integers(min_value=0, max_value=10**9))
@@ -380,7 +329,7 @@ def test_solver_schedules_equal_reference(seed):
     horizon = min(20_000, max(e.offset + e.cycle for e in schedule.entries))
     for s in (schedule, tampered(schedule)):
         assert check_collisions(s) == reference_check_collisions(s)
-        assert simulate(s, inst, horizon) == reference_simulate(s, inst, horizon)
+        assert _double_booked_days(s, horizon) == reference_double_booked_days(s, horizon)
     assert not check_collisions(tampered(schedule)).ok
 
 
@@ -391,41 +340,41 @@ PERIODIC_CYCLES = st.sampled_from([1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96,
 
 @st.composite
 def periodic_schedules(draw):
-    """(instance, schedule, horizon) for the calendar's copy path: offsets
-    from 1 to twice the cycle (offset = cycle is residue 0, and an offset
-    past the cycle is marked on its own), jobs left out, horizons up to
-    5,000."""
+    """(schedule, horizon) for the calendar's copy path: offsets from 1 to
+    twice the cycle (offset = cycle is residue 0, and an offset past the
+    cycle is marked on its own), jobs left out, horizons up to 5,000."""
     n = draw(st.integers(min_value=1, max_value=8))
-    rates = sorted(draw(st.lists(RATES, min_size=n, max_size=n)), reverse=True)
     jobs = draw(st.lists(st.integers(min_value=0, max_value=n - 1), min_size=1, max_size=n, unique=True))
     entries = []
     for j in jobs:
         c = draw(PERIODIC_CYCLES)
         entries.append(ScheduleEntry(j, draw(st.integers(min_value=1, max_value=2 * c)), c))
     horizon = draw(st.integers(min_value=1, max_value=5000))
-    return BgtInstance(tuple(rates)), PeriodicSchedule(tuple(entries)), horizon
+    return PeriodicSchedule(tuple(entries)), horizon
 
 
 @given(periodic_schedules())
 # days 1, 7, 13, ... are cut three times; all but day 1 lie in copies of the period 6
-@example((BgtInstance.from_values([1, 1, 1]), sched((0, 1, 2), (1, 1, 3), (2, 1, 6)), 30))
-@example((BgtInstance.from_values([3, 2, 1]), sched((0, 4, 4), (1, 6, 6), (2, 12, 12)), 50))  # residue 0 only
-@example((BgtInstance.from_values([2, 1]), sched((0, 1, 4), (1, 6, 6)), 11))  # lcm 12 = horizon + 1
-@example((BgtInstance.from_values([2, 1]), sched((0, 1, 4), (1, 6, 6)), 10))  # and one day past the calendar
+@example((sched((0, 1, 2), (1, 1, 3), (2, 1, 6)), 30))
+@example((sched((0, 4, 4), (1, 6, 6), (2, 12, 12)), 50))  # residue 0 only
+@example((sched((0, 1, 4), (1, 6, 6)), 11))  # lcm 12 = horizon + 1
+@example((sched((0, 1, 4), (1, 6, 6)), 10))  # and one day past the calendar
 # the lcm passes the horizon at the second cycle, 13, and cycle 16 comes after it
-@example((BgtInstance.from_values([2, 1, 1]), sched((0, 3, 8), (1, 5, 13), (2, 7, 16)), 60))
+@example((sched((0, 3, 8), (1, 5, 13), (2, 7, 16)), 60))
 @settings(max_examples=200, deadline=None)
 def test_simulate_copy_path_equals_reference(case):
-    instance, schedule, horizon = case
-    assert simulate(schedule, instance, horizon) == reference_simulate(schedule, instance, horizon)
+    schedule, horizon = case
+    assert _double_booked_days(schedule, horizon) == reference_double_booked_days(schedule, horizon)
 
 
 def test_solver_schedule_at_default_horizon_equals_reference():
     inst = random_instance(random.Random(7), n_lo=200, n_hi=200, rate_hi=100)
     schedule = solve(inst).schedule
-    horizon = default_horizon(schedule)
+    # the horizon the calendar derives: every pair that meets has met by it
+    horizon = min(DEFAULT_HORIZON_CAP, max(schedule.offsets) + math.lcm(*schedule.cycles) - 1)
+    assert horizon < DEFAULT_HORIZON_CAP
     for s in (schedule, tampered(schedule)):
-        assert simulate(s, inst, horizon) == reference_simulate(s, inst, horizon)
+        assert _double_booked_days(s, horizon) == reference_double_booked_days(s, horizon)
 
 
 def test_simulate_memory_is_one_calendar_on_a_solver_schedule():
@@ -436,7 +385,7 @@ def test_simulate_memory_is_one_calendar_on_a_solver_schedule():
     horizon = 10**6
     tracemalloc.start()
     try:
-        simulate(schedule, inst, horizon)
+        _double_booked_days(schedule, horizon)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -477,9 +426,6 @@ def test_evaluate_catches_tampering():
     assert not report.ok and report.verdict == "failed"
     assert not report.collisions.ok
     assert report.chain_collision_free is False and report.sim is None
-    # with a horizon the calendar runs as well, and shows the shared days
-    report = evaluate(WORKED, bad, pseudo=bgt_to_pseudo(WORKED), horizon=12)
-    assert report.verdict == "failed" and report.sim.double_booked_days == (2, 6, 10)
 
 
 def test_evaluate_names_the_lowest_window_violation():
@@ -583,23 +529,24 @@ def test_chain_check_mutants():
 
 def test_verdict_rules():
     clean, bad = CollisionReport(()), CollisionReport((Collision(0, 1, 2),))
-    sim = SimReport(max_height=Fraction(4), argmax_day=4, argmax_job=0, double_booked_days=(), horizon=8)
-    doubled = SimReport(max_height=Fraction(4), argmax_day=4, argmax_job=0, double_booked_days=(2,), horizon=8)
+    covered = SimReport(horizon=8, pairs_covered=True, double_booked_days=())
+    capped = SimReport(horizon=8, pairs_covered=False, double_booked_days=())
+    doubled = SimReport(horizon=8, pairs_covered=False, double_booked_days=(2,))
 
-    def verdict(collisions=clean, chain=True, jobs_ok=True, windows_ok=True, sim=None, pairs_covered=False):
+    def verdict(collisions=clean, chain=True, jobs_ok=True, windows_ok=True, sim=None):
         fields = dict(collisions=collisions, chain_collision_free=chain, jobs_ok=jobs_ok, windows_ok=windows_ok)
-        fields.update(window_violation=None, peaks=(4, 4), analytic_max=Fraction(4), sim=sim, gaps_seen=2)
-        report = VerificationReport(**fields, pairs_covered=pairs_covered, lower_bound=None, ratio=None)
-        assert report.ok == (report.verdict == "ok")
+        fields.update(window_violation=None, peaks=(4, 4), analytic_max=Fraction(4), sim=sim)
+        report = VerificationReport(**fields, lower_bound=None, ratio=None)
+        assert report.ok == (report.verdict == "ok") and report.horizon_conclusive is False
         return report.verdict
 
-    assert verdict() == verdict(windows_ok=None) == verdict(chain=None, sim=sim, pairs_covered=True) == "ok"
+    assert verdict() == verdict(windows_ok=None) == verdict(chain=None, sim=covered) == "ok"
     # an exact check fails
     assert verdict(collisions=bad, chain=False) == verdict(jobs_ok=False) == verdict(windows_ok=False) == "failed"
     # a cross-check disagrees with the collision check
     assert verdict(chain=False) == verdict(sim=doubled) == verdict(chain=None, sim=doubled) == "failed"
     # nothing failed, and nothing covered every pair
-    assert verdict(chain=None, sim=sim) == "inconclusive"
+    assert verdict(chain=None, sim=capped) == verdict(chain=None) == "inconclusive"
 
 
 def test_chain_check_on_a_single_bamboo_and_a_period_three_job():
@@ -635,21 +582,19 @@ def evaluate_cases(draw):
     solver schedules for up to 200 bamboos, clean or tampered; with or
     without a pseudo-instance, whose n may differ from the instance's."""
     if draw(st.booleans()):
-        instance, schedule, horizon = draw(small_schedules())
+        instance, schedule, _ = draw(small_schedules())
         if draw(st.booleans()):
             extra = ScheduleEntry(instance.n + draw(st.integers(min_value=0, max_value=2)), 1, 2)
             schedule = PeriodicSchedule(schedule.entries + (extra,))
-        horizon = draw(st.none() | st.just(horizon))
     else:
         rng = random.Random(draw(st.integers(min_value=0, max_value=10**9)))
         instance = random_instance(rng, n_lo=1, n_hi=200, rate_hi=rng.choice([100, 10**6]))
         schedule = solve(instance).schedule
         if draw(st.booleans()):
             schedule = tampered(schedule)
-        horizon = draw(st.sampled_from([1, min(20_000, max(e.offset + e.cycle for e in schedule.entries))]))
     n = instance.n + draw(st.sampled_from([0, 0, 0, -1, 1]))
     pseudo = draw(st.none() | st.lists(PERIODS, min_size=n, max_size=n).map(lambda ps: PseudoInstance(tuple(ps))))
-    return instance, schedule, {"pseudo": pseudo, "lower_bound_value": draw(BOUNDS), "horizon": horizon}
+    return instance, schedule, {"pseudo": pseudo, "lower_bound_value": draw(BOUNDS)}
 
 
 def outcome(fn, instance, schedule, kwargs):
@@ -687,14 +632,17 @@ COPRIME = PeriodicSchedule(tuple(ScheduleEntry(j, 1, p) for j, p in enumerate(fi
 
 
 def test_default_horizon_formula():
-    s = sched((0, 3, 4), (1, 1, 6))
-    assert default_horizon(s) == 3 + 2 * 12
-    assert default_horizon(COPRIME) == DEFAULT_HORIZON_CAP
+    # cycles 4 and 6 meet on day 7, by 3 + lcm 12 - 1
+    assert _calendar(sched((0, 3, 4), (1, 1, 6))) == SimReport(horizon=14, pairs_covered=True, double_booked_days=(7,))
+    # the lcm of the primes passes the cap at 19 and is not folded further
+    rep = _calendar(COPRIME)
+    assert rep.horizon == DEFAULT_HORIZON_CAP and rep.pairs_covered is False
+    assert rep.double_booked_days[:3] == (1, 7, 11)
 
 
 @st.composite
 def horizon_schedules(draw):
-    n = draw(st.integers(min_value=0, max_value=8))
+    n = draw(st.integers(min_value=1, max_value=8))
     cycles = st.integers(min_value=1, max_value=12) | st.integers(min_value=1, max_value=5000)
     offsets = st.integers(min_value=1, max_value=40) | st.integers(min_value=1, max_value=2 * DEFAULT_HORIZON_CAP)
     return PeriodicSchedule(tuple(ScheduleEntry(j, draw(offsets), draw(cycles)) for j in range(n)))
@@ -702,14 +650,32 @@ def horizon_schedules(draw):
 
 @given(horizon_schedules())
 @example(COPRIME)
-@example(sched((0, 2, 499_999)))  # max offset + 2 * lcm lands on the cap
-@example(sched((0, 1, 499_999)))  # one day short of it
+@example(sched((0, 2, 999_999)))  # max offset + lcm - 1 lands on the cap
+@example(sched((0, 3, 999_999)))  # one day past it
 @example(sched((0, DEFAULT_HORIZON_CAP + 5, 1)))  # the offset alone passes it
-@settings(max_examples=300, deadline=None)
+# each example marks a calendar of up to 10**6 days
+@settings(max_examples=40, deadline=None)
 def test_default_horizon_is_the_capped_formula(schedule):
-    entries = schedule.entries
-    expected = 1
-    if entries:
-        full = max(e.offset for e in entries) + 2 * math.lcm(*(e.cycle for e in entries))
-        expected = min(DEFAULT_HORIZON_CAP, full)
-    assert default_horizon(schedule) == expected
+    full = max(schedule.offsets) + math.lcm(*schedule.cycles) - 1
+    rep = _calendar(schedule)
+    assert rep.horizon == min(DEFAULT_HORIZON_CAP, full)
+    assert rep.pairs_covered == (full <= DEFAULT_HORIZON_CAP)
+
+
+@given(small_schedules(max_jobs=8, max_offset=40, max_cycle=24))
+@example((BgtInstance.from_values([1] * 3), sched((0, 1, 4), (1, 2, 6), (2, 3, 9)), 1))
+@settings(max_examples=300, deadline=None)
+def test_covering_calendar_sees_every_collision(case):
+    """Without chain structure the calendar decides: when its horizon is
+    not capped, every collision falls on one of its double-booked days."""
+    instance, schedule, _ = case
+    assume(_chain_check(schedule) is None)
+    report = evaluate(instance, schedule)
+    sim = report.sim
+    if sim.pairs_covered:
+        for c in report.collisions.collisions:
+            assert c.day <= sim.horizon and c.day in sim.double_booked_days
+    if not (report.collisions.ok and report.jobs_ok):
+        assert report.verdict == "failed"
+    else:
+        assert report.verdict == ("ok" if sim.pairs_covered else "inconclusive")
