@@ -5,7 +5,9 @@ and close to linear in the schedule's int columns: collisions by
 congruence arithmetic, job coverage, windows (offsets and cycles against
 the int floors of the periods) and heights by the closed form
 h * max(offset, cycle), `int` for an integer garden, the one home of the
-height rule.
+height rule. The collision check and the chain check read one residue
+table, which `evaluate` builds once: per cycle, its entries, their
+residues offset % cycle and whether one repeats.
 
 A cross-check must agree with the collision check before the verdict is
 `ok`. It is a second algorithm over the same congruence fact (o1 + k*t1
@@ -25,7 +27,7 @@ import itertools
 import math
 from collections import defaultdict
 from fractions import Fraction
-from operator import gt
+from operator import gt, mod
 from typing import AbstractSet, Iterable
 
 from .model import BgtInstance, InvalidInstance, PeriodicSchedule, PseudoInstance, record
@@ -72,60 +74,79 @@ def _earliest_shared_day(o1: int, t1: int, o2: int, t2: int) -> int | None:
     return day
 
 
-def check_collisions(schedule: PeriodicSchedule) -> CollisionReport:
+_Table = tuple[list[int], dict[int, tuple[list[int], set[int], bool]]]
+
+
+def _residue_table(schedule: PeriodicSchedule) -> _Table:
+    """The residue offset % cycle of each entry, and per cycle the indices
+    of its entries in entry order, the set of their residues and whether a
+    residue repeats: one pass over the int columns, read by the collision
+    check and the chain check alike."""
+    residues = list(map(mod, schedule.offsets, schedule.cycles))
+    members: defaultdict[int, list[int]] = defaultdict(list)
+    for i, c in enumerate(schedule.cycles):
+        members[c].append(i)
+    table = {}
+    for c, indices in members.items():
+        own = set(map(residues.__getitem__, indices))
+        table[c] = (indices, own, len(own) < len(indices))
+    return residues, table
+
+
+def check_collisions(schedule: PeriodicSchedule, table: _Table | None = None) -> CollisionReport:
     """Every pair of entries that ever cuts on the same day, in entry order,
     each with the earliest such day.
 
     Two entries meet iff their offsets agree modulo the gcd of their cycles,
-    so entries are grouped by cycle and then by offset % cycle: within a
-    cycle, equal residues collide. Across two cycles with gcd g, the sets
-    of their residues modulo g are tested for a common class first (a
-    cycle's own residues when g is the cycle, otherwise a set built once
-    per (cycle, g), reduced from the set modulo 2g when that is built and
-    from the cycle's residues otherwise; the cycles meet from the largest
-    down, so on the solver's doubling grids the set modulo 2g usually
-    is), and only a pair of cycles that shares a class is searched for its
-    colliding entries. For K distinct cycles that is K^2 / 2 set tests,
+    so the check reads the schedule's residue table (`evaluate` passes the
+    one it builds): within a cycle, equal residues collide. Across two
+    cycles with gcd g, the sets of their residues modulo g are tested for a
+    common class first (a cycle's own residues when g is the cycle,
+    otherwise a set built once per (cycle, g), reduced from the set modulo
+    2g when that is built and from the cycle's residues otherwise; the
+    cycles meet from the largest down, so on the solver's doubling grids
+    the set modulo 2g usually is), and only a pair of cycles that shares a
+    class is searched for its colliding entries, in lists of entries built
+    for that pair alone. For K distinct cycles that is K^2 / 2 set tests,
     one pass over at most a cycle's residues per other gcd it has
     (O(K * n) at worst), and work in proportion to the collisions.
     """
-    jobs, offsets, cycles = schedule.jobs, schedule.offsets, schedule.cycles
-    groups: dict[int, dict[int, list[int]]] = {}
-    for i, (o, c) in enumerate(zip(offsets, cycles)):
-        groups.setdefault(c, {}).setdefault(o % c, []).append(i)
+    residues, by_cycle = table or _residue_table(schedule)
     pairs: list[tuple[int, int]] = []
-    for residues in groups.values():
-        for bucket in residues.values():
-            if len(bucket) > 1:
+    for indices, _, repeats in by_cycle.values():
+        if repeats:
+            buckets: dict[int, list[int]] = {}
+            for i in indices:
+                buckets.setdefault(residues[i], []).append(i)
+            for bucket in buckets.values():
                 pairs.extend(itertools.combinations(bucket, 2))
     classes: dict[tuple[int, int], frozenset[int]] = {}
 
     def residue_classes(cycle: int, g: int) -> AbstractSet[int]:
         if g == cycle:
-            return groups[cycle].keys()
+            return by_cycle[cycle][1]
         cached = classes.get((cycle, g))
         if cached is None:
             # the set modulo 2g, once built, has the residues modulo g of all
             # the cycle's residues and is at most 2g long
-            source = classes.get((cycle, 2 * g)) or groups[cycle]
-            cached = classes[cycle, g] = frozenset(r % g for r in source)
+            source = classes.get((cycle, 2 * g)) or by_cycle[cycle][1]
+            cached = classes[cycle, g] = frozenset(map(g.__rmod__, source))
         return cached
 
     # larger cycles first: each cycle meets the others from the largest down,
     # so on a doubling grid its set modulo 2g is built before the one modulo g
-    for (c1, residues1), (c2, residues2) in itertools.combinations(sorted(groups.items(), reverse=True), 2):
+    for c1, c2 in itertools.combinations(sorted(by_cycle, reverse=True), 2):
         g = math.gcd(c1, c2)
-        # only c2 < c1 can give its own residues, a dict view, which
-        # isdisjoint would scan in full as the argument
         if residue_classes(c2, g).isdisjoint(residue_classes(c1, g)):
             continue
         by_class: dict[int, list[int]] = {}
-        for r, bucket in residues1.items():
-            by_class.setdefault(r % g, []).extend(bucket)
-        for r, bucket in residues2.items():
-            for i in by_class.get(r % g, ()):
-                pairs.extend((i, j) if i < j else (j, i) for j in bucket)
+        for i in by_cycle[c1][0]:
+            by_class.setdefault(residues[i] % g, []).append(i)
+        for j in by_cycle[c2][0]:
+            for i in by_class.get(residues[j] % g, ()):
+                pairs.append((i, j) if i < j else (j, i))
     pairs.sort()
+    jobs, offsets, cycles = schedule.jobs, schedule.offsets, schedule.cycles
     found = []
     for i, j in pairs:
         day = _earliest_shared_day(offsets[i], cycles[i], offsets[j], cycles[j])
@@ -137,40 +158,43 @@ def _divides_chain(descending: list[int]) -> bool:
     return all(a % b == 0 for a, b in zip(descending, descending[1:]))
 
 
-def _chain_check(schedule: PeriodicSchedule) -> bool | None:
+def _chain_check(schedule: PeriodicSchedule, table: _Table | None = None) -> bool | None:
     """Whether no two entries ever meet, decided without a horizon; None
     when the cycles have no chain structure.
 
     The entries form one class when the distinct cycles are a divides
-    chain, or else, when every cycle is even, two classes by offset parity:
-    2 divides every gcd, so entries of opposite parity never meet. The
-    cycles of each class must be a divides chain. Within one, entries with
-    cycles c | C meet iff the residue modulo C, reduced modulo c, is the
-    other's residue. So from the largest cycle down, the residues of the
-    larger cycles are reduced modulo each smaller one (a set of at most c
-    members) and tested against its own, which must be distinct.
+    chain, or else, when every cycle is even, two classes by residue (and
+    so offset) parity: 2 divides every gcd, so entries of opposite parity
+    never meet. The cycles of each class must be a divides chain. Within
+    one, entries with cycles c | C meet iff the residue modulo C, reduced
+    modulo c, is the other's residue. So from the largest cycle down, the
+    residues of the larger cycles are reduced modulo each smaller one (a
+    set of at most c members) and tested against its own, which must be
+    distinct. It reads the collision check's residue table.
     """
-    offsets, cycles = schedule.offsets, schedule.cycles
-    distinct = sorted(set(cycles), reverse=True)
+    _, by_cycle = table or _residue_table(schedule)
+    distinct = sorted(by_cycle, reverse=True)
     if _divides_chain(distinct):
-        parity = 0
+        classes = [[(c, by_cycle[c][1]) for c in distinct]]
     elif not any(c & 1 for c in distinct):
-        parity = 1
+        classes = [[], []]
+        for c in distinct:
+            own = by_cycle[c][1]
+            odd = set(filter((1).__and__, own))
+            for chain, mine in zip(classes, (own - odd, odd)):
+                if mine:
+                    chain.append((c, mine))
+        if not all(_divides_chain([c for c, _ in chain]) for chain in classes):
+            return None
     else:
         return None
-    classes: tuple[defaultdict[int, list[int]], ...] = (defaultdict(list), defaultdict(list))
-    for c, o in zip(cycles, offsets):
-        classes[o & parity][c].append(o)
-    chains = [sorted(by_cycle, reverse=True) for by_cycle in classes]
-    if not all(map(_divides_chain, chains)):
-        return None
-    for by_cycle, chain in zip(classes, chains):
+    if any(repeats for _, _, repeats in by_cycle.values()):
+        return False
+    for chain in classes:
         taken: set[int] = set()
-        for c in chain:
-            own = by_cycle[c]
-            mine = set(map(c.__rmod__, own))
+        for c, mine in chain:
             taken = set(map(c.__rmod__, taken))
-            if len(mine) < len(own) or not taken.isdisjoint(mine):
+            if not taken.isdisjoint(mine):
                 return False
             taken |= mine
     return True
@@ -393,8 +417,9 @@ def evaluate(
     peaks stay native, and only the maximum and the ratio are Fractions.
     The calendar runs only when the cycles have no chain structure."""
     _check_jobs_within(schedule, instance.n)
-    collisions = check_collisions(schedule)
-    chain = _chain_check(schedule)
+    table = _residue_table(schedule)
+    collisions = check_collisions(schedule, table)
+    chain = _chain_check(schedule, table)
     jobs_ok = schedule.covers(instance.n)
     windows_ok: bool | None = None
     violation = None

@@ -571,6 +571,86 @@ def test_every_solver_schedule_reads_ok_from_the_chain(n):
             assert report.verdict == "ok" and report.chain_collision_free is True and report.sim is None
 
 
+# ---------------------------------------------------------------- residue table
+
+# one class: a chain of cycles, or any cycles up to 12
+ONE_CLASS = ((1, 2, 4, 8, 16), (3, 6, 12, 24), tuple(range(1, 13)))
+# two parity classes, even residues on the first pool and odd on the
+# second: both chains, or only the odd one (6 does not divide 8)
+PARITY_CLASSES = (((6, 12, 24, 48), (2, 4, 8, 16)), ((6, 8, 12, 16), (2, 4, 8, 16)))
+
+
+@st.composite
+def table_schedules(draw):
+    """Schedules whose residue table has repeats and meeting classes: each
+    entry takes a fresh residue or one that meets an earlier entry of its
+    class (modulo the gcd of the two cycles, so the same residue on the
+    same cycle), and its offset may pass its cycle by up to two cycles. In
+    the parity shapes an entry's class is its residue parity: every cycle
+    is even, so a meeting residue keeps the parity."""
+    parity = draw(st.booleans())
+    pools = draw(st.sampled_from(PARITY_CLASSES)) if parity else (draw(st.sampled_from(ONE_CLASS)),) * 2
+    entries: list[tuple[int, int, int]] = []  # (class, residue, cycle)
+    for _ in range(draw(st.integers(min_value=1, max_value=12))):
+        cls = draw(st.integers(min_value=0, max_value=1)) if parity else 0
+        c = draw(st.sampled_from(pools[cls]))
+        mates = [e for e in entries if e[0] == cls]
+        if mates and draw(st.booleans()):
+            _, r_e, c_e = draw(st.sampled_from(mates))
+            g = math.gcd(c, c_e)
+            r = r_e % g + g * draw(st.integers(min_value=0, max_value=c // g - 1))
+        elif parity:
+            r = 2 * draw(st.integers(min_value=0, max_value=c // 2 - 1)) + cls
+        else:
+            r = draw(st.integers(min_value=0, max_value=c - 1))
+        entries.append((cls, r, c))
+    late = st.integers(min_value=0, max_value=2)
+    return PeriodicSchedule(tuple(ScheduleEntry(j, r + c * draw(late) or c, c) for j, (_, r, c) in enumerate(entries)))
+
+
+def has_chain_structure(schedule: PeriodicSchedule) -> bool:
+    """The distinct cycles are one divides chain, or every cycle is even and
+    the cycles of each offset parity are one."""
+
+    def is_chain(cycles) -> bool:
+        ascending = sorted(set(cycles))
+        return all(b % a == 0 for a, b in zip(ascending, ascending[1:]))
+
+    rows = list(zip(schedule.offsets, schedule.cycles))
+    if is_chain(schedule.cycles):
+        return True
+    return all(c % 2 == 0 for _, c in rows) and all(is_chain(c for o, c in rows if o % 2 == p) for p in (0, 1))
+
+
+@given(table_schedules())
+@example(sched((0, 1, 3)))  # a single entry
+@example(sched((0, 1, 4), (1, 5, 4), (2, 2, 8), (3, 10, 8), (4, 18, 16)))  # repeats in two cycles
+@example(sched((0, 1, 4), (1, 9, 8), (2, 2, 6), (3, 14, 12)))  # a meeting pair in each parity class
+@example(sched((0, 1, 4), (1, 3, 8), (2, 2, 6), (3, 4, 8)))  # the odd class a chain, the even one not
+@settings(max_examples=300, deadline=None)
+def test_evaluate_reads_one_table_for_both_checks(schedule):
+    report = evaluate(BgtInstance.from_values([1] * len(schedule.jobs)), schedule)
+    assert report.collisions == reference_check_collisions(schedule)
+    assert report.chain_collision_free == _chain_check(schedule)
+    assert report.chain_collision_free == (report.collisions.ok if has_chain_structure(schedule) else None)
+
+
+def test_same_cycle_and_cross_cycle_collisions_in_one_report():
+    # jobs 0 and 2 meet across cycles 8 and 16 (10 = 2 mod 8), first on day
+    # 10; jobs 1 and 3 share residue 1 modulo 4, first on day 5. The
+    # same-cycle pair is found first, and the report lists entry order.
+    schedule = sched((0, 2, 8), (1, 1, 4), (2, 10, 16), (3, 5, 4))
+    expected = (Collision(0, 2, 10), Collision(1, 3, 5))
+    assert check_collisions(schedule).collisions == expected == reference_check_collisions(schedule).collisions
+    report = evaluate(BgtInstance.from_values([1] * 4), schedule)
+    assert report.collisions.collisions == expected
+    assert report.chain_collision_free is False and report.verdict == "failed" and report.sim is None
+    assert report.to_obj()["collisions"] == [
+        {"job_a": 0, "job_b": 2, "day": 10},
+        {"job_a": 1, "job_b": 3, "day": 5},
+    ]
+
+
 PERIODS = st.sampled_from([2, 3, Fraction(7, 2), Fraction(13, 3), 5, 8, Fraction(64, 5)])
 BOUNDS = st.none() | st.sampled_from([Fraction(1), Fraction(9, 2), 8])
 
