@@ -15,10 +15,11 @@ and o2 + k*t2 meet iff o1 = o2 mod gcd(t1, t2)), not a second proof: the
 chain check, with no horizon, where the cycles form divides chains (every
 solver schedule: B' on odd days and C' on even days are each a chain, as
 in Holte et al. 1989 and Chan and Chin 1992); otherwise a calendar of the
-cuts up to a horizon derived from the schedule, complete only when that
-horizon is not capped. The verdict is `failed` when an exact check fails
-or a cross-check disagrees, `ok` when the exact checks pass and a
-complete cross-check agrees, and `inconclusive` otherwise.
+cuts, one slice per entry, up to a horizon derived from the schedule,
+complete only when that horizon is not capped. The verdict is `failed`
+when an exact check fails or a cross-check disagrees, `ok` when the exact
+checks pass and a complete cross-check agrees, and `inconclusive`
+otherwise.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import math
 from collections import defaultdict
 from fractions import Fraction
 from operator import gt, mod
-from typing import AbstractSet, Iterable
+from typing import AbstractSet
 
 from .model import BgtInstance, InvalidInstance, PeriodicSchedule, PseudoInstance, record
 from .reduction import ScaledGarden
@@ -237,14 +238,6 @@ def _peak_heights(schedule: PeriodicSchedule, instance: BgtInstance) -> list[int
     return [rates[j] * (o if o > c else c) for j, o, c in zip(schedule.jobs, schedule.offsets, schedule.cycles)]
 
 
-def _repeat(view: memoryview, period: int, end: int) -> None:
-    """Repeat view[:period] up to view[:end], doubling the copied span each step."""
-    while period < end:
-        step = period if 2 * period <= end else end - period
-        view[period : period + step] = view[:step]
-        period += step
-
-
 def _check_jobs_within(schedule: PeriodicSchedule, n: int) -> None:
     jobs = schedule.jobs
     # jobs are sorted: if any job is outside the instance, the last is
@@ -256,51 +249,15 @@ def _check_jobs_within(schedule: PeriodicSchedule, n: int) -> None:
 def _double_booked_days(schedule: PeriodicSchedule, horizon: int) -> tuple[int, ...]:
     """The days from 1 to `horizon` that hold two or more cuts.
 
-    Every cut is marked on a calendar of one byte per day. An entry with
-    offset <= cycle is cut on every day >= 1 that is congruent to its
-    offset modulo its cycle, so the marks of such entries repeat with the
-    lcm of their cycles. Their distinct cycles are taken in ascending order
-    while the running lcm fits in horizon + 1 days: the marked period is
-    copied forward to the new lcm, and each residue of the cycle is marked
-    once on it. That period is then copied out to the horizon, day 0
-    (which stands for the day the period ends) is cleared, and the
-    remaining entries (cycles that would carry the lcm past the horizon,
-    and offsets past their cycle) are marked over the whole horizon one by
-    one. The copies are slice copies within the calendar, so memory stays
-    one byte per day.
+    Every cut is marked on a calendar of one byte per day: each entry
+    marks the slice of its days offset, offset + cycle, ... up to the
+    horizon, through one translation that counts 0, 1, many. The work is
+    the number of cuts up to the horizon, and memory is the calendar plus
+    one slice and its translation, at most 3 bytes per day.
     """
     cal = bytearray(horizon + 1)
-    # offsets by cycle: an entry with offset <= cycle is cut on every day
-    # >= 1 that is = offset (mod cycle), a late one only from its offset on
-    periodic: dict[int, list[int]] = {}
-    late: dict[int, list[int]] = {}
     for o, c in zip(schedule.offsets, schedule.cycles):
-        (late if o > c else periodic).setdefault(c, []).append(o)
-
-    if periodic:
-        # day 0 stands for the day the period ends; the blank calendar
-        # repeats with any period, so the first is the smallest cycle
-        cycles = sorted(periodic)
-        period = cycles[0]
-        view = memoryview(cal)
-        for c in cycles:
-            wider = math.lcm(period, c)
-            if wider > horizon + 1:
-                break
-            _repeat(view, period, wider)
-            period = wider
-            for o in periodic.pop(c):
-                r = o % c
-                cal[r:period:c] = cal[r:period:c].translate(_INC)
-        _repeat(view, period, horizon + 1)
-        view.release()
-        cal[0] = 0
-    # the cycles that would carry the period past the horizon, and late entries
-    for group in (periodic, late):
-        for c, offsets in group.items():
-            for o in offsets:
-                cal[o::c] = cal[o::c].translate(_INC)
-
+        cal[o::c] = cal[o::c].translate(_INC)
     doubled: list[int] = []
     day = cal.find(2)
     while day != -1:
@@ -316,28 +273,24 @@ class SimReport:
     double_booked_days: tuple[int, ...]
 
 
-def _lcm_within(cycles: Iterable[int], limit: int) -> int | None:
-    """The lcm of the cycles, or None once it passes `limit`. It is folded
-    one distinct cycle at a time and given up as soon as it passes: it
-    only grows from there, and the full lcm of thousands of coprime cycles
-    is a huge integer."""
-    hyperperiod = 1
-    for cycle in set(cycles):
-        hyperperiod = math.lcm(hyperperiod, cycle)
-        if hyperperiod > limit:
-            return None
-    return hyperperiod
-
-
 def _calendar(schedule: PeriodicSchedule) -> SimReport:
     """The shared days of a non-empty schedule up to max offset + lcm of
     all the cycles - 1, capped at DEFAULT_HORIZON_CAP. Two entries that
     ever meet do so by their larger offset + the lcm of their cycles - 1,
-    so the days cover every pair exactly when the cap is not hit."""
+    so the days cover every pair exactly when the cap is not hit. The lcm
+    is folded one distinct cycle at a time and given up once it passes
+    the cap: it only grows from there, and the full lcm of thousands of
+    coprime cycles is a huge integer."""
     start = max(schedule.offsets)
-    hyperperiod = _lcm_within(schedule.cycles, DEFAULT_HORIZON_CAP + 1 - start)
-    horizon = DEFAULT_HORIZON_CAP if hyperperiod is None else start + hyperperiod - 1
-    return SimReport(horizon, hyperperiod is not None, _double_booked_days(schedule, horizon))
+    limit = DEFAULT_HORIZON_CAP + 1 - start
+    hyperperiod = 1
+    for cycle in set(schedule.cycles):
+        hyperperiod = math.lcm(hyperperiod, cycle)
+        if hyperperiod > limit:
+            break
+    covered = hyperperiod <= limit
+    horizon = start + hyperperiod - 1 if covered else DEFAULT_HORIZON_CAP
+    return SimReport(horizon, covered, _double_booked_days(schedule, horizon))
 
 
 @record

@@ -333,16 +333,16 @@ def test_solver_schedules_equal_reference(seed):
     assert not check_collisions(tampered(schedule)).ok
 
 
-# divisor-rich cycles with a few primes among them, so the running lcm of a
-# schedule's cycles fits the horizon for a while and then passes it
+# divisor-rich cycles with a few primes among them, so the lcm of a
+# schedule's cycles fits the horizon for some draws and passes it for others
 PERIODIC_CYCLES = st.sampled_from([1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 5, 7, 11, 13])
 
 
 @st.composite
 def periodic_schedules(draw):
-    """(schedule, horizon) for the calendar's copy path: offsets from 1 to
-    twice the cycle (offset = cycle is residue 0, and an offset past the
-    cycle is marked on its own), jobs left out, horizons up to 5,000."""
+    """(schedule, horizon) for the calendar: offsets from 1 to twice the
+    cycle (offset = cycle is residue 0, and an offset past the cycle starts
+    late), jobs left out, horizons up to 5,000."""
     n = draw(st.integers(min_value=1, max_value=8))
     jobs = draw(st.lists(st.integers(min_value=0, max_value=n - 1), min_size=1, max_size=n, unique=True))
     entries = []
@@ -354,7 +354,7 @@ def periodic_schedules(draw):
 
 
 @given(periodic_schedules())
-# days 1, 7, 13, ... are cut three times; all but day 1 lie in copies of the period 6
+# days 1, 7, 13, ... are cut three times, every sixth day to the horizon
 @example((sched((0, 1, 2), (1, 1, 3), (2, 1, 6)), 30))
 @example((sched((0, 4, 4), (1, 6, 6), (2, 12, 12)), 50))  # residue 0 only
 @example((sched((0, 1, 4), (1, 6, 6)), 11))  # lcm 12 = horizon + 1
@@ -378,8 +378,8 @@ def test_solver_schedule_at_default_horizon_equals_reference():
 
 
 def test_simulate_memory_is_one_calendar_on_a_solver_schedule():
-    # the calendar is 10**6 + 1 bytes; the period is copied forward within
-    # it, not tiled into a second buffer
+    # the calendar is 10**6 + 1 bytes; each entry's slice and its
+    # translation add 2 / cycle of that, and no cycle here is below 768
     inst = random_instance(random.Random(0), n_lo=1000, n_hi=1000, rate_hi=10**6)
     schedule = solve(inst).schedule
     horizon = 10**6
@@ -390,6 +390,20 @@ def test_simulate_memory_is_one_calendar_on_a_solver_schedule():
     finally:
         tracemalloc.stop()
     assert 10 * peak < 11 * (horizon + 1)
+
+
+def test_calendar_memory_has_no_per_entry_term():
+    # the CAPPED schedule of test_cli: cycle 2 at the 10**6-day cap, so the
+    # slice of every other day and its translation add 2 / 2 of the calendar
+    s = sched((0, 2, 2), (1, 1, 1002), (2, 3, 1038), (3, 5, 1074))
+    tracemalloc.start()
+    try:
+        rep = _calendar(s)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.horizon == DEFAULT_HORIZON_CAP and rep.double_booked_days == ()
+    assert 10 * peak < 21 * (rep.horizon + 1)
 
 
 # ---------------------------------------------------------------- evaluate
