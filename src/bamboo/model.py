@@ -10,7 +10,8 @@ Each boundary rule has one home: `parse_rational` is the one coercion of
 rates, periods and factors, `int_period` the one check of an integral
 period and `PeriodicSchedule`, which holds a schedule as int columns, the
 one check of schedule entries and the one home of the coverage rule
-(`covers`). The lower bound lives in `reduction.scaled`, and the horizon
+(`covers`) and of the height rule (`peaks`, which `solve` and `evaluate`
+both call). The lower bound lives in `reduction.scaled`, and the horizon
 of the verifier's calendar, which runs only on a schedule without chain
 structure, in `verifier._calendar`.
 
@@ -59,21 +60,19 @@ def _delattr(self, name: str) -> None:
     raise AttributeError(f"cannot delete field {name!r}")
 
 
-def record(cls: type | None = None, *, init: bool = True):
+def record(cls: type) -> type:
     """Make `cls` an immutable value class over its annotated fields, in
     order: equal to a record of the same class with equal fields, hashed
     and printed by them, and refusing to assign or delete an attribute.
-    The `__init__` (unless `init=False` keeps the class's own) takes the
-    fields positionally or by keyword, defaults from the class body, sets
-    each with `object.__setattr__` and then calls `self.__post_init__()`,
-    if the class has one; it is looked up on each call, so a hook wrapped
-    on the class later runs too. The comparison methods are shared by
-    every record and read the field names from `_fields`; only `__init__`
-    is compiled, once per class."""
-    if cls is None:
-        return lambda cls: record(cls, init=init)
+    Unless the class body defines its own, the `__init__` takes the fields
+    positionally or by keyword, defaults from the class body, sets each
+    with `object.__setattr__` and then calls `self.__post_init__()`, if
+    the class has one; it is looked up on each call, so a hook wrapped on
+    the class later runs too. The comparison methods are shared by every
+    record and read the field names from `_fields`; only `__init__` is
+    compiled, once per class."""
     cls._fields = fields = tuple(cls.__dict__.get("__annotations__", ()))
-    if init:
+    if "__init__" not in cls.__dict__:
         lines = [f"def __init__(self, {', '.join(fields)}):"]
         lines += [f"    _set(self, {name!r}, {name})" for name in fields]
         if hasattr(cls, "__post_init__"):
@@ -229,7 +228,7 @@ class ScheduleEntry:
     cycle: int
 
 
-@record(init=False)
+@record
 class PeriodicSchedule:
     """One entry per job, held as int columns sorted by job id: `jobs`,
     `offsets` and `cycles`, as `of_columns` takes them. perfbench reads
@@ -291,6 +290,11 @@ class PeriodicSchedule:
     @cached_property
     def entries(self) -> tuple[ScheduleEntry, ...]:
         return tuple(map(ScheduleEntry, self.jobs, self.offsets, self.cycles))
+
+    def peaks(self, rates: Sequence[int | Fraction]) -> list[int | Fraction]:
+        """The one home of the height rule: job j peaks at rates[j] *
+        max(offset, cycle), an int for an integer rate, in entry order."""
+        return [rates[j] * (o if o > c else c) for j, o, c in zip(self.jobs, self.offsets, self.cycles)]
 
     def covers(self, n: int) -> bool:
         """True iff there is exactly one entry for each of jobs 0..n-1: the

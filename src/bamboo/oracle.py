@@ -68,7 +68,12 @@ def pinwheel_feasible(periods: Sequence[int], cap: int = DEFAULT_STATE_CAP) -> P
     ps = [int_period(p) for p in periods]
     if not ps:
         raise InvalidInstance("need at least one job")
-    lasso = _lasso(ps, cap)
+    if _overdense(ps):
+        return PinwheelResult(False, None)
+    refusal = _too_large(ps, cap)
+    if refusal is not None:
+        raise refusal
+    lasso = _lasso(ps)
     if lasso is None:
         return PinwheelResult(False, None)
     stem, cycle = lasso
@@ -115,16 +120,11 @@ def _overdue(state: tuple[int, ...], twos: slice) -> bool:
     return soon > 2 or soon + state.count(3) + (ones and state[twos].count(1)) > 3
 
 
-def _lasso(ps: Sequence[int], cap: int) -> tuple[list[tuple[int, int]], list[tuple[int, int]]] | None:
+def _lasso(ps: Sequence[int]) -> tuple[list[tuple[int, int]], list[tuple[int, int]]] | None:
     """The moves of a schedule's stem and of its repeating cycle, each the
     (period, deadline) of the job served that day, or None when no infinite
-    schedule exists. `ps` holds positive integers."""
-    if _overdense(ps):
-        return None
-    refusal = _too_large(ps, cap)
-    if refusal is not None:
-        raise refusal
-
+    schedule exists. `ps` holds positive integers that the caller checked:
+    density at most 1 and a state space within the cap."""
     cps = tuple(sorted(ps))
     n = len(cps)
     twos = slice(bisect.bisect_left(cps, 2), bisect.bisect_right(cps, 2))
@@ -233,10 +233,11 @@ def bgt_opt(instance: BgtInstance, cap: int = DEFAULT_STATE_CAP) -> Fraction:
     the multiples of some a_i in [L * D, floor(12/7 * L * D)], and a scaled
     height V has periods V // a_i. Overdensity and the state-space size are
     monotone along the grid too, so the searchable candidates are those
-    after the overdense ones and before the first one over the cap.
-    `StateSpaceTooLarge`, with the message of the first candidate over the
-    cap, means none of the searchable candidates was feasible. Every period
-    is at least 1, since L >= h_0.
+    after the overdense ones and before the first one over the cap. The cap
+    is tested first; past it, a bisection finds the first candidate that is
+    not overdense, and `StateSpaceTooLarge` with its message means none of
+    the searchable candidates was feasible. Every period is at least 1,
+    since L >= h_0.
 
     The scan from the bottom stops at the first candidate proved by
     construction, the single-integer reduction of Holte et al. (1989) and
@@ -257,18 +258,21 @@ def bgt_opt(instance: BgtInstance, cap: int = DEFAULT_STATE_CAP) -> Fraction:
     proved = refusal = None
     for v, _ in itertools.groupby(grid):
         periods = [v // a for a in rates]
+        if _too_large(periods, cap) is not None:
+            # every height from v up is over the cap; periods change only at
+            # grid candidates, so the first one not overdense is a candidate
+            u = v + bisect.bisect_left(range(v, high + 1), True, key=lambda w: not _overdense([w // a for a in rates]))
+            refusal = _too_large([u // a for a in rates], cap)
+            break
         if _overdense(periods):
             continue
-        refusal = _too_large(periods, cap)
-        if refusal is not None:
-            break
         if _chain_base(periods) is not None:
             proved = v
             break
         searchable.append(v)
 
     def feasible(v: int) -> bool:
-        return _lasso([v // a for a in rates], cap) is not None
+        return _lasso([v // a for a in rates]) is not None
 
     if searchable and feasible(searchable[-1]):
         first = bisect.bisect_left(searchable, True, hi=len(searchable) - 1, key=feasible)
@@ -278,12 +282,6 @@ def bgt_opt(instance: BgtInstance, cap: int = DEFAULT_STATE_CAP) -> Fraction:
     if refusal is not None:
         raise refusal
     raise RuntimeError("no candidate up to the pipeline guarantee was feasible; this cannot happen")
-
-
-def opt_tractable(instance: BgtInstance, cap: int = DEFAULT_STATE_CAP) -> bool:
-    """Whether `bgt_opt` stays within `cap` states: its largest search is
-    bounded by the deadline vectors at the 12/7 ceiling."""
-    return _too_large(scaled(instance).floors(), cap) is None
 
 
 def tightness_examples(

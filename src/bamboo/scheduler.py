@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from operator import gt, itemgetter, mul
+from operator import gt, itemgetter
 
 from .model import BgtInstance, InvalidInstance, JobPeriod, PeriodicSchedule, PseudoInstance, int_period, record
 from .reduction import DEFAULT_CONFIG, ReductionConfig, bgt_to_pseudo, scaled
@@ -293,9 +293,7 @@ def solve(instance: BgtInstance, config: ReductionConfig | None = None) -> Solut
     if any(map(gt, offsets, cycles)):
         job = next(job for job, late in enumerate(map(gt, offsets, cycles)) if late)
         raise CertificateViolation(f"job {job} is first cut on day {offsets[job]}, after its cycle of {cycles[job]}")
-    # job i peaks at h_i * max(offset, cycle); with offset <= cycle checked,
-    # that is a_i * cycle / D
-    height = Fraction(max(map(mul, garden.rates, cycles)), garden.scale)
+    height = Fraction(max(schedule.peaks(garden.rates)), garden.scale)
     if height > guarantee:
         raise CertificateViolation(f"max height {height} exceeds the guarantee {guarantee}")
     return Solution(

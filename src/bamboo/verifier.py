@@ -4,10 +4,10 @@ Nothing here trusts the builders. Four exact checks decide, in integers
 and close to linear in the schedule's int columns: collisions by
 congruence arithmetic, job coverage, windows (offsets and cycles against
 the int floors of the periods) and heights by the closed form
-h * max(offset, cycle), `int` for an integer garden, the one home of the
-height rule. The collision check and the chain check read one residue
-table, which `evaluate` builds once: per cycle, its entries, their
-residues offset % cycle and whether one repeats.
+h * max(offset, cycle), `int` for an integer garden, from the one home of
+the height rule, `PeriodicSchedule.peaks`. The collision check and the
+chain check read one residue table, which `evaluate` builds once: per
+cycle, its entries, their residues offset % cycle and whether one repeats.
 
 A cross-check must agree with the collision check before the verdict is
 `ok`. It is a second algorithm over the same congruence fact (o1 + k*t1
@@ -231,13 +231,6 @@ def _first_window_violation(schedule: PeriodicSchedule, pseudo: PseudoInstance |
     return next(WindowViolation(*row) for row in rows if row[1] > row[3] or row[2] > row[3])
 
 
-def _peak_heights(schedule: PeriodicSchedule, instance: BgtInstance) -> list[int | Fraction]:
-    # the one home of the height formula: job i peaks at h_i * max(offset,
-    # cycle), an int for an integer rate
-    rates = instance.rates
-    return [rates[j] * (o if o > c else c) for j, o, c in zip(schedule.jobs, schedule.offsets, schedule.cycles)]
-
-
 def _check_jobs_within(schedule: PeriodicSchedule, n: int) -> None:
     jobs = schedule.jobs
     # jobs are sorted: if any job is outside the instance, the last is
@@ -380,11 +373,8 @@ def evaluate(
         windows_ok = check_windows(schedule, pseudo) if jobs_ok else False
         if jobs_ok and not windows_ok:
             violation = _first_window_violation(schedule, pseudo)
-    peaks: tuple[int | Fraction, ...] | None = None
-    analytic: Fraction | None = None
-    if jobs_ok:
-        peaks = tuple(_peak_heights(schedule, instance))
-        analytic = Fraction(max(peaks))
+    peaks = tuple(schedule.peaks(instance.rates)) if jobs_ok else None
+    analytic = None if peaks is None else Fraction(max(peaks))
     ratio = None
     if lower_bound_value is not None and analytic is not None:
         ratio = analytic / lower_bound_value

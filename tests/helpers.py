@@ -40,7 +40,6 @@ from bamboo.verifier import (
     _chain_check,
     _double_booked_days,
     _earliest_shared_day,
-    _peak_heights,
 )
 
 
@@ -173,7 +172,7 @@ def max_heights(schedule: PeriodicSchedule, instance: BgtInstance) -> tuple[Frac
     """
     if not schedule.covers(instance.n):
         raise uncovered(schedule, f"the instance has {instance.n} bamboos")
-    return tuple(map(Fraction, _peak_heights(schedule, instance)))
+    return tuple(map(Fraction, schedule.peaks(instance.rates)))
 
 
 def uncovered(schedule: PeriodicSchedule, what: str) -> InvalidInstance:

@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 from bamboo import BgtInstance
 from bamboo.cli import _render, main, solution_to_obj
 from bamboo.model import PeriodicSchedule
+from bamboo.oracle import StateSpaceTooLarge, bgt_opt
 from bamboo.reduction import bgt_to_pseudo
 from bamboo.scheduler import solve
 from bamboo.verifier import DEFAULT_HORIZON_CAP, evaluate
@@ -404,6 +405,20 @@ def test_bench_deterministic_and_summarized(capsys):
         if "ratio_vs_opt" in row:
             num, _, den = row["ratio_vs_opt"].partition("/")
             assert int(num) <= int(den or num) * 2  # sanity: ratio <= 2
+
+
+def test_bench_opt_rows_carry_opt_exactly_where_bgt_opt_decides(capsys):
+    code, out, _ = run(capsys, "bench", "--opt", "--n", "7", "--seeds", "40", "--rate-max", "9")
+    assert code == 0
+    obj = json.loads(out)
+    for row in obj["rows"]:
+        try:
+            opt = str(bgt_opt(BgtInstance.from_values(row["rates"])))
+        except StateSpaceTooLarge:
+            opt = None
+        assert row.get("opt") == opt, row
+    summary = obj["summary"]
+    assert (summary["opt_checked"], summary["opt_skipped"]) == (15, 25)
 
 
 # ---------------------------------------------------------------- errors

@@ -11,20 +11,22 @@ state the search prunes as overdue is checked dead against a fixed point
 computed from scratch.
 """
 
+import hashlib
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bamboo import oracle
 from bamboo.model import BgtInstance, InvalidInstance
 from bamboo.oracle import (
     StateSpaceTooLarge,
     _chain_base,
     _overdue,
     bgt_opt,
-    opt_tractable,
     pinwheel_feasible,
     tightness_examples,
 )
@@ -70,6 +72,8 @@ def test_two_twos_alternate():
 def test_density_above_one_short_circuits():
     assert not pinwheel_feasible([2, 2, 2]).feasible
     assert not pinwheel_feasible([1, 5]).feasible
+    # overdense and over the cap: overdensity is tested first, so no refusal
+    assert not pinwheel_feasible([2, 2, 2, 10**4, 10**4], cap=10**7).feasible
 
 
 def test_singleton_and_input_validation():
@@ -256,6 +260,22 @@ def test_bgt_opt_refuses_a_tiny_rate_without_listing_its_candidates():
         bgt_opt(inst, 10**5)
 
 
+def test_bgt_opt_refuses_a_large_garden_with_few_density_tests(monkeypatch):
+    # 1,000 bamboos: every candidate is over the cap, so the first one that
+    # is not overdense is bisected for, not scanned for (a scan made 8,294
+    # lcm-of-every-floor tests before it refused)
+    rng = random.Random(0)
+    inst = BgtInstance.from_values(sorted((rng.randint(1, 10**6) for _ in range(1000)), reverse=True))
+    calls = []
+    overdense = oracle._overdense
+    monkeypatch.setattr(oracle, "_overdense", lambda ps: calls.append(1) or overdense(ps))
+    with pytest.raises(StateSpaceTooLarge) as refusal:
+        bgt_opt(inst)
+    assert len(calls) <= 40
+    digest = hashlib.sha256(str(refusal.value).encode()).hexdigest()
+    assert digest == "22242a0d0ccb745e6a6dcd96d9c4f3804b4fd368cb1d8a19eff7f2561f2f9712"
+
+
 @given(rational_gardens, st.sampled_from([50, 500, 5000, 10**5]))
 @settings(max_examples=150, deadline=None)
 def test_bgt_opt_matches_reference(inst, cap):
@@ -270,11 +290,10 @@ def test_bgt_opt_matches_reference(inst, cap):
     st.sampled_from([50, 500, 5000, 10**5]),
 )
 @settings(max_examples=150, deadline=None)
-def test_opt_tractable_matches_fraction_formula_and_bounds_bgt_opt(inst, cap):
+def test_bgt_opt_never_refuses_within_the_cap_at_the_ceiling(inst, cap):
+    # the deadline vectors at the 12/7 ceiling bound every search bgt_opt makes
     ceiling = Fraction(12, 7) * reference_lower_bound(inst, "max-rule")
-    expected = math.prod(math.floor(ceiling / h) + 1 for h in inst.rates) <= cap
-    assert opt_tractable(inst, cap) == expected
-    if expected:
+    if math.prod(math.floor(ceiling / h) + 1 for h in inst.rates) <= cap:
         bgt_opt(inst, cap)  # raises nothing
 
 
