@@ -113,7 +113,7 @@ def trace_to_obj(sol: scheduler.Solution) -> dict:
     head = {"lower_bound": str(sol.lower_bound), "factor": str(sol.config.factor)}
     if sol.instance.n == 1:
         return {"path": "single-bamboo", **head}
-    head["pseudo_periods"] = [str(p) for p in sol.pseudo.periods]
+    head["pseudo_periods"] = [str(p) for p in reduction.scaled(sol.instance, sol.config).periods()]
     head["density"] = str(sol.density)
     if sol.rounded is not None:
         return {**head, "path": "power-of-two", "rounded": _jp_list(sol.rounded)}

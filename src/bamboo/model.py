@@ -161,21 +161,13 @@ class BgtInstance:
 class PseudoInstance:
     """Fractional pinwheel periods, parallel to the job ids of the source
     instance. Like rates, each period is an `int` when integral and a
-    `Fraction` otherwise. `factor` and `lower_bound` record how the periods
-    were derived when they came out of a reduction; `None` or a rational,
-    parsed like the periods."""
+    `Fraction` otherwise."""
 
     periods: tuple[int | Fraction, ...]
-    factor: int | Fraction | None = None
-    lower_bound: int | Fraction | None = None
 
     def __post_init__(self) -> None:
         periods = tuple(parse_rational(p) for p in self.periods)
         object.__setattr__(self, "periods", periods)
-        if self.factor is not None:
-            object.__setattr__(self, "factor", parse_rational(self.factor))
-        if self.lower_bound is not None:
-            object.__setattr__(self, "lower_bound", parse_rational(self.lower_bound))
         for p in periods:
             if p <= 0:
                 raise InvalidInstance(f"period {p} is not positive")
@@ -329,7 +321,7 @@ def pseudo_from_obj(obj: object) -> PseudoInstance:
     periods = obj["periods"]
     if not isinstance(periods, list):
         raise InvalidInstance('"periods" must be a list')
-    return PseudoInstance(tuple(periods), factor=obj.get("factor"), lower_bound=obj.get("lower_bound"))
+    return PseudoInstance(tuple(periods))
 
 
 def entries_to_obj(schedule: PeriodicSchedule) -> list[dict]:

@@ -45,8 +45,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .model import BgtInstance, InvalidInstance, density, int_period, parse_rational, record
-from .reduction import ReductionConfig, bgt_to_pseudo, scaled
-from .rounding import specialize_single
+from .reduction import ReductionConfig, scaled
+from .rounding import _grid_weight, specialize_instance
 
 DEFAULT_STATE_CAP = 10**7
 
@@ -87,12 +87,12 @@ def _overdense(ps: Sequence[int]) -> bool:
 
 def _chain_base(ps: Sequence[int]) -> int | None:
     """A base x in (p_min/2, p_min] whose rounding of `ps` down to x * 2^j
-    has density at most 1, or None (lower bases round as their doubles)."""
+    has density at most 1, the test by which `ChainInstance` raises
+    `Overdense`, or None (lower bases round as their doubles)."""
     low = min(ps)
     for x in range(low // 2 + 1, low + 1):
-        qs = [specialize_single(p, x) for p in ps]
-        top = max(qs)
-        if sum(top // q for q in qs) <= top:
+        weight, top = _grid_weight(specialize_instance(ps, x))
+        if weight <= top:
             return x
     return None
 
@@ -242,14 +242,14 @@ def bgt_opt(instance: BgtInstance, cap: int = DEFAULT_STATE_CAP) -> Fraction:
     The scan from the bottom stops at the first candidate proved by
     construction, the single-integer reduction of Holte et al. (1989) and
     Chan and Chin (1992): rounded down to x * 2^j, the periods form a
-    divides chain, and one of density at most 1 (sum(top // q) <= top, top
-    the largest) is served by `schedule_chain` within the rounded periods,
-    hence within the given ones. That candidate bounds the optimum from
-    above, and no candidate below it has such a proof, so the lasso search
-    decides those: first the one just below the bound (when it is refuted,
-    the bound is the optimum), then, when it is feasible, a bisection of
-    the rest. With no proof at all, the search starts at the last
-    searchable candidate, and a refutation there refutes them all.
+    divides chain, and one of density at most 1 (`_chain_base`) is served
+    by `schedule_chain` within the rounded periods, hence within the given
+    ones. That candidate bounds the optimum from above, and no candidate
+    below it has such a proof, so the lasso search decides those: first
+    the one just below the bound (when it is refuted, the bound is the
+    optimum), then, when it is feasible, a bisection of the rest. With no
+    proof at all, the search starts at the last searchable candidate, and
+    a refutation there refutes them all.
     """
     garden = scaled(instance)
     rates, low, high = garden.rates, garden.bound, garden.top
@@ -332,8 +332,8 @@ def tightness_examples(
 
     factor = Fraction(12, 7) - eta
     inst = BgtInstance((Fraction(4), Fraction(3), gamma))
-    pseudo = bgt_to_pseudo(inst, ReductionConfig(factor=factor, lb_mode="sum"))
-    p1, p2, p3 = pseudo.periods
+    reduced_periods = scaled(inst, ReductionConfig(factor=factor, lb_mode="sum")).periods()
+    p1, p2, p3 = reduced_periods
     eps1 = 3 - p1
     eps2 = 4 - p2
     gamma_ceiling = 49 * eta / (12 - 7 * eta)
@@ -341,7 +341,7 @@ def tightness_examples(
     reduced = {
         "factor": str(factor),
         "rates": [str(r) for r in inst.rates],
-        "periods": [str(p) for p in pseudo.periods],
+        "periods": [str(p) for p in reduced_periods],
         "eps1": str(eps1),
         "eps2": str(eps2),
         "gamma_ceiling": str(gamma_ceiling),
@@ -352,7 +352,7 @@ def tightness_examples(
         "m_matches_formula": p3 == 12 / gamma + Fraction(12, 7) - (7 + gamma) * eta / gamma,
     }
     if shape:
-        floors2 = [math.floor(p) for p in pseudo.periods]
+        floors2 = [math.floor(p) for p in reduced_periods]
         reduced["floor_periods"] = floors2
         reduced["floors_feasible"] = pinwheel_feasible(floors2, cap).feasible
     return {"pseudo": fixed, "reduced": reduced}

@@ -6,8 +6,8 @@ p_i = factor * L / h_i: keeping bamboo i below the target is the same as
 cutting it at least once in every window of floor(p_i) days. Every
 decision after that needs only floor(p_i), the density and the peak
 height, each a ratio of integers once the rates are scaled to integers;
-`scaled` does that once, and `Fraction` periods are built only for the
-callers that read them.
+`scaled` does that once. `ScaledGarden.periods` is the one home of the
+exact p_i, built only for the callers that read them.
 """
 
 from __future__ import annotations
@@ -77,6 +77,11 @@ class ScaledGarden:
         top = self.top
         return [top // a for a in self.rates]
 
+    def periods(self) -> tuple[Fraction, ...]:
+        """The exact p_i = u * bound / (v * a_i) for every job, in job-id order."""
+        u, v = self.config.factor.numerator, self.config.factor.denominator
+        return tuple(Fraction(u * self.bound, v * a) for a in self.rates)
+
     @property
     def lower_bound(self) -> Fraction:
         return Fraction(self.bound, self.scale)
@@ -92,7 +97,7 @@ def scaled(instance: BgtInstance, config: ReductionConfig | None = None) -> Scal
     """Scale the garden to integers (see ScaledGarden).
 
     Raises PeriodBelowTwo when n >= 2 and the shortest period, that of the
-    fastest grower, lands below 2: u * bound < 2 * v * a_0.
+    fastest grower, lands below 2: floor(p_0) = top // a_0 < 2.
     """
     config = config or DEFAULT_CONFIG
     rates = instance.rates
@@ -108,17 +113,18 @@ def scaled(instance: BgtInstance, config: ReductionConfig | None = None) -> Scal
         bound = total
     else:
         bound = max(2 * scaled_rates[0], total)
-    u, v = config.factor.numerator, config.factor.denominator
-    if instance.n > 1 and u * bound < 2 * v * scaled_rates[0]:
+    garden = ScaledGarden(scale, scaled_rates, total, bound, config)
+    if instance.n > 1 and garden.top // scaled_rates[0] < 2:
         raise PeriodBelowTwo(
-            f"reduced period {Fraction(u * bound, v * scaled_rates[0])} is below 2 (factor {config.factor}, "
-            f"lower bound {Fraction(bound, scale)}, mode {config.lb_mode})"
+            f"reduced period {garden.periods()[0]} is below 2 (factor {config.factor}, "
+            f"lower bound {garden.lower_bound}, mode {config.lb_mode})"
         )
-    return ScaledGarden(scale, scaled_rates, total, bound, config)
+    return garden
 
 
 def bgt_to_pseudo(instance: BgtInstance, config: ReductionConfig | None = None) -> PseudoInstance:
-    """Map rates to fractional periods p_i = factor * L / h_i.
+    """Map rates to fractional periods p_i = factor * L / h_i (see
+    `ScaledGarden.periods`).
 
     With the default (12/7, max-rule) config and n >= 2 every period is at
     least 24/7 > 3. Raises PeriodBelowTwo when n >= 2 and any period lands
@@ -126,8 +132,4 @@ def bgt_to_pseudo(instance: BgtInstance, config: ReductionConfig | None = None) 
     its own rate); a window of floor(factor) days, 1 at 12/7, asks for the
     daily cut that the solver gives it.
     """
-    config = config or DEFAULT_CONFIG
-    bound = scaled(instance, config).lower_bound
-    target = config.factor * bound
-    # dividing by the rates as given keeps every gcd as small as the rates
-    return PseudoInstance(tuple(target / h for h in instance.rates), factor=config.factor, lower_bound=bound)
+    return PseudoInstance(scaled(instance, config).periods())

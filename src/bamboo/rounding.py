@@ -14,7 +14,10 @@ stays at most 1 whenever the input density is at most 7/12. y <= 1 is
 exactly what the odd/even interleaving of the two grids needs.
 On one grid every period divides the largest, so densities are weighed
 as integers over it, and y is tested as the integer 6y; `Fraction` only
-appears in the values reported out.
+appears in the values reported out. `_cut` is the one block cut of such a
+chain, into consecutive blocks of one density, each exactly full but the
+last: `decompose` peels its whole chunks with it, and the scheduler's
+bins are its blocks.
 
 Jobs travel through every stage as (period, job) pairs of plain ints,
 sorted where they are built by a native tuple sort: the one job order, by
@@ -148,27 +151,46 @@ class Decomposition:
     q: Pairs
 
 
+def _cut(pairs: Pairs, base: int) -> list[Pairs]:
+    """Cut sorted divides-chain pairs, densest first, into consecutive
+    blocks of density 1/base; every block but the last is exactly full.
+
+    Over the top period P a job of period p weighs P // p and a block
+    P // base. Each weight divides every earlier one and the block's, so
+    the open block's load never overshoots: it fills exactly and the next
+    block starts right after it. Within a run of one period the block ends
+    are counted, not summed job by job.
+    """
+    p_max = pairs[-1][0]
+    cap = p_max // base
+    blocks = []
+    start = load = 0
+    for period, first, end in _runs(pairs):
+        each = p_max // period
+        close = first + (cap - load) // each
+        if close > end:
+            load += (end - first) * each
+            continue
+        while close <= end:
+            blocks.append(pairs[start:close])
+            start, close = close, close + cap // each
+        load = (end - start) * each
+    if start < len(pairs):
+        blocks.append(pairs[start:])
+    return blocks
+
+
 def _extract_units(pairs: Pairs, x: int) -> tuple[int, Pairs]:
     """Peel off whole chunks of density 1/x from sorted pairs on the x * 2^j
-    grid, densest first.
-
-    Over the top period a chunk weighs top // x and each job weight divides
-    the weights before it, so the prefix sums hit count * top // x exactly
-    and the leftover is the suffix of largest periods. The prefix is taken
-    a run of one period at a time.
-    """
+    grid, densest first: the full blocks of `_cut` at base x, whose count
+    is x * weight // top; the leftover is the block after them, the suffix
+    of largest periods."""
     weight, top = _grid_weight(pairs)
     count = x * weight // top
-    need = count * top // x
-    i = taken = 0
-    for period, start, end in _runs(pairs):
-        if taken >= need:
-            break
-        each = top // period
-        i = min(end, start + -(-(need - taken) // each))
-        taken += (i - start) * each
-    assert taken == need, "grid divisibility violated"
-    return count, pairs[i:]
+    blocks = _cut(pairs, x) if pairs else []
+    rest = blocks[-1] if len(blocks) > count else ()
+    assert x * (weight - _grid_weight(rest)[0]) == count * top, "grid divisibility violated"
+    return count, rest
 
 
 def decompose(state: SpecializedState) -> Decomposition:

@@ -4,19 +4,19 @@ A multiset of periods where each distinct value divides the next (a
 divides chain) with density at most 1 always admits a collision-free
 schedule in which every job's cycle equals its period. Sorted densest
 first, the jobs cut into at most p_min consecutive bins of density 1/p_min,
-each exactly full except the last. Bin j takes the days congruent to j mod
-p_min, and its own jobs are cut the same way within those days.
+each exactly full except the last: the blocks of `rounding._cut` at base
+p_min. Bin j takes the days congruent to j mod p_min, and its own jobs are
+cut the same way within those days.
 
 Rounded two-grid states are combined by parity: the same pass places the
 B' chain on the odd days and the C' chain on the even days, each job at
 its own period. The certificate y <= 1 guarantees both sides fit their
 half of the calendar.
 
-The chains arrive from rounding as sorted (period, job) int pairs. Jobs
-of one period sit in one run, so bins are cut and weighed a run at a
-time, and a bin of one period places its jobs side by side without
-cutting. Placement appends each job's id, offset and cycle to three int
-lists, in placement order; they become the schedule's int columns
+The chains arrive from rounding as sorted (period, job) int pairs. A bin
+of one period places its jobs side by side without cutting. Placement
+appends each job's id, offset and cycle to three int lists, in placement
+order; they become the schedule's int columns
 (`PeriodicSchedule.of_columns`, which sorts them by job and is the one
 check of job ids); no `ScheduleEntry` is built.
 
@@ -31,14 +31,15 @@ from fractions import Fraction
 from functools import cached_property
 from operator import gt, itemgetter
 
-from .model import BgtInstance, InvalidInstance, JobPeriod, PeriodicSchedule, PseudoInstance, int_period, record
-from .reduction import DEFAULT_CONFIG, ReductionConfig, bgt_to_pseudo, scaled
+from .model import BgtInstance, InvalidInstance, JobPeriod, PeriodicSchedule, int_period, record
+from .reduction import DEFAULT_CONFIG, ReductionConfig, scaled
 from .rounding import (
     CertificateViolation,
     Decomposition,
     NormalizedState,
     Pairs,
     SpecializedState,
+    _cut,
     _grid_weight,
     _runs,
     certificate,
@@ -119,41 +120,15 @@ class Bins:
         return _job_periods(self.pairs[index])
 
 
-def _cut(pairs: Pairs) -> list[Pairs]:
-    # pairs is a sorted divides chain: weigh job p as P // p against the bin
-    # capacity P // p_min. Each weight divides every earlier one and the
-    # capacity, so the open bin's load never overshoots: it fills exactly
-    # and the next bin starts right after it. Within a run of one period
-    # the bin ends are counted, not summed job by job.
-    p_max = pairs[-1][0]
-    cap = p_max // pairs[0][0]
-    bins = []
-    start = load = 0
-    for period, first, end in _runs(pairs):
-        each = p_max // period
-        close = first + (cap - load) // each
-        if close > end:
-            load += (end - first) * each
-            continue
-        while close <= end:
-            bins.append(pairs[start:close])
-            start, close = close, close + cap // each
-        load = (end - start) * each
-    if start < len(pairs):
-        bins.append(pairs[start:])
-    return bins
-
-
 def partition_bins(chain: ChainInstance) -> Bins:
-    """Cut the jobs (densest first) into consecutive bins of density 1/p_min.
-
-    Every job density divides the bin capacity, so every bin but the last
-    is exactly full; this is what first-fit would build, without the
-    search. Density <= 1 leaves at most p_min bins.
+    """Cut the jobs (densest first) into consecutive bins of density 1/p_min,
+    the blocks of `_cut` at base p_min: every bin but the last is exactly
+    full, which is what first-fit would build, without the search.
+    Density <= 1 leaves at most p_min bins.
     """
     if not chain.pairs:
         return Bins(())
-    bins = Bins(tuple(_cut(chain.pairs)))
+    bins = Bins(tuple(_cut(chain.pairs, chain.pairs[0][0])))
     assert len(bins) <= chain.pairs[0][0]
     return bins
 
@@ -177,7 +152,7 @@ def _place(chain: ChainInstance, first: int, spacing: int, columns: tuple[list[i
                 add_cycle(period)
                 offset += step
         else:
-            frames.extend((b, offset + j * step, period) for j, b in enumerate(_cut(pairs)))
+            frames.extend((b, offset + j * step, period) for j, b in enumerate(_cut(pairs, period)))
 
 
 def schedule_chain(chain: ChainInstance) -> PeriodicSchedule:
@@ -227,11 +202,10 @@ class Solution:
     analytic max height actually reached, and the promised ceiling
     guarantee = factor * L (equal to L itself for a single bamboo).
 
-    Stage values: the `density` always, and `pseudo`, the fractional
-    periods of `instance`, built only when read; `rounded` on the factor-2
-    path; `split`, `decomposition`, `normalized` and `certified` (density
-    <= 7/12, so the certificate checks ran) on the two-grid path. Fields a
-    path does not reach stay None or False. Each stage holds its job lists
+    Stage values: the `density` always; `rounded` on the factor-2 path;
+    `split`, `decomposition`, `normalized` and `certified` (density <= 7/12,
+    so the certificate checks ran) on the two-grid path. Fields a path does
+    not reach stay None or False. Each stage holds its job lists
     (`rounded`, `split.b`, `normalized.bp`, ...) as the sorted (period, job)
     int pairs the stage built. `ChainInstance` checks the chain rules of
     the lists and `schedule` their job ids, and `normalized.y` is derived
@@ -249,10 +223,6 @@ class Solution:
     decomposition: Decomposition | None = None
     normalized: NormalizedState | None = None
     certified: bool = False
-
-    @cached_property
-    def pseudo(self) -> PseudoInstance:
-        return bgt_to_pseudo(self.instance, self.config)
 
 
 def solve(instance: BgtInstance, config: ReductionConfig | None = None) -> Solution:

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 from bamboo import BgtInstance, PseudoInstance
 from bamboo.model import InvalidInstance, JobPeriod, PeriodicSchedule, ScheduleEntry, density, int_period
 from bamboo.oracle import DEFAULT_STATE_CAP, PinwheelResult, StateSpaceTooLarge, _replay_witness
-from bamboo.reduction import DEFAULT_CONFIG, PeriodBelowTwo, ReductionConfig, bgt_to_pseudo, scaled
+from bamboo.reduction import DEFAULT_CONFIG, PeriodBelowTwo, ReductionConfig, scaled
 from bamboo.rounding import (
     CASE_RS,
     GENERAL_RS,
@@ -186,12 +186,7 @@ def uncovered(schedule: PeriodicSchedule, what: str) -> InvalidInstance:
 
 def pseudo_to_obj(pseudo: PseudoInstance) -> dict:
     """The JSON object `model.pseudo_from_obj` reads back."""
-    obj: dict = {"periods": [str(p) for p in pseudo.periods]}
-    if pseudo.factor is not None:
-        obj["factor"] = str(pseudo.factor)
-    if pseudo.lower_bound is not None:
-        obj["lower_bound"] = str(pseudo.lower_bound)
-    return obj
+    return {"periods": [str(p) for p in pseudo.periods]}
 
 
 # ------------------------------------------------- parsing reference
@@ -535,7 +530,7 @@ def reference_bgt_to_pseudo(instance: BgtInstance, config: ReductionConfig | Non
             f"reduced period {smallest} is below 2 (factor {config.factor}, "
             f"lower bound {bound}, mode {config.lb_mode})"
         )
-    return PseudoInstance(periods, factor=config.factor, lower_bound=bound)
+    return PseudoInstance(periods)
 
 
 # ---------------------------------------------------------- solve reference
@@ -740,10 +735,6 @@ class RefSolution:
     decomposition: RefDecomposition | None = None
     normalized: RefNormalizedState | None = None
     certified: bool = False
-
-    @cached_property
-    def pseudo(self) -> PseudoInstance:
-        return bgt_to_pseudo(self.instance, self.config)
 
 
 def reference_solve(instance: BgtInstance, config: ReductionConfig | None = None) -> RefSolution:

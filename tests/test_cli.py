@@ -181,7 +181,7 @@ def test_solve_and_verify_output_is_json_dumps_indent_2(seed, explain):
         cycles = schedule.cycles
         schedule = PeriodicSchedule.of_columns(schedule.jobs, schedule.offsets, cycles[:-1] + (2 * max(cycles[:-1]) + 1,))
     for s in (schedule, tampered(schedule)):
-        report = evaluate(inst, s, pseudo=pseudo, lower_bound_value=pseudo.lower_bound)
+        report = evaluate(inst, s, pseudo=pseudo, lower_bound_value=sol.lower_bound)
         objs.append(report.to_obj())
     assert ("simulation" in objs[1]) == non_chain
     if inst.n > 1:

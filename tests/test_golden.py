@@ -17,20 +17,26 @@ strings with denominators up to 10^6, and integral forms such as "6/3",
 so the rates have a common denominator above 1. A sixth digest pins
 verify output on the same rational gardens, built as in the third. The
 two verify digests are taken twice, once per windows source (the
-pseudo-instance and the scaled garden), and must read the same. If a
-change to the output is intended, recompute the values with
-`golden_digest()`, `golden_verify_digest()`, `golden_opt_digest()`,
-`golden_rational_digest()` or `golden_rational_verify_digest()` and say
-why in the change log.
+pseudo-instance and the scaled garden), and must read the same. The
+tightness digests pin the stdout of `bamboo oracle tightness`, at its
+defaults and at one other setting. If a change to the output is intended,
+recompute the values with `golden_digest()`, `golden_verify_digest()`,
+`golden_opt_digest()`, `golden_rational_digest()`,
+`golden_rational_verify_digest()` or `golden_tightness_digest(args)` and
+say why in the change log.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import random
 from fractions import Fraction
 
-from bamboo.cli import solution_to_obj
+import pytest
+
+from bamboo.cli import main, solution_to_obj
 from bamboo.model import BgtInstance
 from bamboo.oracle import StateSpaceTooLarge, bgt_opt
 from bamboo.reduction import ReductionConfig, bgt_to_pseudo, scaled
@@ -49,6 +55,12 @@ GOLDEN_VERIFY_SHA256 = "75b733e1e8ff11f00f67b493af4d0388df89bacce71fe5879daced69
 GOLDEN_OPT_SHA256 = "c73eaa6f24b89f31aa04b0403d4cc598850d11de924bd3315d19dc380b70e2a2"
 GOLDEN_RATIONAL_SHA256 = "1315adfdcfa6660b414ab00bafbae91516f4ca34806b4ddf1fb68845a51d757f"
 GOLDEN_RATIONAL_VERIFY_SHA256 = "d4854ecb7c1b5107f9a315f760984495df01d227362906cae9962e0e2d0f6467"
+GOLDEN_TIGHTNESS_SHA256 = {
+    (): "1f23687d14171e0764fc4c58b5eecead61805e6c1ba02b6807acf8fcac93f283",
+    ("--epsilon", "1/3", "--big-m", "7", "--eta", "1/7", "--gamma", "1/50"): (
+        "b66e6249bf745b2375fc810e8e51c3b87ed953413d6d8a1ada55e6ae6133ad82"
+    ),
+}
 
 OPT_CAP = 10**5
 OPT_GARDENS_PER_SIZE = 30
@@ -131,8 +143,9 @@ def _verify_digest(gardens, windows) -> str:
         for config in CONFIGS:
             schedule = solve(instance, config).schedule
             source = windows(instance, config)
+            bound = scaled(instance, config).lower_bound
             for s in (schedule, tampered(schedule)):
-                report = evaluate(instance, s, pseudo=source, lower_bound_value=source.lower_bound)
+                report = evaluate(instance, s, pseudo=source, lower_bound_value=bound)
                 h.update((json.dumps(report.to_obj(), indent=2) + "\n").encode("utf-8"))
     return h.hexdigest()
 
@@ -140,9 +153,9 @@ def _verify_digest(gardens, windows) -> str:
 def golden_verify_digest(windows=bgt_to_pseudo) -> str:
     """Digest of the `bamboo verify` JSON for every corpus solve, as built
     and tampered, evaluated with the CLI's arguments (windows source and
-    its lower bound). The windows source is `bgt_to_pseudo`, as the
-    library and perfbench pass it, or `scaled`, as `bamboo verify` does;
-    both must print the same bytes."""
+    the lower bound of `scaled`). The windows source is `bgt_to_pseudo`,
+    as the library and perfbench pass it, or `scaled`, as `bamboo verify`
+    does; both must print the same bytes."""
     return _verify_digest(corpus(), windows)
 
 
@@ -162,6 +175,16 @@ def golden_opt_digest() -> str:
             record = str(exc)
         h.update((record + "\n").encode("utf-8"))
     return h.hexdigest()
+
+
+def golden_tightness_digest(args: tuple[str, ...]) -> tuple[str, dict]:
+    """The digest of the stdout of `bamboo oracle tightness` with `args`,
+    and the report it prints."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["oracle", "tightness", *args]) == 0
+    text = out.getvalue()
+    return hashlib.sha256(text.encode("utf-8")).hexdigest(), json.loads(text)
 
 
 def test_solve_output_matches_golden_digest():
@@ -188,3 +211,16 @@ def test_exact_optimum_matches_golden_digest():
 
 def test_rational_solve_output_matches_golden_digest():
     assert golden_rational_digest() == GOLDEN_RATIONAL_SHA256
+
+
+@pytest.mark.parametrize("args", list(GOLDEN_TIGHTNESS_SHA256))
+def test_tightness_output_matches_golden_digest(args):
+    digest, report = golden_tightness_digest(args)
+    assert digest == GOLDEN_TIGHTNESS_SHA256[args]
+    flags = {
+        f"{family}.{key}": value
+        for family, fields in report.items()
+        for key, value in fields.items()
+        if key.endswith("_matches_formula") or key in ("delta_positive", "shape_reproduced")
+    }
+    assert len(flags) == 6 and all(value is True for value in flags.values()), flags

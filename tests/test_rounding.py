@@ -10,13 +10,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from bamboo.model import InvalidInstance, PseudoInstance
+from bamboo.model import InvalidInstance, JobPeriod, PseudoInstance
 from bamboo.rounding import (
     CASE_RS,
     GENERAL_RS,
     CertificateViolation,
     NormalizedState,
     UnroundablePeriod,
+    _cut,
+    _extract_units,
     certificate,
     decompose,
     normalize,
@@ -24,7 +26,7 @@ from bamboo.rounding import (
     specialize_single,
     split_23,
 )
-from helpers import floors, grid_density, on_three_grid, on_two_grid, pseudo_with_density
+from helpers import _ref_extract_units, _ref_pairs, floors, grid_density, on_three_grid, on_two_grid, pseudo_with_density
 
 
 def run_pipeline(ps: PseudoInstance):
@@ -187,6 +189,48 @@ def test_decompose_invariants(exponents, three_side):
     pool_periods = sorted(period for period, _ in pool)
     left_periods = sorted(period for period, _ in leftover)
     assert left_periods == pool_periods[len(pool_periods) - len(left_periods):]
+
+
+def one_grid_pairs(x: int, exponents: list[int]):
+    """Sorted (period, job) pairs on the grid {x, 2x, 4x, ...}: job i has
+    period x * 2^exponents[i]."""
+    return tuple(sorted((x << j, job) for job, j in enumerate(exponents)))
+
+
+@given(
+    st.integers(min_value=1, max_value=12),
+    st.lists(st.integers(min_value=0, max_value=7), min_size=1, max_size=30),
+    st.integers(min_value=0, max_value=7),
+)
+@settings(max_examples=300)
+def test_cut_makes_exactly_full_blocks_but_the_last(x, exponents, lift):
+    # the base is any grid point up to the first period: the grid's own base,
+    # as `decompose` passes it, or the first period, as the scheduler does
+    pairs = one_grid_pairs(x, exponents)
+    base = x << min(lift, *exponents)
+    blocks = _cut(pairs, base)
+    assert tuple(pair for block in blocks for pair in block) == pairs
+    top = pairs[-1][0]
+    weights = [sum(top // period for period, _ in block) for block in blocks]
+    assert all(block for block in blocks)
+    assert all(w == top // base for w in weights[:-1]) and weights[-1] <= top // base
+
+
+@given(
+    st.sampled_from([2, 3]),
+    st.lists(st.integers(min_value=0, max_value=9), max_size=20),
+)
+@example(2, [])
+@example(3, [])
+@example(2, [0])  # one chunk of 1/2, exactly
+@example(2, [1, 1, 0])  # two chunks of 1/2, exactly
+@example(3, [0, 1, 1, 2, 2, 2, 2])  # three chunks of 1/3, exactly
+@settings(max_examples=300)
+def test_extract_units_matches_the_reference(x, exponents):
+    pairs = one_grid_pairs(x, exponents)
+    count, rest = _extract_units(pairs, x)
+    ref_count, ref_rest = _ref_extract_units(tuple(JobPeriod(job, period) for period, job in pairs), x)
+    assert (count, rest) == (ref_count, _ref_pairs(ref_rest))
 
 
 # ---------------------------------------------------------------- normalization

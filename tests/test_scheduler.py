@@ -21,7 +21,7 @@ from bamboo.model import (
     ScheduleEntry,
     schedule_from_obj,
 )
-from bamboo.reduction import ReductionConfig, bgt_to_pseudo
+from bamboo.reduction import ReductionConfig, bgt_to_pseudo, scaled
 from bamboo.rounding import NormalizedState, decompose, normalize, split_23
 from bamboo.scheduler import (
     ChainInstance,
@@ -294,7 +294,7 @@ def test_solve_single_bamboo():
     sol = solve(BgtInstance.from_values(["1"]))
     assert entry_triples(sol.schedule) == [(0, 1, 1)]
     assert sol.height_bound == 1 and sol.guarantee == 1
-    assert sol.pseudo.n == 1
+    assert scaled(sol.instance, sol.config).periods() == (Fraction(12, 7),)
     assert sol.rounded is None and sol.normalized is None
 
 
