@@ -9,7 +9,10 @@ states list the jobs by period and keep the deadlines of each equal-period
 block sorted, which collapses all permutations of twins into one state.
 A child is built from the parent by slicing: every deadline drops by one
 and the job served moves to the end of its block with its full period,
-which keeps the block sorted.
+which keeps the block sorted. Each stack frame holds its state, the
+decremented deadlines and its sorted moves, and builds the child of a move
+only when the search reaches that move, so a search that ends early never
+builds the children it does not visit.
 
 A dead state (one with no infinite schedule) stays dead when any deadline
 shrinks, and on sorted blocks that comparison is componentwise. The search
@@ -19,12 +22,19 @@ and it skips every child at or below that. States on the stack lie on no
 dead subtree, so the search follows the same path to the same lasso as a
 plain dead-state memo would, visiting fewer dead states on the way.
 
-The search also never pushes an overdue child, one whose jobs due within
+The search also never enters an overdue child, one whose jobs due within
 t <= 3 days need more than t cuts (`_overdue`). Such a child is dead, and
 no state of a dead subtree has an edge back to the stack (that edge would
 close a cycle through it), so exploring it could only have popped it
 again: the live states are visited in the same order and the lasso is the
 same.
+
+A job of period 2 halves the rest exactly (`_halve`): it takes every other
+day, and the other jobs share the days between at floor(p/2). Where no
+witness is needed, the decision is made on the halved vector, whose state
+space is about half as deep: `pinwheel_feasible` refutes through it when it
+is overdense, which decides the (2, 3, M) family with no search, and
+`bgt_opt` proves and searches its candidates on it.
 
 `bgt_opt` turns that decision procedure into the exact trimming optimum.
 It scales the garden to integers and searches the finite grid of heights
@@ -73,6 +83,8 @@ def pinwheel_feasible(periods: Sequence[int], cap: int = DEFAULT_STATE_CAP) -> P
     refusal = _too_large(ps, cap)
     if refusal is not None:
         raise refusal
+    if _overdense(_halve(ps)):
+        return PinwheelResult(False, None)
     lasso = _lasso(ps)
     if lasso is None:
         return PinwheelResult(False, None)
@@ -83,6 +95,19 @@ def pinwheel_feasible(periods: Sequence[int], cap: int = DEFAULT_STATE_CAP) -> P
 def _overdense(ps: Sequence[int]) -> bool:
     top = math.lcm(*ps)
     return sum(top // p for p in ps) > top
+
+
+def _halve(ps: Sequence[int]) -> list[int]:
+    """`ps` sorted, with a period-2 job taken out and every other period
+    floor-halved while the least period is 2 and other jobs remain. The
+    result has a schedule iff `ps` has: the 2-job takes every other day and
+    the rest share the days between at the halved periods, and conversely
+    no two days a 2-job leaves free are adjacent, so k steps between free
+    days span at least 2k days (Holte et al., 1989)."""
+    qs = sorted(ps)
+    while len(qs) > 1 and qs[0] == 2:
+        qs = [q // 2 for q in qs[1:]]
+    return qs
 
 
 def _chain_base(ps: Sequence[int]) -> int | None:
@@ -136,7 +161,7 @@ def _lasso(ps: Sequence[int]) -> tuple[list[tuple[int, int]], list[tuple[int, in
     bounds = [(i + 1, end[i], (p,)) for i, p in enumerate(cps)]
     starts = [i == 0 or cps[i] != cps[i - 1] for i in range(n)]
 
-    def successors(state: tuple[int, ...]) -> list[tuple[tuple[int, int], tuple[int, ...]]]:
+    def frame(state: tuple[int, ...]) -> list:
         # at most one job is due today: two are overdue, and a root that is
         # not overdense has at most one period of 1
         if 1 in state:
@@ -145,24 +170,17 @@ def _lasso(ps: Sequence[int]) -> tuple[list[tuple[int, int]], list[tuple[int, in
         else:
             # one job per distinct (period, deadline), most urgent first
             picks = sorted([(state[i], cps[i], i) for i in range(n) if starts[i] or state[i] != state[i - 1]])
-        dec = tuple([d - 1 for d in state])
-        out = []
-        for d, p, i in picks:
-            rest, stop, full = bounds[i]
-            child = dec[:i] + dec[rest:stop] + full + dec[stop:]
-            if not _overdue(child, twos):
-                out.append(((p, d), child))
-        return out
+        return [state, tuple([d - 1 for d in state]), picks, 0]
 
     # reach[prefix]: the highest last deadline of a dead state with that prefix
     reach: dict[tuple[int, ...], int] = {}
     on_path: dict[tuple[int, ...], int] = {cps: 0}
-    frames: list[list] = [[cps, successors(cps), 0]]
+    frames = [frame(cps)]
     chosen: list[tuple[int, int]] = []  # move taken out of each stacked state
     while frames:
-        frame = frames[-1]
-        state, succ, idx = frame
-        if idx >= len(succ):
+        top = frames[-1]
+        state, dec, picks, idx = top
+        if idx == len(picks):
             frames.pop()
             prefix = state[:-1]
             if state[-1] > reach.get(prefix, 0):
@@ -171,16 +189,18 @@ def _lasso(ps: Sequence[int]) -> tuple[list[tuple[int, int]], list[tuple[int, in
             if chosen:
                 chosen.pop()
             continue
-        frame[2] = idx + 1
-        move, child = succ[idx]
-        if child[-1] <= reach.get(child[:-1], 0):
+        top[3] = idx + 1
+        d, p, i = picks[idx]
+        rest, stop, full = bounds[i]
+        child = dec[:i] + dec[rest:stop] + full + dec[stop:]
+        if _overdue(child, twos) or child[-1] <= reach.get(child[:-1], 0):
             continue
         if child in on_path:
             depth = on_path[child]
-            return chosen[:depth], chosen[depth:] + [move]
+            return chosen[:depth], chosen[depth:] + [(p, d)]
         on_path[child] = len(frames)
-        chosen.append(move)
-        frames.append([child, successors(child), 0])
+        chosen.append((p, d))
+        frames.append(frame(child))
     return None
 
 
@@ -249,7 +269,9 @@ def bgt_opt(instance: BgtInstance, cap: int = DEFAULT_STATE_CAP) -> Fraction:
     the one just below the bound (when it is refuted, the bound is the
     optimum), then, when it is feasible, a bisection of the rest. With no
     proof at all, the search starts at the last searchable candidate, and
-    a refutation there refutes them all.
+    a refutation there refutes them all. Both the proof and the search
+    take the candidate's periods halved (`_halve`), which keeps every
+    verdict: a halved vector that is overdense is refuted with no search.
     """
     garden = scaled(instance)
     rates, low, high = garden.rates, garden.bound, garden.top
@@ -266,13 +288,15 @@ def bgt_opt(instance: BgtInstance, cap: int = DEFAULT_STATE_CAP) -> Fraction:
             break
         if _overdense(periods):
             continue
-        if _chain_base(periods) is not None:
+        halved = _halve(periods)
+        if not _overdense(halved) and _chain_base(halved) is not None:
             proved = v
             break
         searchable.append(v)
 
     def feasible(v: int) -> bool:
-        return _lasso([v // a for a in rates]) is not None
+        halved = _halve([v // a for a in rates])
+        return not _overdense(halved) and _lasso(halved) is not None
 
     if searchable and feasible(searchable[-1]):
         first = bisect.bisect_left(searchable, True, hi=len(searchable) - 1, key=feasible)

@@ -65,14 +65,22 @@ CASE_RS: dict[str, frozenset[tuple[int, int]]] = {
 }
 
 
+def _check_base(x: int) -> None:
+    if type(x) is not int or x < 1:
+        raise InvalidInstance(f"grid base must be a positive integer, got {x!r}")
+
+
+def _below_grid(p: Fraction | int, x: int) -> UnroundablePeriod:
+    return UnroundablePeriod(f"period {p} lies below the smallest {{{x}, {2*x}, {4*x}, ...}} grid point")
+
+
 def specialize_single(p: Fraction | int, x: int) -> int:
     """The largest x * 2^j (j >= 0) that does not exceed p. Grid points are
     integers, so 2^j is the top bit of floor(p) // x. Needs p >= x."""
-    if type(x) is not int or x < 1:
-        raise InvalidInstance(f"grid base must be a positive integer, got {x!r}")
+    _check_base(x)
     m = math.floor(p)
     if m < x:
-        raise UnroundablePeriod(f"period {p} lies below the smallest {{{x}, {2*x}, {4*x}, ...}} grid point")
+        raise _below_grid(p, x)
     return x << ((m // x).bit_length() - 1)
 
 
@@ -103,8 +111,12 @@ def _grid_weight(pairs: Pairs) -> tuple[int, int]:
 def specialize_instance(floors: Sequence[int], x: int) -> Pairs:
     """Round every period down onto the single grid {x, 2x, 4x, ...}, given
     floor(p_i) for each job in job-id order (grid points are integers, so
-    the floor decides as the period would), as sorted pairs."""
-    return tuple(sorted((specialize_single(m, x), job) for job, m in enumerate(floors)))
+    the floor decides as the period would), as sorted pairs. The base is
+    checked once, and each point is `specialize_single`'s."""
+    _check_base(x)
+    if floors and min(floors) < x:
+        raise _below_grid(next(m for m in floors if m < x), x)
+    return tuple(sorted([(x << ((m // x).bit_length() - 1), job) for job, m in enumerate(floors)]))
 
 
 @record

@@ -8,7 +8,8 @@ bisecting optimum must also return exactly what the first implementations
 Each chain-rounding proof the optimum accepts without a search is rebuilt
 as a schedule and checked, and the reference search must agree with it. Every
 state the search prunes as overdue is checked dead against a fixed point
-computed from scratch.
+computed from scratch, and the period-2 halving must give the search's
+verdict on every small vector it applies to.
 """
 
 import hashlib
@@ -25,6 +26,9 @@ from bamboo.model import BgtInstance, InvalidInstance
 from bamboo.oracle import (
     StateSpaceTooLarge,
     _chain_base,
+    _halve,
+    _lasso,
+    _overdense,
     _overdue,
     bgt_opt,
     pinwheel_feasible,
@@ -137,6 +141,58 @@ def test_search_matches_reference_on_every_small_vector():
 def test_search_matches_reference_on_unsorted_vectors(periods, cap):
     # periods from 2 keep most draws at density <= 1, so they are searched
     assert outcome(pinwheel_feasible, periods, cap) == outcome(reference_pinwheel_feasible, periods, cap)
+
+
+def small_vectors():
+    """The vectors of the test above."""
+    vectors = [ps for n in range(1, 5) for ps in itertools.product(range(1, 11), repeat=n)]
+    return vectors + list(itertools.combinations_with_replacement(range(1, 11), 5))
+
+
+def assert_halving_is_exact(ps):
+    # the search's verdict on `ps` is the decision on its halved vector
+    if not _overdense(ps):
+        halved = _halve(ps)
+        assert (not _overdense(halved) and _lasso(halved) is not None) == (_lasso(ps) is not None), ps
+
+
+def test_halving_is_exact_on_every_small_vector_with_a_two():
+    for ps in small_vectors():
+        if 2 in ps:
+            assert_halving_is_exact(ps)
+
+
+@given(st.lists(st.integers(min_value=2, max_value=14), min_size=1, max_size=6).filter(lambda ps: 2 in ps))
+@settings(max_examples=200, deadline=None)
+def test_halving_is_exact_up_to_six_jobs(ps):
+    assert_halving_is_exact(ps)
+
+
+def count_lasso_calls(monkeypatch):
+    calls = []
+    lasso = oracle._lasso
+    monkeypatch.setattr(oracle, "_lasso", lambda ps: calls.append(list(ps)) or lasso(ps))
+    return calls
+
+
+def test_two_three_m_is_refuted_without_search(monkeypatch):
+    # halved, (2, 3, M) is (1, M // 2), of density above 1
+    calls = count_lasso_calls(monkeypatch)
+    assert pinwheel_feasible([2, 3, 800_000]) == oracle.PinwheelResult(False, None)
+    assert calls == []
+
+
+def test_bgt_opt_searches_less_when_halving_decides(monkeypatch):
+    # halved twice, the periods (2, 4, 12, 12, 24) at height 24 are (3, 3, 6),
+    # which the chain rounding proves, and every candidate below is
+    # overdense; bare, the first proof is at 27, and 26, 25 and 24 are searched
+    inst = BgtInstance.from_values([9, 6, 2, 2, 1])
+    calls = count_lasso_calls(monkeypatch)
+    assert bgt_opt(inst, 10**5) == 24
+    assert calls == []
+    monkeypatch.setattr(oracle, "_halve", sorted)
+    assert bgt_opt(inst, 10**5) == 24
+    assert calls == [[2, 4, 13, 13, 26], [2, 4, 12, 12, 25], [2, 4, 12, 12, 24]]
 
 
 def live_states(ps):

@@ -72,6 +72,18 @@ def test_specialize_single_lands_on_grid_within_factor_two(p, x):
     assert rem == 0 and q & (q - 1) == 0  # g = x * 2^j
 
 
+@given(st.lists(st.integers(1, 60) | st.integers(1, 10**6), max_size=8), st.integers(min_value=1, max_value=40))
+def test_specialize_instance_rounds_each_job_as_specialize_single(ms, x):
+    def outcome(fn):
+        try:
+            return fn()
+        except UnroundablePeriod as exc:
+            return str(exc)
+
+    expected = outcome(lambda: tuple(sorted((specialize_single(m, x), j) for j, m in enumerate(ms))))
+    assert outcome(lambda: specialize_instance(ms, x)) == expected
+
+
 def test_specialize_instance_sorts_by_period_then_job():
     ps = PseudoInstance((Fraction(9), Fraction(5), Fraction(31, 7)))
     rounded = specialize_instance(floors(ps), 2)
