@@ -42,10 +42,14 @@ def _read_json(path: str) -> object:
         raise InvalidInstance(f"{source} is nested too deeply to parse") from exc
 
 
-# The lists that grow with n: solve's entries and verify's long fields.
-# json.dumps(indent=2) falls back to the pure-Python encoder, which costs as
-# much as building the schedule, so these are formatted directly.
-_LONG_LISTS = frozenset(("entries", "collisions", "per_job_heights", "double_booked_days"))
+# The lists that grow with n: solve's entries, its --explain trace's per-job
+# lists, and verify's long fields. json.dumps(indent=2) falls back to the
+# pure-Python encoder, which costs as much as building the schedule, so
+# these are formatted directly.
+_LONG_LISTS = frozenset(
+    ("entries", "collisions", "per_job_heights", "double_booked_days", "pseudo_periods", "rounded")
+    + ("a2_jobs", "a3_jobs", "b", "c", "p", "q", "b_prime", "c_prime")
+)
 
 
 def _render_list(items: list, indent: str) -> str:
@@ -220,20 +224,15 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     config = _config(args)
     cap = _state_cap()
     rows = []
-    worst_lb = Fraction(0)
-    total_lb = Fraction(0)
-    worst_opt = Fraction(0)
-    total_opt = Fraction(0)
-    opt_checked = 0
-    opt_skipped = 0
+    vs_lb: list[Fraction] = []
+    vs_opt: list[Fraction] = []
     for i in range(args.seeds):
         rng = random.Random(f"{args.seed}:{i}")
         rates = sorted((rng.randint(args.rate_min, args.rate_max) for _ in range(args.n)), reverse=True)
         instance = model.BgtInstance.from_values(rates)
         sol = scheduler.solve(instance, config)
         ratio = sol.height_bound / sol.lower_bound
-        worst_lb = max(worst_lb, ratio)
-        total_lb += ratio
+        vs_lb.append(ratio)
         row = {
             "index": i,
             **model.instance_to_obj(instance),
@@ -245,26 +244,23 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             try:
                 opt = oracle.bgt_opt(instance, cap=cap)
             except StateSpaceTooLarge:
-                opt_skipped += 1
+                pass  # counted under opt_skipped
             else:
-                vs_opt = sol.height_bound / opt
-                worst_opt = max(worst_opt, vs_opt)
-                total_opt += vs_opt
-                opt_checked += 1
+                vs_opt.append(sol.height_bound / opt)
                 row["opt"] = str(opt)
-                row["ratio_vs_opt"] = str(vs_opt)
+                row["ratio_vs_opt"] = str(vs_opt[-1])
         rows.append(row)
     summary: dict = {
         "instances": args.seeds,
-        "worst_ratio_vs_lower_bound": str(worst_lb) if args.seeds else None,
-        "mean_ratio_vs_lower_bound": str(total_lb / args.seeds) if args.seeds else None,
+        "worst_ratio_vs_lower_bound": str(max(vs_lb)) if vs_lb else None,
+        "mean_ratio_vs_lower_bound": str(sum(vs_lb) / len(vs_lb)) if vs_lb else None,
     }
     if args.opt:
-        summary["opt_checked"] = opt_checked
-        summary["opt_skipped"] = opt_skipped
-        if opt_checked:
-            summary["worst_ratio_vs_opt"] = str(worst_opt)
-            summary["mean_ratio_vs_opt"] = str(total_opt / opt_checked)
+        summary["opt_checked"] = len(vs_opt)
+        summary["opt_skipped"] = args.seeds - len(vs_opt)
+        if vs_opt:
+            summary["worst_ratio_vs_opt"] = str(max(vs_opt))
+            summary["mean_ratio_vs_opt"] = str(sum(vs_opt) / len(vs_opt))
     _emit(
         {
             "params": {

@@ -30,11 +30,11 @@ again: the live states are visited in the same order and the lasso is the
 same.
 
 A job of period 2 halves the rest exactly (`_halve`): it takes every other
-day, and the other jobs share the days between at floor(p/2). Where no
-witness is needed, the decision is made on the halved vector, whose state
-space is about half as deep: `pinwheel_feasible` refutes through it when it
-is overdense, which decides the (2, 3, M) family with no search, and
-`bgt_opt` proves and searches its candidates on it.
+day, and the other jobs share the days between at floor(p/2). Density is
+tested on the halved vector, ahead of the state-space cap: an overdense
+vector stays overdense halved (1/floor(q/2) >= 2/q), and (2, 3, M) is
+refuted at every M. `bgt_opt` proves and searches its candidates on the
+halved vector too, whose state space is about half as deep.
 
 `bgt_opt` turns that decision procedure into the exact trimming optimum.
 It scales the garden to integers and searches the finite grid of heights
@@ -74,17 +74,15 @@ class PinwheelResult:
 
 def pinwheel_feasible(periods: Sequence[int], cap: int = DEFAULT_STATE_CAP) -> PinwheelResult:
     """Decide integral pinwheel schedulability, with a cyclic witness when
-    feasible. Density above 1 is refuted without searching."""
+    feasible. Density above 1, of the halved periods, refutes first."""
     ps = [int_period(p) for p in periods]
     if not ps:
         raise InvalidInstance("need at least one job")
-    if _overdense(ps):
+    if _overdense(_halve(ps)):
         return PinwheelResult(False, None)
     refusal = _too_large(ps, cap)
     if refusal is not None:
         raise refusal
-    if _overdense(_halve(ps)):
-        return PinwheelResult(False, None)
     lasso = _lasso(ps)
     if lasso is None:
         return PinwheelResult(False, None)
@@ -251,13 +249,15 @@ def bgt_opt(instance: BgtInstance, cap: int = DEFAULT_STATE_CAP) -> Fraction:
     The grid is searched in integers (`reduction.scaled`): with D the
     common denominator of the rates and a_i = h_i * D, the candidates are
     the multiples of some a_i in [L * D, floor(12/7 * L * D)], and a scaled
-    height V has periods V // a_i. Overdensity and the state-space size are
-    monotone along the grid too, so the searchable candidates are those
-    after the overdense ones and before the first one over the cap. The cap
-    is tested first; past it, a bisection finds the first candidate that is
-    not overdense, and `StateSpaceTooLarge` with its message means none of
-    the searchable candidates was feasible. Every period is at least 1,
-    since L >= h_0.
+    height V has periods V // a_i, each at least 1, since L >= h_0.
+    Density refutes, then the cap refuses, then the search decides. The
+    heights whose halved periods (`_halve`) are overdense form a prefix of
+    the grid: raising one period never makes the halved vector overdense
+    (while another 2 is left the halved vectors compare componentwise, and
+    raising the only 2 leaves density at most 1/3 + 1/2 and nothing to
+    halve). One bisection finds where the prefix ends, and the scan runs
+    from there to the first candidate over the cap, whose
+    `StateSpaceTooLarge` is raised when no candidate below it is feasible.
 
     The scan from the bottom stops at the first candidate proved by
     construction, the single-integer reduction of Holte et al. (1989) and
@@ -269,34 +269,33 @@ def bgt_opt(instance: BgtInstance, cap: int = DEFAULT_STATE_CAP) -> Fraction:
     the one just below the bound (when it is refuted, the bound is the
     optimum), then, when it is feasible, a bisection of the rest. With no
     proof at all, the search starts at the last searchable candidate, and
-    a refutation there refutes them all. Both the proof and the search
-    take the candidate's periods halved (`_halve`), which keeps every
-    verdict: a halved vector that is overdense is refuted with no search.
+    a refutation there refutes them all.
     """
     garden = scaled(instance)
     rates, low, high = garden.rates, garden.bound, garden.top
-    grid = heapq.merge(*(range(-(-low // a) * a, high + 1, a) for a in rates))
+
+    def halved(v: int) -> list[int]:
+        return _halve([v // a for a in rates])
+
+    # bisect for the first height past the prefix (`bisect` takes no range past sys.maxsize)
+    start, stop = low, high + 1
+    while start < stop:
+        mid = (start + stop) // 2
+        start, stop = (mid + 1, stop) if _overdense(halved(mid)) else (start, mid)
+    grid = heapq.merge(*(range(-(-start // a) * a, high + 1, a) for a in rates))
     searchable: list[int] = []  # below the first candidate with a chain proof
     proved = refusal = None
     for v, _ in itertools.groupby(grid):
-        periods = [v // a for a in rates]
-        if _too_large(periods, cap) is not None:
-            # every height from v up is over the cap; periods change only at
-            # grid candidates, so the first one not overdense is a candidate
-            u = v + bisect.bisect_left(range(v, high + 1), True, key=lambda w: not _overdense([w // a for a in rates]))
-            refusal = _too_large([u // a for a in rates], cap)
+        refusal = _too_large([v // a for a in rates], cap)
+        if refusal is not None:
             break
-        if _overdense(periods):
-            continue
-        halved = _halve(periods)
-        if not _overdense(halved) and _chain_base(halved) is not None:
+        if _chain_base(halved(v)) is not None:
             proved = v
             break
         searchable.append(v)
 
     def feasible(v: int) -> bool:
-        halved = _halve([v // a for a in rates])
-        return not _overdense(halved) and _lasso(halved) is not None
+        return _lasso(halved(v)) is not None
 
     if searchable and feasible(searchable[-1]):
         first = bisect.bisect_left(searchable, True, hi=len(searchable) - 1, key=feasible)
@@ -356,7 +355,8 @@ def tightness_examples(
 
     factor = Fraction(12, 7) - eta
     inst = BgtInstance((Fraction(4), Fraction(3), gamma))
-    reduced_periods = scaled(inst, ReductionConfig(factor=factor, lb_mode="sum")).periods()
+    reduced_garden = scaled(inst, ReductionConfig(factor=factor, lb_mode="sum"))
+    reduced_periods = reduced_garden.periods()
     p1, p2, p3 = reduced_periods
     eps1 = 3 - p1
     eps2 = 4 - p2
@@ -376,7 +376,6 @@ def tightness_examples(
         "m_matches_formula": p3 == 12 / gamma + Fraction(12, 7) - (7 + gamma) * eta / gamma,
     }
     if shape:
-        floors2 = [math.floor(p) for p in reduced_periods]
-        reduced["floor_periods"] = floors2
-        reduced["floors_feasible"] = pinwheel_feasible(floors2, cap).feasible
+        reduced["floor_periods"] = reduced_garden.floors()
+        reduced["floors_feasible"] = pinwheel_feasible(reduced["floor_periods"], cap).feasible
     return {"pseudo": fixed, "reduced": reduced}

@@ -401,9 +401,11 @@ def reference_interleave(norm: NormalizedState) -> PeriodicSchedule:
 
 # ------------------------------------------------------ oracle references
 #
-# The first exhaustive search, kept as it was: a lasso DFS that memoizes
-# every dead state and canonicalizes each successor by sorting its blocks,
-# and an optimum that tries every candidate height in increasing order.
+# The first exhaustive search, kept as it was but for where density
+# refutes: on the halved periods, ahead of the cap. It is a lasso DFS that
+# memoizes every dead state and canonicalizes each successor by sorting its
+# blocks, and an optimum that tries every candidate height in increasing
+# order.
 # The oracle must return exactly what these return, witnesses and
 # refusal messages included.
 
@@ -416,7 +418,13 @@ def reference_pinwheel_feasible(periods: Sequence[int], cap: int = DEFAULT_STATE
         ps.append(p)
     if not ps:
         raise InvalidInstance("need at least one job")
-    if density(ps) > 1:
+    # density refutes ahead of the cap, taken after each period-2 job is
+    # dropped and the other periods floor-halved (an exact reduction)
+    halved = sorted(ps)
+    while len(halved) > 1 and min(halved) == 2:
+        halved.remove(2)
+        halved = [p // 2 for p in halved]
+    if density(halved) > 1:
         return PinwheelResult(False, None)
     space = 1
     for p in ps:

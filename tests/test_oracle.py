@@ -19,7 +19,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bamboo import oracle
 from bamboo.model import BgtInstance, InvalidInstance
@@ -78,6 +78,9 @@ def test_density_above_one_short_circuits():
     assert not pinwheel_feasible([1, 5]).feasible
     # overdense and over the cap: overdensity is tested first, so no refusal
     assert not pinwheel_feasible([2, 2, 2, 10**4, 10**4], cap=10**7).feasible
+    # so is the density of the halved periods: (2, 7, 8, 12, 13, 14) halves
+    # to (3, 4, 6, 6, 7), of density 89/84, and has 3x8x9x13x14x15 states
+    assert pinwheel_feasible([2, 7, 8, 12, 13, 14], cap=10**4) == oracle.PinwheelResult(False, None)
 
 
 def test_singleton_and_input_validation():
@@ -176,10 +179,32 @@ def count_lasso_calls(monkeypatch):
 
 
 def test_two_three_m_is_refuted_without_search(monkeypatch):
-    # halved, (2, 3, M) is (1, M // 2), of density above 1
+    # halved, (2, 3, M) is (1, M // 2), of density above 1; density is tested
+    # ahead of the cap, so 3 x 4 x 1,000,001 states over it refute too
     calls = count_lasso_calls(monkeypatch)
-    assert pinwheel_feasible([2, 3, 800_000]) == oracle.PinwheelResult(False, None)
+    for m in (800_000, 10**6):
+        assert pinwheel_feasible([2, 3, m]) == oracle.PinwheelResult(False, None)
     assert calls == []
+
+
+def test_density_refutes_a_prefix_of_every_small_grid():
+    # the two facts bgt_opt's one density bisection rests on, on every sorted
+    # vector with n <= 5 and periods <= 16: overdense stays overdense halved,
+    # and raising one period (the last of its block, which keeps the vector
+    # sorted) never makes the halved vector overdense
+    raises = 0
+    for n in range(1, 6):
+        for ps in itertools.combinations_with_replacement(range(1, 17), n):
+            refuted = _overdense(_halve(ps))
+            assert refuted or not _overdense(ps), ps
+            if refuted:
+                continue
+            for i in range(n):
+                if i + 1 == n or ps[i] != ps[i + 1]:
+                    raised = ps[:i] + (ps[i] + 1,) + ps[i + 1 :]
+                    assert not _overdense(_halve(raised)), (ps, i)
+                    raises += 1
+    assert raises == 46_525
 
 
 def test_bgt_opt_searches_less_when_halving_decides(monkeypatch):
@@ -334,6 +359,15 @@ def test_bgt_opt_refuses_a_tiny_rate_without_listing_its_candidates():
         bgt_opt(inst, 10**5)
 
 
+def test_bgt_opt_refusal_names_the_first_candidate_density_does_not_refute():
+    # the periods (2, 3, 12, 25, 25) at 25 are over the cap and of density
+    # below 1, but halved they are (1, 6, 12, 12), overdense, and so are
+    # those at 26: the first candidate density does not refute is 27
+    inst = BgtInstance.from_values([9, 7, 2, 1, 1])
+    with pytest.raises(StateSpaceTooLarge, match="^state space of 4x4x14x28x28 exceeds the cap of 100000$"):
+        bgt_opt(inst, 10**5)
+
+
 def test_bgt_opt_refuses_a_large_garden_with_few_density_tests(monkeypatch):
     # 1,000 bamboos: every candidate is over the cap, so the first one that
     # is not overdense is bisected for, not scanned for (a scan made 8,294
@@ -352,6 +386,8 @@ def test_bgt_opt_refuses_a_large_garden_with_few_density_tests(monkeypatch):
 
 @given(rational_gardens, st.sampled_from([50, 500, 5000, 10**5]))
 @settings(max_examples=150, deadline=None)
+# refused on a grid of about 5 * 10^19 heights, more than `bisect` can take as a range
+@example(garden([Fraction(101597909, 678213), Fraction(88993602, 704027), Fraction(51361, 500000)]), 50)
 def test_bgt_opt_matches_reference(inst, cap):
     assert outcome(bgt_opt, inst, cap) == outcome(reference_bgt_opt, inst, cap)
 
@@ -364,6 +400,8 @@ def test_bgt_opt_matches_reference(inst, cap):
     st.sampled_from([50, 500, 5000, 10**5]),
 )
 @settings(max_examples=150, deadline=None)
+# a grid of about 5 * 10^19 heights, more than `bisect` can take as a range
+@example(garden([Fraction(101597909, 678213), Fraction(88993602, 704027), Fraction(51361, 500000)]), 10**5)
 def test_bgt_opt_never_refuses_within_the_cap_at_the_ceiling(inst, cap):
     # the deadline vectors at the 12/7 ceiling bound every search bgt_opt makes
     ceiling = Fraction(12, 7) * reference_lower_bound(inst, "max-rule")
@@ -395,6 +433,18 @@ def test_tightness_default_parameters():
     assert reduced["m_matches_formula"] is True
     assert reduced["floor_periods"] == [2, 3, 1194]
     assert reduced["floors_feasible"] is False
+
+
+def test_tightness_decides_as_eta_goes_to_zero():
+    # M' is past 833,332, where the product of (p + 1) passes the cap of
+    # 10^7: density of the halved periods refutes both families first
+    reduced = tightness_examples(eta=Fraction(1, 10**6), gamma=Fraction(1, 10**7))["reduced"]
+    assert reduced["gamma_in_range"] is True
+    assert reduced["floor_periods"] == [2, 3, 119_999_931]
+    assert reduced["floors_feasible"] is False
+    fixed = tightness_examples(big_m=Fraction(10**6))["pseudo"]
+    assert fixed["floor_periods"] == [2, 3, 10**6]
+    assert fixed["floors_feasible"] is False
 
 
 def test_tightness_gamma_out_of_range_reports_shape_loss():
