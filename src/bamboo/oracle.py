@@ -10,31 +10,40 @@ block sorted, which collapses all permutations of twins into one state.
 A child is built from the parent by slicing: every deadline drops by one
 and the job served moves to the end of its block with its full period,
 which keeps the block sorted. Each stack frame holds its state, the
-decremented deadlines and its sorted moves, and builds the child of a move
-only when the search reaches that move, so a search that ends early never
-builds the children it does not visit.
+decremented deadlines and an iterator over its untried moves, and builds
+the child of a move only when the search reaches that move, so a search
+that ends early never builds the children it does not visit.
 
 A dead state (one with no infinite schedule) stays dead when any deadline
-shrinks, and on sorted blocks that comparison is componentwise. The search
-keeps a dominance index: for each prefix (every coordinate but the last,
-which holds the largest period) the highest last deadline of a dead state,
-and it skips every child at or below that. States on the stack lie on no
-dead subtree, so the search follows the same path to the same lasso as a
-plain dead-state memo would, visiting fewer dead states on the way.
+shrinks, and on sorted blocks that comparison is componentwise. So a move
+serves only the head of a block, its most urgent twin: serving another
+twin leaves a child componentwise below the head's, live only if that is.
+The moves go least urgent first, the highest deadline and then the largest
+period, so dead regions are met at high deadlines first and feasible
+lassos close sooner. The search keeps a dominance index: for each prefix
+(every coordinate but the last, which holds the largest period) the highest
+last deadline of a dead state, and it skips every child at or below that.
+States on the stack lie on no dead subtree, so the search follows the same
+path to the same lasso as a plain dead-state memo would, visiting fewer
+dead states on the way.
 
 The search also never enters an overdue child, one whose jobs due within
-t <= 3 days need more than t cuts (`_overdue`). Such a child is dead, and
-no state of a dead subtree has an edge back to the stack (that edge would
-close a cycle through it), so exploring it could only have popped it
-again: the live states are visited in the same order and the lasso is the
-same.
+t <= 3 days need more than t cuts, a test the loop makes inline. Such a
+child is dead, and no state of a dead subtree has an edge back to the stack
+(that edge would close a cycle through it), so exploring it could only
+have popped it again: the live states are visited in the same order and
+the lasso is the same. When two jobs are due within two days, every move
+that serves neither is overdue, so only the moves that serve one of them
+are offered.
 
-A job of period 2 halves the rest exactly (`_halve`): it takes every other
-day, and the other jobs share the days between at floor(p/2). Density is
-tested on the halved vector, ahead of the state-space cap: an overdense
-vector stays overdense halved (1/floor(q/2) >= 2/q), and (2, 3, M) is
-refuted at every M. `bgt_opt` proves and searches its candidates on the
-halved vector too, whose state space is about half as deep.
+Periods reduce exactly (`_reduce`): when exactly k - 1 jobs have the least
+period k, they fill k - 1 of every k days, and the other jobs share every
+k-th day at floor(p/k). The search runs on the reduced vector, whose state
+space is far smaller, and `pinwheel_feasible` expands its witness back. At
+k = 2 this is the halving of Holte et al. (1989), `_halve`, and density is
+first tested on the halved vector, ahead of the state-space cap: an
+overdense vector stays overdense halved (1/floor(q/2) >= 2/q), and
+(2, 3, M) is refuted at every M.
 
 `bgt_opt` turns that decision procedure into the exact trimming optimum.
 It scales the garden to integers and searches the finite grid of heights
@@ -52,11 +61,10 @@ import heapq
 import itertools
 import math
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .model import BgtInstance, InvalidInstance, density, int_period, parse_rational, record
 from .reduction import ReductionConfig, scaled
-from .rounding import _grid_weight, specialize_instance
 
 DEFAULT_STATE_CAP = 10**7
 
@@ -74,7 +82,9 @@ class PinwheelResult:
 
 def pinwheel_feasible(periods: Sequence[int], cap: int = DEFAULT_STATE_CAP) -> PinwheelResult:
     """Decide integral pinwheel schedulability, with a cyclic witness when
-    feasible. Density above 1, of the halved periods, refutes first."""
+    feasible. Density above 1, of the halved periods, refutes first; the
+    cap bounds the state space of the full periods; the search runs on the
+    reduced periods (`_reduce`), and its witness is expanded back."""
     ps = [int_period(p) for p in periods]
     if not ps:
         raise InvalidInstance("need at least one job")
@@ -83,11 +93,21 @@ def pinwheel_feasible(periods: Sequence[int], cap: int = DEFAULT_STATE_CAP) -> P
     refusal = _too_large(ps, cap)
     if refusal is not None:
         raise refusal
-    lasso = _lasso(ps)
+    qs, ks = _reduce(ps)
+    lasso = None if _overdense(qs) else _lasso(qs)
     if lasso is None:
         return PinwheelResult(False, None)
-    stem, cycle = lasso
-    return PinwheelResult(True, _replay_witness(ps, stem, cycle))
+    # the job ids in period order: each step of the reduction takes the
+    # first k - 1 of them out as the group that fills k - 1 of every k days
+    ids = sorted(range(len(ps)), key=ps.__getitem__)
+    groups = []
+    for k in ks:
+        groups.append(tuple(ids[: k - 1]))
+        ids = ids[k - 1 :]
+    witness = [ids[j] for j in _replay_witness(qs, *lasso)]
+    for group in reversed(groups):
+        witness = [job for day in witness for job in (*group, day)]
+    return PinwheelResult(True, tuple(witness))
 
 
 def _overdense(ps: Sequence[int]) -> bool:
@@ -108,14 +128,34 @@ def _halve(ps: Sequence[int]) -> list[int]:
     return qs
 
 
+def _reduce(ps: Sequence[int]) -> tuple[list[int], list[int]]:
+    """`ps` sorted, with the k - 1 jobs of the least period k taken out and
+    every other period floor-divided by k, while exactly k - 1 jobs have the
+    least period and other jobs remain; and the k of each step. The result
+    has a schedule iff `ps` has: the k - 1 jobs fill k - 1 of every k days
+    and the rest share every k-th day at the divided periods, and
+    conversely any k consecutive days hold all k - 1 of them, so the days
+    they leave free are at least k apart. At k = 2 this is `_halve`'s step
+    (Holte et al., 1989)."""
+    qs = sorted(ps)
+    ks = []
+    while len(qs) >= (k := qs[0]) > 1 and qs[k - 2] == k != qs[k - 1]:
+        qs = [q // k for q in qs[k - 1 :]]
+        ks.append(k)
+    return qs, ks
+
+
 def _chain_base(ps: Sequence[int]) -> int | None:
     """A base x in (p_min/2, p_min] whose rounding of `ps` down to x * 2^j
     has density at most 1, the test by which `ChainInstance` raises
-    `Overdense`, or None (lower bases round as their doubles)."""
+    `Overdense`, or None (lower bases round as their doubles). Each p
+    rounds to x << (b - 1), with b the bit length of p // x; on the grid of
+    the largest, x << (top - 1), that weighs 1 << (top - b)."""
     low = min(ps)
     for x in range(low // 2 + 1, low + 1):
-        weight, top = _grid_weight(specialize_instance(ps, x))
-        if weight <= top:
+        bits = [(p // x).bit_length() for p in ps]
+        top = max(bits)
+        if sum([1 << (top - b) for b in bits]) <= x << (top - 1):
             return x
     return None
 
@@ -131,18 +171,6 @@ def _too_large(ps: Sequence[int], cap: int) -> StateSpaceTooLarge | None:
     return None
 
 
-def _overdue(state: tuple[int, ...], twos: slice) -> bool:
-    """Whether the jobs due within t <= 3 days need more than t cuts, which
-    leaves `state` dead: two due tomorrow, three due within two days, or
-    four within three, where a period-2 job due tomorrow counts twice (it is
-    due again on day 3). `twos` holds the positions of the period-2 jobs."""
-    ones = state.count(1)
-    if ones > 1:
-        return True
-    soon = ones + state.count(2)
-    return soon > 2 or soon + state.count(3) + (ones and state[twos].count(1)) > 3
-
-
 def _lasso(ps: Sequence[int]) -> tuple[list[tuple[int, int]], list[tuple[int, int]]] | None:
     """The moves of a schedule's stem and of its repeating cycle, each the
     (period, deadline) of the job served that day, or None when no infinite
@@ -155,30 +183,56 @@ def _lasso(ps: Sequence[int]) -> tuple[list[tuple[int, int]], list[tuple[int, in
     end = [n] * n
     for i in range(n - 2, -1, -1):
         end[i] = end[i + 1] if cps[i] == cps[i + 1] else i + 1
-    # a child serving i: dec[:i] + dec[i + 1 : end[i]] + (cps[i],) + dec[end[i] :]
-    bounds = [(i + 1, end[i], (p,)) for i, p in enumerate(cps)]
-    starts = [i == 0 or cps[i] != cps[i - 1] for i in range(n)]
+    heads = [i for i in range(n) if i == 0 or cps[i] != cps[i - 1]]
+    full = [(p,) for p in cps]
 
-    def frame(state: tuple[int, ...]) -> list:
+    def moves(state: tuple[int, ...]) -> Iterator[tuple[int, int, int]]:
         # at most one job is due today: two are overdue, and a root that is
-        # not overdense has at most one period of 1
+        # not overdense has at most one period of 1; it heads its block
         if 1 in state:
             i = state.index(1)
-            picks = [(1, cps[i], i)]
+            return iter(((1, cps[i], i),))
+        # serving a block's head, its most urgent twin, leaves the block
+        # componentwise above serving any other twin; and when two jobs are
+        # due within two days, a move that serves neither is overdue
+        if state.count(2) > 1:
+            picks = [(2, cps[i], i) for i in heads if state[i] == 2]
         else:
-            # one job per distinct (period, deadline), most urgent first
-            picks = sorted([(state[i], cps[i], i) for i in range(n) if starts[i] or state[i] != state[i - 1]])
-        return [state, tuple([d - 1 for d in state]), picks, 0]
+            picks = [(state[i], cps[i], i) for i in heads]
+        picks.sort(reverse=True)  # least urgent first
+        return iter(picks)
 
     # reach[prefix]: the highest last deadline of a dead state with that prefix
     reach: dict[tuple[int, ...], int] = {}
     on_path: dict[tuple[int, ...], int] = {cps: 0}
-    frames = [frame(cps)]
+    # a frame per state on the path: the state, its deadlines a day later
+    # and the moves still to try
+    frames = [(cps, tuple([d - 1 for d in cps]), moves(cps))]
     chosen: list[tuple[int, int]] = []  # move taken out of each stacked state
     while frames:
-        top = frames[-1]
-        state, dec, picks, idx = top
-        if idx == len(picks):
+        state, dec, untried = frames[-1]
+        for d, p, i in untried:
+            # serving i moves it to the end of its block with its full period
+            stop = end[i]
+            child = dec[:i] + dec[i + 1 : stop] + full[i] + dec[stop:]
+            # overdue: two due tomorrow, three within two days, or four
+            # within three, where a period-2 job due tomorrow counts twice
+            ones = child.count(1)
+            if ones > 1:
+                continue
+            soon = ones + child.count(2)
+            if soon > 2 or soon + child.count(3) + (ones and child[twos].count(1)) > 3:
+                continue
+            if child[-1] <= reach.get(child[:-1], 0):
+                continue
+            if child in on_path:
+                depth = on_path[child]
+                return chosen[:depth], chosen[depth:] + [(p, d)]
+            on_path[child] = len(frames)
+            chosen.append((p, d))
+            frames.append((child, tuple([e - 1 for e in child]), moves(child)))
+            break
+        else:
             frames.pop()
             prefix = state[:-1]
             if state[-1] > reach.get(prefix, 0):
@@ -186,19 +240,6 @@ def _lasso(ps: Sequence[int]) -> tuple[list[tuple[int, int]], list[tuple[int, in
             del on_path[state]
             if chosen:
                 chosen.pop()
-            continue
-        top[3] = idx + 1
-        d, p, i = picks[idx]
-        rest, stop, full = bounds[i]
-        child = dec[:i] + dec[rest:stop] + full + dec[stop:]
-        if _overdue(child, twos) or child[-1] <= reach.get(child[:-1], 0):
-            continue
-        if child in on_path:
-            depth = on_path[child]
-            return chosen[:depth], chosen[depth:] + [(p, d)]
-        on_path[child] = len(frames)
-        chosen.append((p, d))
-        frames.append(frame(child))
     return None
 
 
@@ -255,18 +296,23 @@ def bgt_opt(instance: BgtInstance, cap: int = DEFAULT_STATE_CAP) -> Fraction:
     the grid: raising one period never makes the halved vector overdense
     (while another 2 is left the halved vectors compare componentwise, and
     raising the only 2 leaves density at most 1/3 + 1/2 and nothing to
-    halve). One bisection finds where the prefix ends, and the scan runs
-    from there to the first candidate over the cap, whose
-    `StateSpaceTooLarge` is raised when no candidate below it is feasible.
+    halve). One bisection finds where the prefix ends; it tests the halved
+    vector only, since at k > 2 the reduced vectors need not form such a
+    prefix. The scan runs from there to the first candidate whose full
+    periods are over the cap, whose `StateSpaceTooLarge` is raised when no
+    candidate below it is feasible.
 
-    The scan from the bottom stops at the first candidate proved by
-    construction, the single-integer reduction of Holte et al. (1989) and
-    Chan and Chin (1992): rounded down to x * 2^j, the periods form a
-    divides chain, and one of density at most 1 (`_chain_base`) is served
-    by `schedule_chain` within the rounded periods, hence within the given
-    ones. That candidate bounds the optimum from above, and no candidate
-    below it has such a proof, so the lasso search decides those: first
-    the one just below the bound (when it is refuted, the bound is the
+    Each scanned candidate is decided on its reduced periods (`_reduce`),
+    an exact reduction: a proof there, or a refutation, holds for the
+    periods themselves. The scan from the bottom stops at the first
+    candidate proved by construction, the single-integer reduction of
+    Holte et al. (1989) and Chan and Chin (1992): rounded down to x * 2^j,
+    the periods form a divides chain, and one of density at most 1
+    (`_chain_base`) is served by `schedule_chain` within the rounded
+    periods, hence within the given ones. That candidate bounds the optimum
+    from above, and no candidate below it has such a proof, so density and
+    then the lasso search decide those, on their reduced periods: first the
+    one just below the bound (when it is refuted, the bound is the
     optimum), then, when it is feasible, a bisection of the rest. With no
     proof at all, the search starts at the last searchable candidate, and
     a refutation there refutes them all.
@@ -274,32 +320,34 @@ def bgt_opt(instance: BgtInstance, cap: int = DEFAULT_STATE_CAP) -> Fraction:
     garden = scaled(instance)
     rates, low, high = garden.rates, garden.bound, garden.top
 
-    def halved(v: int) -> list[int]:
-        return _halve([v // a for a in rates])
-
     # bisect for the first height past the prefix (`bisect` takes no range past sys.maxsize)
     start, stop = low, high + 1
     while start < stop:
         mid = (start + stop) // 2
-        start, stop = (mid + 1, stop) if _overdense(halved(mid)) else (start, mid)
+        start, stop = (mid + 1, stop) if _overdense(_halve([mid // a for a in rates])) else (start, mid)
     grid = heapq.merge(*(range(-(-start // a) * a, high + 1, a) for a in rates))
-    searchable: list[int] = []  # below the first candidate with a chain proof
+    # below the first candidate with a chain proof: each height and its reduced periods
+    searchable: list[tuple[int, list[int]]] = []
     proved = refusal = None
     for v, _ in itertools.groupby(grid):
-        refusal = _too_large([v // a for a in rates], cap)
+        ps = [v // a for a in rates]
+        refusal = _too_large(ps, cap)
         if refusal is not None:
             break
-        if _chain_base(halved(v)) is not None:
+        qs, _ = _reduce(ps)
+        if _chain_base(qs) is not None:
             proved = v
             break
-        searchable.append(v)
+        searchable.append((v, qs))
 
-    def feasible(v: int) -> bool:
-        return _lasso(halved(v)) is not None
+    def feasible(i: int) -> bool:
+        qs = searchable[i][1]
+        return not _overdense(qs) and _lasso(qs) is not None
 
-    if searchable and feasible(searchable[-1]):
-        first = bisect.bisect_left(searchable, True, hi=len(searchable) - 1, key=feasible)
-        return Fraction(searchable[first], garden.scale)
+    last = len(searchable) - 1
+    if searchable and feasible(last):
+        first = bisect.bisect_left(range(last), True, key=feasible)
+        return Fraction(searchable[first][0], garden.scale)
     if proved is not None:
         return Fraction(proved, garden.scale)
     if refusal is not None:

@@ -402,10 +402,19 @@ def reference_interleave(norm: NormalizedState) -> PeriodicSchedule:
 # ------------------------------------------------------ oracle references
 #
 # The first exhaustive search, kept as it was but for where density
-# refutes: on the halved periods, ahead of the cap. It is a lasso DFS that
-# memoizes every dead state and canonicalizes each successor by sorting its
-# blocks, and an optimum that tries every candidate height in increasing
-# order.
+# refutes (on the halved periods, ahead of the cap), what it searches and
+# the order of its moves. It is a lasso DFS that memoizes every dead state
+# and canonicalizes each successor by sorting its blocks, and an optimum
+# that tries every candidate height in increasing order.
+# It searches the reduced periods: while the least period k is held by
+# exactly k - 1 jobs and other jobs remain, those k - 1 jobs take k - 1 of
+# every k days, and the rest keep floor(p / k) on the days left. Its
+# witness is expanded back: each day of the reduced witness becomes the
+# k - 1 jobs of the step, then that day's job.
+# Each day it may serve, of each period, only a job of that period with
+# the least deadline (serving a twin with more slack leaves a tighter
+# state), and it tries the least urgent first: the highest deadline, then
+# the largest period.
 # The oracle must return exactly what these return, witnesses and
 # refusal messages included.
 
@@ -434,10 +443,19 @@ def reference_pinwheel_feasible(periods: Sequence[int], cap: int = DEFAULT_STATE
                 f"state space of {'x'.join(str(q + 1) for q in ps)} exceeds the cap of {cap}"
             )
 
+    # the reduction: jobs in period order, and the groups taken out
+    order = sorted(range(len(ps)), key=lambda i: (ps[i], i))
+    cps = [ps[i] for i in order]
+    groups: list[list[int]] = []
+    while cps[0] > 1 and cps.count(cps[0]) == cps[0] - 1 and len(cps) > cps[0] - 1:
+        k = cps[0]
+        groups.append(order[: k - 1])
+        order, cps = order[k - 1 :], [p // k for p in cps[k - 1 :]]
+    if density(cps) > 1:
+        return PinwheelResult(False, None)
+
     # canonical arrangement: positions sorted by period; the slice holding
     # each equal-period block keeps its deadlines sorted
-    order = sorted(range(len(ps)), key=lambda i: (ps[i], i))
-    cps = tuple(ps[i] for i in order)
     blocks: list[tuple[int, int]] = []
     lo = 0
     for i in range(1, len(cps) + 1):
@@ -459,14 +477,9 @@ def reference_pinwheel_feasible(periods: Sequence[int], cap: int = DEFAULT_STATE
         if urgent:
             picks = urgent
         else:
-            picks = []
-            seen = set()
-            for i, d in enumerate(state):
-                key = (cps[i], d)
-                if key not in seen:
-                    seen.add(key)
-                    picks.append(i)
-            picks.sort(key=lambda i: (state[i], cps[i]))  # most urgent first
+            # of each period, a job with the least deadline
+            picks = [min(range(a, b), key=lambda i: state[i]) for a, b in blocks]
+            picks.sort(key=lambda i: (state[i], cps[i]), reverse=True)  # least urgent first
         out = []
         for i in picks:
             nxt = [d - 1 for d in state]
@@ -474,7 +487,7 @@ def reference_pinwheel_feasible(periods: Sequence[int], cap: int = DEFAULT_STATE
             out.append(((cps[i], state[i]), canon(tuple(nxt))))
         return out
 
-    start = canon(cps)
+    start = canon(tuple(cps))
     dead: set[tuple[int, ...]] = set()
     on_path: dict[tuple[int, ...], int] = {start: 0}
     frames: list[list] = [[start, successors(start), 0]]
@@ -503,7 +516,13 @@ def reference_pinwheel_feasible(periods: Sequence[int], cap: int = DEFAULT_STATE
     if lasso is None:
         return PinwheelResult(False, None)
     stem, cycle = lasso
-    return PinwheelResult(True, _replay_witness(ps, stem, cycle))
+    witness = [order[i] for i in _replay_witness(cps, stem, cycle)]
+    for group in reversed(groups):
+        expanded = []
+        for day in witness:
+            expanded += group + [day]
+        witness = expanded
+    return PinwheelResult(True, tuple(witness))
 
 
 def reference_bgt_opt(instance: BgtInstance, cap: int = DEFAULT_STATE_CAP) -> Fraction:

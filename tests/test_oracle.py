@@ -8,10 +8,13 @@ bisecting optimum must also return exactly what the first implementations
 Each chain-rounding proof the optimum accepts without a search is rebuilt
 as a schedule and checked, and the reference search must agree with it. Every
 state the search prunes as overdue is checked dead against a fixed point
-computed from scratch, and the period-2 halving must give the search's
-verdict on every small vector it applies to.
+computed from scratch, and the period-2 halving and the general reduction
+must give the search's verdict on every small vector they apply to. The
+search's verdict is also checked against that fixed point, which depends on
+no move order.
 """
 
+import functools
 import hashlib
 import itertools
 import math
@@ -29,7 +32,7 @@ from bamboo.oracle import (
     _halve,
     _lasso,
     _overdense,
-    _overdue,
+    _reduce,
     bgt_opt,
     pinwheel_feasible,
     tightness_examples,
@@ -60,10 +63,25 @@ def test_two_three_twelve_is_infeasible():
 
 
 def test_two_four_four_is_feasible():
+    # reduced, (2, 4, 4) is (2, 2): job 0 takes every other day and jobs 1
+    # and 2 alternate on the days between, the later-numbered twin first
     res = pinwheel_feasible([2, 4, 4])
     assert res.feasible
     assert res.witness == (0, 2, 0, 1)
     assert_valid_witness([2, 4, 4], res.witness)
+
+
+def test_witness_is_expanded_from_the_reduced_vector():
+    # halved twice, (2, 5, 400000) is (100000,), decided at once where the
+    # search of the full vector took seconds; each reduced day becomes the
+    # step's k - 1 jobs followed by that day's job
+    res = pinwheel_feasible([2, 5, 400_000])
+    assert res.witness == (0, 1, 0, 2)
+    assert_valid_witness([2, 5, 400_000], res.witness)
+    # reduced at k = 3, (3, 3, 7, 7) is (2, 2)
+    res = pinwheel_feasible([3, 3, 7, 7])
+    assert res.witness == (0, 1, 3, 0, 1, 2)
+    assert_valid_witness([3, 3, 7, 7], res.witness)
 
 
 def test_two_twos_alternate():
@@ -159,16 +177,65 @@ def assert_halving_is_exact(ps):
         assert (not _overdense(halved) and _lasso(halved) is not None) == (_lasso(ps) is not None), ps
 
 
+def assert_reduction_is_exact(ps):
+    # the search's verdict on `ps` is the decision on its reduced vector
+    if not _overdense(ps):
+        reduced, _ = _reduce(ps)
+        assert (not _overdense(reduced) and _lasso(reduced) is not None) == (_lasso(ps) is not None), ps
+
+
 def test_halving_is_exact_on_every_small_vector_with_a_two():
     for ps in small_vectors():
         if 2 in ps:
             assert_halving_is_exact(ps)
+            assert_reduction_is_exact(ps)
 
 
 @given(st.lists(st.integers(min_value=2, max_value=14), min_size=1, max_size=6).filter(lambda ps: 2 in ps))
 @settings(max_examples=200, deadline=None)
 def test_halving_is_exact_up_to_six_jobs(ps):
     assert_halving_is_exact(ps)
+
+
+def reduced_beyond_halving():
+    """Every sorted vector with n <= 4 and periods <= 12, or n = 5 and
+    periods <= 9, that the reduction shortens with some k >= 3."""
+    vectors = [ps for n in range(1, 5) for ps in itertools.combinations_with_replacement(range(1, 13), n)]
+    vectors += list(itertools.combinations_with_replacement(range(1, 10), 5))
+    return [ps for ps in vectors if any(k > 2 for k in _reduce(ps)[1])]
+
+
+def test_reduction_is_exact_on_every_small_vector_beyond_halving():
+    vectors = reduced_beyond_halving()
+    assert len(vectors) == 161
+    for ps in vectors:
+        assert_reduction_is_exact(ps)
+
+
+@given(
+    st.integers(min_value=2, max_value=5).flatmap(
+        lambda k: st.lists(st.integers(min_value=k + 1, max_value=14), min_size=1, max_size=7 - k).map(
+            lambda rest: [k] * (k - 1) + rest
+        )
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_reduction_is_exact_up_to_six_jobs(ps):
+    # k - 1 jobs of the least period k, and one to 7 - k others
+    assert_reduction_is_exact(ps)
+
+
+def test_reduction_matches_the_fixed_point():
+    # on the vectors of four jobs or fewer above, the reduced decision is
+    # whether the root is live in the game on the full periods
+    checked = 0
+    for ps in reduced_beyond_halving():
+        if len(ps) <= 4:
+            reduced, _ = _reduce(ps)
+            decided = not _overdense(reduced) and _lasso(reduced) is not None
+            assert decided == (ps in live_states(ps)[1]), ps
+            checked += 1
+    assert checked == 77
 
 
 def count_lasso_calls(monkeypatch):
@@ -215,11 +282,26 @@ def test_bgt_opt_searches_less_when_halving_decides(monkeypatch):
     calls = count_lasso_calls(monkeypatch)
     assert bgt_opt(inst, 10**5) == 24
     assert calls == []
-    monkeypatch.setattr(oracle, "_halve", sorted)
+    monkeypatch.setattr(oracle, "_reduce", lambda ps: (sorted(ps), []))
     assert bgt_opt(inst, 10**5) == 24
     assert calls == [[2, 4, 13, 13, 26], [2, 4, 12, 12, 25], [2, 4, 12, 12, 24]]
 
 
+def test_bgt_opt_searches_less_when_the_reduction_decides(monkeypatch):
+    # reduced at k = 3, twice, the periods (3, 3, 9, 9, 27) at height 27 are
+    # (3,), which the chain rounding proves, and every candidate below is
+    # overdense halved; halving alone leaves them whole, and the first proof
+    # is at 36, so five candidates are searched
+    inst = BgtInstance.from_values([9, 9, 3, 3, 1])
+    calls = count_lasso_calls(monkeypatch)
+    assert bgt_opt(inst, 10**5) == 27
+    assert calls == []
+    monkeypatch.setattr(oracle, "_reduce", lambda ps: (_halve(ps), []))
+    assert bgt_opt(inst, 10**5) == 27
+    assert calls == [[3, 3, 11, 11, 35], [3, 3, 10, 10, 31], [3, 3, 9, 9, 29], [3, 3, 9, 9, 28], [3, 3, 9, 9, 27]]
+
+
+@functools.cache
 def live_states(ps):
     """Every deadline vector of the game on `ps`, in job order and without
     canonical forms, and the set of those with an infinite schedule: the
@@ -241,6 +323,18 @@ def live_states(ps):
         live -= dead
 
 
+def overdue(state, twos):
+    """The rule by which the search drops a child, as `_lasso` inlines it:
+    the jobs due within t <= 3 days need more than t cuts. Two are due
+    tomorrow, three within two days, or four within three, where a
+    period-2 job due tomorrow counts twice (`twos` holds their positions)."""
+    ones = state.count(1)
+    if ones > 1:
+        return True
+    soon = ones + state.count(2)
+    return soon > 2 or soon + state.count(3) + (ones and state[twos].count(1)) > 3
+
+
 def test_overdue_states_are_dead():
     # every period multiset with n <= 4 over 2..7 and every deadline vector
     # 1 <= d_i <= p_i: a state the search prunes as overdue has no infinite
@@ -251,10 +345,25 @@ def test_overdue_states_are_dead():
             states, live = live_states(ps)
             assert (ps in live) == reference_pinwheel_feasible(ps).feasible, ps
             twos = slice(0, ps.count(2))
-            flagged = [s for s in states if _overdue(s, twos)]
+            flagged = [s for s in states if overdue(s, twos)]
             assert not live.intersection(flagged), ps
             seen, dead, pruned = seen + len(states), dead + len(states) - len(live), pruned + len(flagged)
     assert (seen, dead, pruned) == (63_986, 26_775, 21_150)
+
+
+def test_search_verdict_does_not_depend_on_move_order():
+    # the move order picks the lasso, not the verdict: on every multiset of
+    # density at most 1 with n <= 4 over 1..8, or n = 5 over 2..6, the search
+    # finds a lasso iff the root is live in the fixed point, which tries no
+    # moves in any order
+    vectors = [ps for n in range(1, 5) for ps in itertools.combinations_with_replacement(range(1, 9), n)]
+    vectors += list(itertools.combinations_with_replacement(range(2, 7), 5))
+    checked = 0
+    for ps in vectors:
+        if not _overdense(ps):
+            assert (_lasso(ps) is not None) == (ps in live_states(ps)[1]), ps
+            checked += 1
+    assert checked == 246
 
 
 # ---------------------------------------------------------------- chain rounding
