@@ -34,14 +34,13 @@ except ImportError:  # running from a checkout without an install
 
 from bamboo.model import BgtInstance, PseudoInstance
 from bamboo.reduction import scaled
-from bamboo.rounding import certificate, decompose, normalize, split_23
+from bamboo.rounding import certificate, normalize, split_23
 
 CASES = ("none", "a", "b", "c", "d")
 
 
 def case_of(floors: list[int], density: Fraction) -> str:
-    state = split_23(floors)
-    norm = normalize(decompose(state), state)
+    norm = normalize(split_23(floors))
     certificate(norm, density)  # raises if the theory is violated
     return norm.case
 

@@ -23,7 +23,6 @@ from .rounding import (
     CertificateViolation,
     UnroundablePeriod,
     certificate,
-    decompose,
     normalize,
     specialize_instance,
     specialize_single,

@@ -114,14 +114,14 @@ def _jp_list(pairs: Pairs) -> list[dict]:
 
 def trace_to_obj(sol: scheduler.Solution) -> dict:
     """The `--explain` trace, rendered from the stage values `solve` kept."""
-    head = {"lower_bound": str(sol.lower_bound), "factor": str(sol.config.factor)}
-    if sol.instance.n == 1:
+    head = {"lower_bound": str(sol.lower_bound), "factor": str(sol.garden.config.factor)}
+    if sol.garden.n == 1:
         return {"path": "single-bamboo", **head}
-    head["pseudo_periods"] = [str(p) for p in reduction.scaled(sol.instance, sol.config).periods()]
-    head["density"] = str(sol.density)
+    head["pseudo_periods"] = [str(p) for p in sol.garden.periods()]
+    head["density"] = str(sol.garden.density)
     if sol.rounded is not None:
         return {**head, "path": "power-of-two", "rounded": _jp_list(sol.rounded)}
-    split, dec, norm = sol.split, sol.decomposition, sol.normalized
+    split, norm = sol.split, sol.normalized
     return {
         **head,
         "path": "two-three",
@@ -129,10 +129,10 @@ def trace_to_obj(sol: scheduler.Solution) -> dict:
         "a3_jobs": sorted(job for _, job in split.c),
         "b": _jp_list(split.b),
         "c": _jp_list(split.c),
-        "r": dec.r,
-        "s": dec.s,
-        "p": _jp_list(dec.p),
-        "q": _jp_list(dec.q),
+        "r": norm.r,
+        "s": norm.s,
+        "p": _jp_list(norm.p),
+        "q": _jp_list(norm.q),
         "case": norm.case,
         "b_prime": _jp_list(norm.bp),
         "c_prime": _jp_list(norm.cp),
@@ -146,8 +146,8 @@ def solution_to_obj(sol: scheduler.Solution, include_trace: bool = False) -> dic
         "lower_bound": str(sol.lower_bound),
         "bound": str(sol.guarantee),
         "max_height": str(sol.height_bound),
-        "factor": str(sol.config.factor),
-        "lb_mode": sol.config.lb_mode,
+        "factor": str(sol.garden.config.factor),
+        "lb_mode": sol.garden.config.lb_mode,
         "entries": model.entries_to_obj(sol.schedule),
     }
     if include_trace:

@@ -27,14 +27,17 @@ States on the stack lie on no dead subtree, so the search follows the same
 path to the same lasso as a plain dead-state memo would, visiting fewer
 dead states on the way.
 
-The search also never enters an overdue child, one whose jobs due within
-t <= 3 days need more than t cuts, a test the loop makes inline. Such a
-child is dead, and no state of a dead subtree has an edge back to the stack
-(that edge would close a cycle through it), so exploring it could only
-have popped it again: the live states are visited in the same order and
-the lasso is the same. When two jobs are due within two days, every move
-that serves neither is overdue, so only the moves that serve one of them
-are offered.
+The search also never enters an overdue child, one where more than t jobs
+fall due within t <= 3 days, a test the loop makes inline. Such a child is
+dead, and no state of a dead subtree has an edge back to the stack (that
+edge would close a cycle through it), so exploring it could only have
+popped it again: the live states are visited in the same order and the
+lasso is the same. Each job counts once, though one of period 2 due
+tomorrow is due again within three days: the search sees only reduced
+vectors, which unless overdense hold period 2 only as (2) or (2, 2), where
+counting it twice never makes four. When two jobs are due within two days,
+every move that serves neither is overdue, so only the moves that serve
+one of them are offered.
 
 Periods reduce exactly (`_reduce`): when exactly k - 1 jobs have the least
 period k, they fill k - 1 of every k days, and the other jobs share every
@@ -178,7 +181,6 @@ def _lasso(ps: Sequence[int]) -> tuple[list[tuple[int, int]], list[tuple[int, in
     density at most 1 and a state space within the cap."""
     cps = tuple(sorted(ps))
     n = len(cps)
-    twos = slice(bisect.bisect_left(cps, 2), bisect.bisect_right(cps, 2))
     # end[i]: one past the last position of i's equal-period block
     end = [n] * n
     for i in range(n - 2, -1, -1):
@@ -216,12 +218,12 @@ def _lasso(ps: Sequence[int]) -> tuple[list[tuple[int, int]], list[tuple[int, in
             stop = end[i]
             child = dec[:i] + dec[i + 1 : stop] + full[i] + dec[stop:]
             # overdue: two due tomorrow, three within two days, or four
-            # within three, where a period-2 job due tomorrow counts twice
+            # within three
             ones = child.count(1)
             if ones > 1:
                 continue
             soon = ones + child.count(2)
-            if soon > 2 or soon + child.count(3) + (ones and child[twos].count(1)) > 3:
+            if soon > 2 or soon + child.count(3) > 3:
                 continue
             if child[-1] <= reach.get(child[:-1], 0):
                 continue

@@ -16,7 +16,7 @@ On one grid every period divides the largest, so densities are weighed
 as integers over it, and y is tested as the integer 6y; `Fraction` only
 appears in the values reported out. `_cut` is the one block cut of such a
 chain, into consecutive blocks of one density, each exactly full but the
-last: `decompose` peels its whole chunks with it, and the scheduler's
+last: `normalize` peels its whole chunks with it, and the scheduler's
 bins are its blocks.
 
 Jobs travel through every stage as (period, job) pairs of plain ints,
@@ -37,7 +37,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterator, Sequence
 
-from .model import InvalidInstance, record
+from .model import InvalidInstance, parse_rational, record
 
 # jobs as (period, job) int pairs, sorted: period first, ties by job id
 Pairs = tuple[tuple[int, int], ...]
@@ -78,7 +78,7 @@ def specialize_single(p: Fraction | int, x: int) -> int:
     """The largest x * 2^j (j >= 0) that does not exceed p. Grid points are
     integers, so 2^j is the top bit of floor(p) // x. Needs p >= x."""
     _check_base(x)
-    m = math.floor(p)
+    m = math.floor(parse_rational(p))
     if m < x:
         raise _below_grid(p, x)
     return x << ((m // x).bit_length() - 1)
@@ -151,18 +151,6 @@ def split_23(floors: Sequence[int]) -> SpecializedState:
     return SpecializedState(tuple(b), tuple(c))
 
 
-@record
-class Decomposition:
-    """rho(B) written as r/2 + rho(P) with 0 <= rho(P) < 1/2 (P a sub-multiset
-    of B, its suffix), and rho(C) as s/3 + rho(Q) likewise. P and Q are kept
-    as sorted pairs."""
-
-    r: int
-    p: Pairs
-    s: int
-    q: Pairs
-
-
 def _cut(pairs: Pairs, base: int) -> list[Pairs]:
     """Cut sorted divides-chain pairs, densest first, into consecutive
     blocks of density 1/base; every block but the last is exactly full.
@@ -205,12 +193,6 @@ def _extract_units(pairs: Pairs, x: int) -> tuple[int, Pairs]:
     return count, rest
 
 
-def decompose(state: SpecializedState) -> Decomposition:
-    r, p = _extract_units(state.b, 2)
-    s, q = _extract_units(state.c, 3)
-    return Decomposition(r, p, s, q)
-
-
 def _sixths(bp: Pairs, cp: Pairs) -> int:
     """6y for B' on the {2, 4, 8, ...} grid and C' on the {3, 6, 12, ...}
     grid: 3 * ceil(2 * rho(B')) + 2 * ceil(3 * rho(C')), an integer."""
@@ -221,21 +203,25 @@ def _sixths(bp: Pairs, cp: Pairs) -> int:
 
 @record
 class NormalizedState:
-    """B' and C' after the leftover densities have been redistributed.
+    """B' and C' after the leftover densities have been redistributed, and
+    the split they came from: rho(B) = r/2 + rho(P), 0 <= rho(P) < 1/2, P
+    the suffix of B past its whole chunks, and rho(C) = s/3 + rho(Q) alike.
 
-    B' is on the {2, 4, 8, ...} grid and C' on the {3, 6, 12, ...} grid,
-    each as sorted (period, job) pairs; `normalize` builds them so and
-    nothing here re-checks it. `case` records which branch fired; r and s
-    are the pre-normalization chunk counts, kept for the certificate's
-    reachability check. The certificate is derived from B' and C', so it
-    always agrees with them: `y_sixths` is 6y, the integer the checks
-    compare with 6, and `y` the reported `Fraction`."""
+    B' is on the {2, 4, 8, ...} grid and C' on the {3, 6, 12, ...} grid;
+    they, P and Q are sorted (period, job) pairs. `normalize` builds them
+    so and nothing here re-checks it. `case` records which branch fired; r
+    and s are kept for the certificate's reachability check. The
+    certificate is derived from B' and C', so it always agrees with them:
+    `y_sixths` is 6y, the integer the checks compare with 6, and `y` the
+    reported `Fraction`."""
 
     bp: Pairs
     cp: Pairs
     case: str
     r: int
+    p: Pairs
     s: int
+    q: Pairs
 
     @cached_property
     def y_sixths(self) -> int:
@@ -244,11 +230,6 @@ class NormalizedState:
     @cached_property
     def y(self) -> Fraction:
         return Fraction(self.y_sixths, 6)
-
-
-def _without(pairs: Pairs, removed: Pairs) -> Pairs:
-    gone = {job for _, job in removed}
-    return tuple(pair for pair in pairs if pair[1] not in gone)
 
 
 def _regrid(pairs: Pairs, x: int) -> list[tuple[int, int]]:
@@ -260,17 +241,21 @@ def _regrid(pairs: Pairs, x: int) -> list[tuple[int, int]]:
     return out
 
 
-def normalize(dec: Decomposition, state: SpecializedState) -> NormalizedState:
-    """Move P into C, or Q into B, or neither, depending on where the
-    leftover density sits. The two test values weigh how much each leftover
-    would cost after crossing grids (a move from {2}-land to {3}-land
-    multiplies density by at most 4/3, the other direction by at most 3/2).
+def normalize(state: SpecializedState) -> NormalizedState:
+    """Peel the whole chunks r/2 off B and s/3 off C, then move the leftover
+    P into C, or Q into B, or neither, depending on where the leftover
+    density sits. The two test values weigh how much each leftover would
+    cost after crossing grids (a move from {2}-land to {3}-land multiplies
+    density by at most 4/3, the other direction by at most 3/2).
     """
+    b, c = state.b, state.c
+    r, p = _extract_units(b, 2)
+    s, q = _extract_units(c, 3)
     # over den = top(P) * top(Q), rho(P) = p_num / den and rho(Q) = q_num / den;
     # then 3 * den * v and 2 * den * w are the integers v3 and w2 below, so
     # v <= 1/3, v <= 2/3 and w <= 1/2 read v3 <= den, v3 <= 2 * den, w2 <= den
-    wp, tp = _grid_weight(dec.p)
-    wq, tq = _grid_weight(dec.q)
+    wp, tp = _grid_weight(p)
+    wq, tq = _grid_weight(q)
     p_num, q_num, den = wp * tq, wq * tp, tp * tq
     v3, w2 = 4 * p_num + 3 * q_num, 2 * p_num + 3 * q_num
     if v3 == 0:
@@ -281,13 +266,14 @@ def normalize(dec: Decomposition, state: SpecializedState) -> NormalizedState:
         case = "b" if w2 <= den else "c"
     else:
         case = "d"
-    # dropping jobs keeps a side sorted; only the side that grows is re-sorted
-    bp, cp = state.b, state.c
+    # a leftover is a suffix of its side, so it leaves by a slice that keeps
+    # the side sorted; only the side that grows is re-sorted
+    bp, cp = b, c
     if case in ("a", "c"):
-        bp, cp = _without(bp, dec.p), tuple(sorted((*cp, *_regrid(dec.p, 3))))
+        bp, cp = b[: len(b) - len(p)], tuple(sorted((*c, *_regrid(p, 3))))
     elif case == "b":
-        bp, cp = tuple(sorted((*bp, *_regrid(dec.q, 2)))), _without(cp, dec.q)
-    return NormalizedState(bp, cp, case, dec.r, dec.s)
+        bp, cp = tuple(sorted((*b, *_regrid(q, 2)))), c[: len(c) - len(q)]
+    return NormalizedState(bp, cp, case, r, p, s, q)
 
 
 def certificate(norm: NormalizedState, original_density: Fraction) -> bool:
@@ -299,7 +285,7 @@ def certificate(norm: NormalizedState, original_density: Fraction) -> bool:
     returning. Returns whether the checks ran, i.e. whether the density was
     within budget.
     """
-    original_density = Fraction(original_density)
+    original_density = parse_rational(original_density)
     checked = original_density <= SEVEN_TWELFTHS
     if checked:
         if norm.y_sixths > 6:

@@ -32,10 +32,9 @@ from functools import cached_property
 from operator import gt, itemgetter
 
 from .model import BgtInstance, InvalidInstance, JobPeriod, PeriodicSchedule, int_period, record
-from .reduction import DEFAULT_CONFIG, ReductionConfig, scaled
+from .reduction import ReductionConfig, ScaledGarden, scaled
 from .rounding import (
     CertificateViolation,
-    Decomposition,
     NormalizedState,
     Pairs,
     SpecializedState,
@@ -43,7 +42,6 @@ from .rounding import (
     _grid_weight,
     _runs,
     certificate,
-    decompose,
     normalize,
     specialize_instance,
     split_23,
@@ -202,25 +200,22 @@ class Solution:
     analytic max height actually reached, and the promised ceiling
     guarantee = factor * L (equal to L itself for a single bamboo).
 
-    Stage values: the `density` always; `rounded` on the factor-2 path;
-    `split`, `decomposition`, `normalized` and `certified` (density <= 7/12,
-    so the certificate checks ran) on the two-grid path. Fields a path does
-    not reach stay None or False. Each stage holds its job lists
-    (`rounded`, `split.b`, `normalized.bp`, ...) as the sorted (period, job)
-    int pairs the stage built. `ChainInstance` checks the chain rules of
-    the lists and `schedule` their job ids, and `normalized.y` is derived
-    from B' and C'."""
+    Stage values: the `garden` always, the `ScaledGarden` that every stage
+    decided on; `rounded` on the factor-2 path; `split`, `normalized` (with
+    r, P, s and Q) and `certified` (density <= 7/12, so the certificate
+    checks ran) on the two-grid path. Fields a path does not reach stay
+    None or False. Each stage holds its job lists (`rounded`, `split.b`,
+    `normalized.bp`, ...) as the sorted (period, job) int pairs it built.
+    `ChainInstance` checks the chain rules of the lists and `schedule`
+    their job ids, and `normalized.y` is derived from B' and C'."""
 
     schedule: PeriodicSchedule
     lower_bound: Fraction
     height_bound: Fraction
     guarantee: Fraction
-    config: ReductionConfig
-    instance: BgtInstance
-    density: Fraction
+    garden: ScaledGarden
     rounded: Pairs | None = None
     split: SpecializedState | None = None
-    decomposition: Decomposition | None = None
     normalized: NormalizedState | None = None
     certified: bool = False
 
@@ -237,24 +232,21 @@ def solve(instance: BgtInstance, config: ReductionConfig | None = None) -> Solut
     (not an assertion, so `python -O` keeps it): one entry per job, no
     offset past its cycle, and a max height within the guarantee.
     """
-    config = config or DEFAULT_CONFIG
     garden = scaled(instance, config)
     bound = garden.lower_bound
-    rho = garden.density
-    guarantee = bound if instance.n == 1 else config.factor * bound
-    rounded = split = dec = norm = None
+    guarantee = bound if instance.n == 1 else garden.config.factor * bound
+    rounded = split = norm = None
     certified = False
 
     if instance.n == 1:
         schedule = PeriodicSchedule.of_columns((0,), (1,), (1,))
-    elif config.factor == 2:
+    elif garden.config.factor == 2:
         rounded = specialize_instance(garden.floors(), 2)
         schedule = schedule_chain(ChainInstance(rounded))
     else:
         split = split_23(garden.floors())
-        dec = decompose(split)
-        norm = normalize(dec, split)
-        certified = certificate(norm, rho)
+        norm = normalize(split)
+        certified = certificate(norm, garden.density)
         schedule = interleave(norm)
 
     if not schedule.covers(instance.n):
@@ -271,12 +263,9 @@ def solve(instance: BgtInstance, config: ReductionConfig | None = None) -> Solut
         lower_bound=bound,
         height_bound=height,
         guarantee=guarantee,
-        config=config,
-        instance=instance,
-        density=rho,
+        garden=garden,
         rounded=rounded,
         split=split,
-        decomposition=dec,
         normalized=norm,
         certified=certified,
     )

@@ -17,13 +17,12 @@ from typing import Iterable, Sequence
 from bamboo import BgtInstance, PseudoInstance
 from bamboo.model import InvalidInstance, JobPeriod, PeriodicSchedule, ScheduleEntry, density, int_period
 from bamboo.oracle import DEFAULT_STATE_CAP, PinwheelResult, StateSpaceTooLarge, _replay_witness
-from bamboo.reduction import DEFAULT_CONFIG, PeriodBelowTwo, ReductionConfig, scaled
+from bamboo.reduction import DEFAULT_CONFIG, PeriodBelowTwo, ReductionConfig, ScaledGarden, scaled
 from bamboo.rounding import (
     CASE_RS,
     GENERAL_RS,
     SEVEN_TWELFTHS,
     CertificateViolation,
-    Decomposition,
     NormalizedState,
     Pairs,
     SpecializedState,
@@ -754,9 +753,7 @@ class RefSolution:
     lower_bound: Fraction
     height_bound: Fraction
     guarantee: Fraction
-    config: ReductionConfig
-    instance: BgtInstance
-    density: Fraction
+    garden: ScaledGarden
     rounded: tuple[JobPeriod, ...] | None = None
     split: RefSpecializedState | None = None
     decomposition: RefDecomposition | None = None
@@ -797,9 +794,7 @@ def reference_solve(instance: BgtInstance, config: ReductionConfig | None = None
         lower_bound=bound,
         height_bound=height,
         guarantee=guarantee,
-        config=config,
-        instance=instance,
-        density=rho,
+        garden=garden,
         rounded=rounded,
         split=split,
         decomposition=dec,
@@ -816,12 +811,14 @@ def _ref_pairs(items: Iterable[JobPeriod]) -> Pairs:
 
 def reference_as_pairs(ref: RefSolution) -> RefSolution:
     """`ref` with each stage list as (period, job) pairs in the package's
-    stage records, as `solve` returns them."""
+    stage records, as `solve` returns them: the reference's decomposition
+    goes into the `NormalizedState`, which holds r, P, s and Q."""
     rounded, split, dec, norm = ref.rounded, ref.split, ref.decomposition, ref.normalized
     if rounded is not None:
         rounded = _ref_pairs(rounded)
     if split is not None:
         split = SpecializedState(_ref_pairs(split.b), _ref_pairs(split.c))
-        dec = Decomposition(dec.r, _ref_pairs(dec.p), dec.s, _ref_pairs(dec.q))
-        norm = NormalizedState(_ref_pairs(norm.bp), _ref_pairs(norm.cp), norm.case, norm.r, norm.s)
-    return replace(ref, rounded=rounded, split=split, decomposition=dec, normalized=norm)
+        norm = NormalizedState(
+            _ref_pairs(norm.bp), _ref_pairs(norm.cp), norm.case, dec.r, _ref_pairs(dec.p), dec.s, _ref_pairs(dec.q)
+        )
+    return replace(ref, rounded=rounded, split=split, decomposition=None, normalized=norm)

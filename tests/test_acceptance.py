@@ -16,7 +16,7 @@ import pytest
 from bamboo.model import BgtInstance, PseudoInstance
 from bamboo.oracle import StateSpaceTooLarge, bgt_opt, pinwheel_feasible, tightness_examples
 from bamboo.reduction import PeriodBelowTwo, ReductionConfig, bgt_to_pseudo
-from bamboo.rounding import CASE_RS, GENERAL_RS, certificate, decompose, normalize, split_23
+from bamboo.rounding import CASE_RS, GENERAL_RS, certificate, normalize, split_23
 from bamboo.scheduler import ChainInstance, NotAChain, Overdense, interleave, schedule_chain, solve
 from bamboo.verifier import check_collisions, check_windows, evaluate
 from helpers import floors, pseudo_with_density
@@ -110,8 +110,7 @@ def test_criterion_4_certificate_at_exact_budget():
     for i in range(500):
         rng = random.Random(f"budget:{i}")
         ps = pseudo_with_density(Fraction(7, 12), rng.randint(2, 9), rng)
-        state = split_23(floors(ps))
-        norm = normalize(decompose(state), state)
+        norm = normalize(split_23(floors(ps)))
         checked = certificate(norm, ps.density)  # raises CertificateViolation on any breach
         if not (
             checked
@@ -134,8 +133,7 @@ def test_criterion_5_normalization_case_coverage():
     ok = True
     for periods, want in witnesses:
         ps = PseudoInstance(tuple(Fraction(p) for p in periods))
-        state = split_23(floors(ps))
-        norm = normalize(decompose(state), state)
+        norm = normalize(split_23(floors(ps)))
         seen.append(norm.case)
         schedule = interleave(norm)
         valid = check_collisions(schedule).ok and check_windows(schedule, ps)

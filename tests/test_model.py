@@ -20,6 +20,7 @@ from bamboo.model import (
     entries_to_obj,
 )
 from bamboo.reduction import ReductionConfig, scaled
+from bamboo.rounding import certificate, normalize, specialize_single, split_23
 from helpers import (
     entry_of,
     pseudo_to_obj,
@@ -208,7 +209,9 @@ def test_schedule_entries_are_checked_before_the_sort():
 
 
 def test_bool_is_refused_on_library_and_json_paths():
-    # bool is an int subclass; True must not pass as the rational or the day 1
+    # bool is an int subclass; True must not pass as the rational or the day 1,
+    # and a float is no exact rational either
+    norm = normalize(split_23([4, 128, 3]))
     refused = [
         lambda: BgtInstance((True,)),
         lambda: BgtInstance((3, True)),
@@ -224,10 +227,17 @@ def test_bool_is_refused_on_library_and_json_paths():
         lambda: pseudo_from_obj({"periods": ["2", True]}),
         lambda: schedule_from_obj([{"job": True, "offset": 1, "cycle": 2}]),
         lambda: schedule_from_obj([{"job": 0, "offset": 1, "cycle": True}]),
+        lambda: specialize_single(True, 1),
+        lambda: specialize_single(3.7, 2),
+        lambda: certificate(norm, True),
+        lambda: certificate(norm, 0.5),
     ]
     for make in refused:
         with pytest.raises(InvalidInstance):
             make()
+    # exact rationals still pass, as strings or Fractions
+    assert specialize_single("7/2", 2) == specialize_single(Fraction(7, 2), 2) == 2
+    assert certificate(norm, "7/12") and certificate(norm, Fraction(497, 960))
 
 
 def test_pseudo_instance_density_and_validation():

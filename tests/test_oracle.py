@@ -323,16 +323,15 @@ def live_states(ps):
         live -= dead
 
 
-def overdue(state, twos):
+def overdue(state):
     """The rule by which the search drops a child, as `_lasso` inlines it:
-    the jobs due within t <= 3 days need more than t cuts. Two are due
-    tomorrow, three within two days, or four within three, where a
-    period-2 job due tomorrow counts twice (`twos` holds their positions)."""
+    more than t jobs fall due within t <= 3 days. Two are due tomorrow,
+    three within two days, or four within three; each job counts once."""
     ones = state.count(1)
     if ones > 1:
         return True
     soon = ones + state.count(2)
-    return soon > 2 or soon + state.count(3) + (ones and state[twos].count(1)) > 3
+    return soon > 2 or soon + state.count(3) > 3
 
 
 def test_overdue_states_are_dead():
@@ -344,11 +343,10 @@ def test_overdue_states_are_dead():
         for ps in itertools.combinations_with_replacement(range(2, 8), n):
             states, live = live_states(ps)
             assert (ps in live) == reference_pinwheel_feasible(ps).feasible, ps
-            twos = slice(0, ps.count(2))
-            flagged = [s for s in states if overdue(s, twos)]
+            flagged = [s for s in states if overdue(s)]
             assert not live.intersection(flagged), ps
             seen, dead, pruned = seen + len(states), dead + len(states) - len(live), pruned + len(flagged)
-    assert (seen, dead, pruned) == (63_986, 26_775, 21_150)
+    assert (seen, dead, pruned) == (63_986, 26_775, 20_345)
 
 
 def test_search_verdict_does_not_depend_on_move_order():

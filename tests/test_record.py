@@ -22,7 +22,7 @@ RECORDS = {
     reduction: ("ReductionConfig", "ScaledGarden"),
     oracle: ("PinwheelResult",),
     verifier: ("Collision", "CollisionReport", "WindowViolation", "SimReport", "VerificationReport"),
-    rounding: ("SpecializedState", "Decomposition", "NormalizedState"),
+    rounding: ("SpecializedState", "NormalizedState"),
     scheduler: ("ChainInstance", "Solution"),
 }
 
@@ -32,7 +32,7 @@ def test_every_value_class_is_a_record():
         for name in names:
             cls = getattr(module, name)
             assert cls._fields == tuple(cls.__annotations__), name
-    assert sum(map(len, RECORDS.values())) == 18
+    assert sum(map(len, RECORDS.values())) == 17
 
 
 def test_equal_by_value_within_one_class():
@@ -89,8 +89,8 @@ def test_positional_keyword_and_default_arguments():
 
     sol = solve(BgtInstance((4, 3, Fraction(1, 10))))
     assert Solution(**{name: getattr(sol, name) for name in Solution._fields}) == sol
-    plain = Solution(*(getattr(sol, name) for name in Solution._fields[:7]))
-    assert [getattr(plain, name) for name in Solution._fields[7:]] == [None, None, None, None, False]
+    plain = Solution(*(getattr(sol, name) for name in Solution._fields[:5]))
+    assert [getattr(plain, name) for name in Solution._fields[5:]] == [None, None, None, False]
 
 
 def test_post_init_refusals_keep_their_messages():

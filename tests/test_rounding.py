@@ -1,4 +1,4 @@
-"""Two-grid rounding, the r/s/P/Q decomposition, normalization, certificate.
+"""Two-grid rounding, normalization with its r/s/P/Q decomposition, certificate.
 
 The fixed inputs here are small enough to check by hand; the property tests
 lean on the exact-rational helpers so every equality is exact.
@@ -20,7 +20,6 @@ from bamboo.rounding import (
     _cut,
     _extract_units,
     certificate,
-    decompose,
     normalize,
     specialize_instance,
     specialize_single,
@@ -31,9 +30,7 @@ from helpers import _ref_extract_units, _ref_pairs, floors, grid_density, on_thr
 
 def run_pipeline(ps: PseudoInstance):
     state = split_23(floors(ps))
-    dec = decompose(state)
-    norm = normalize(dec, state)
-    return state, dec, norm
+    return state, normalize(state)
 
 
 # ---------------------------------------------------------------- single-grid
@@ -136,7 +133,7 @@ def test_split_23_band_membership(periods):
         assert period <= ps.periods[job] < Fraction(3, 2) * period  # [2*2^j, 3*2^j)
     for period, job in state.c:
         assert period <= ps.periods[job] < Fraction(4, 3) * period  # [3*2^j, 4*2^j)
-    norm = normalize(decompose(state), state)
+    norm = normalize(state)
     for b, c in ((state.b, state.c), (norm.bp, norm.cp)):
         assert_sorted_on_grid(b, on_two_grid)
         assert_sorted_on_grid(c, on_three_grid)
@@ -153,28 +150,28 @@ def split_state(periods_b, periods_c):
 
 
 def test_decompose_examples():
-    dec = decompose(split_state([4, 128], [3]))
-    assert (dec.r, dec.s) == (0, 1)
-    assert tuple(period for period, _ in dec.p) == (4, 128)
-    assert dec.q == ()
+    norm = normalize(split_state([4, 128], [3]))
+    assert (norm.r, norm.s) == (0, 1)
+    assert tuple(period for period, _ in norm.p) == (4, 128)
+    assert norm.q == ()
 
-    dec = decompose(split_state([2], []))
-    assert (dec.r, dec.s) == (1, 0)
-    assert dec.p == () and dec.q == ()
+    norm = normalize(split_state([2], []))
+    assert (norm.r, norm.s) == (1, 0)
+    assert norm.p == () and norm.q == ()
 
-    dec = decompose(split_state([8], [6]))
-    assert (dec.r, dec.s) == (0, 0)
-    assert tuple(period for period, _ in dec.p) == (8,)
-    assert tuple(period for period, _ in dec.q) == (6,)
+    norm = normalize(split_state([8], [6]))
+    assert (norm.r, norm.s) == (0, 0)
+    assert tuple(period for period, _ in norm.p) == (8,)
+    assert tuple(period for period, _ in norm.q) == (6,)
 
 
 def test_decompose_fills_units_from_densest_periods():
     # 1/2 = 1/4 + 1/8 + 1/8: the unit absorbs the three smallest members
     # and the leftover P is the suffix of largest periods.
-    dec = decompose(split_state([4, 8, 8, 16, 64], []))
-    assert dec.r == 1
-    assert tuple(period for period, _ in dec.p) == (16, 64)
-    assert grid_density(dec.p) == Fraction(5, 64)
+    norm = normalize(split_state([4, 8, 8, 16, 64], []))
+    assert norm.r == 1
+    assert tuple(period for period, _ in norm.p) == (16, 64)
+    assert grid_density(norm.p) == Fraction(5, 64)
 
 
 @given(
@@ -186,16 +183,16 @@ def test_decompose_invariants(exponents, three_side):
     base = 3 if three_side else 2
     periods = [base * 2**j for j in exponents]
     state = split_state(periods if not three_side else [], periods if three_side else [])
-    dec = decompose(state)
+    norm = normalize(state)
     if three_side:
-        assert grid_density(state.c) == Fraction(dec.s, 3) + grid_density(dec.q)
-        assert 0 <= grid_density(dec.q) < Fraction(1, 3)
-        leftover = dec.q
+        assert grid_density(state.c) == Fraction(norm.s, 3) + grid_density(norm.q)
+        assert 0 <= grid_density(norm.q) < Fraction(1, 3)
+        leftover = norm.q
         pool = state.c
     else:
-        assert grid_density(state.b) == Fraction(dec.r, 2) + grid_density(dec.p)
-        assert 0 <= grid_density(dec.p) < Fraction(1, 2)
-        leftover = dec.p
+        assert grid_density(state.b) == Fraction(norm.r, 2) + grid_density(norm.p)
+        assert 0 <= grid_density(norm.p) < Fraction(1, 2)
+        leftover = norm.p
         pool = state.b
     # leftover is a sub-multiset, and sits at the large-period end
     pool_periods = sorted(period for period, _ in pool)
@@ -217,7 +214,7 @@ def one_grid_pairs(x: int, exponents: list[int]):
 @settings(max_examples=300)
 def test_cut_makes_exactly_full_blocks_but_the_last(x, exponents, lift):
     # the base is any grid point up to the first period: the grid's own base,
-    # as `decompose` passes it, or the first period, as the scheduler does
+    # as `normalize` passes it, or the first period, as the scheduler does
     pairs = one_grid_pairs(x, exponents)
     base = x << min(lift, *exponents)
     blocks = _cut(pairs, base)
@@ -248,9 +245,38 @@ def test_extract_units_matches_the_reference(x, exponents):
 # ---------------------------------------------------------------- normalization
 
 
+def _without(pairs, removed):
+    # the leftover's jobs taken out by id, whatever their place in the side
+    gone = {job for _, job in removed}
+    return tuple(pair for pair in pairs if pair[1] not in gone)
+
+
+@given(st.lists(st.integers(min_value=2, max_value=5000) | st.integers(min_value=2, max_value=10**9), max_size=12))
+# one witness per normalization case: none, a, b, c, d
+@example([2, 3])
+@example([8, 6])
+@example([12, 4, 8])
+@example([4, 8, 6])
+@example([4, 8, 16, 32, 12])
+@settings(max_examples=300)
+def test_leftovers_are_suffixes_so_a_slice_takes_them_off(ms):
+    # `normalize` takes a moved leftover off its side by slicing, which is
+    # right only if the leftover is that side's suffix
+    state = split_23(ms)
+    norm = normalize(state)
+    assert state.b[len(state.b) - len(norm.p) :] == norm.p
+    assert state.c[len(state.c) - len(norm.q) :] == norm.q
+    if norm.case in ("a", "c"):
+        assert norm.bp == _without(state.b, norm.p)
+    elif norm.case == "b":
+        assert norm.cp == _without(state.c, norm.q)
+    else:
+        assert (norm.bp, norm.cp) == (state.b, state.c)
+
+
 def test_normalize_case_a_witness():
     state = split_state([8], [6])
-    norm = normalize(decompose(state), state)
+    norm = normalize(state)
     assert norm.case == "a"
     assert norm.bp == ()
     assert [period for period, _ in norm.cp] == [6, 6]
@@ -259,7 +285,7 @@ def test_normalize_case_a_witness():
 
 def test_normalize_case_b_witness():
     state = split_state([4, 128], [3])
-    norm = normalize(decompose(state), state)
+    norm = normalize(state)
     assert norm.case == "b"
     assert [period for period, _ in norm.bp] == [4, 128]
     assert [period for period, _ in norm.cp] == [3]
@@ -268,7 +294,7 @@ def test_normalize_case_b_witness():
 
 def test_normalize_case_c_witness():
     state = split_state([4, 8], [6])
-    norm = normalize(decompose(state), state)
+    norm = normalize(state)
     assert norm.case == "c"
     assert norm.bp == ()
     assert [period for period, _ in norm.cp] == [3, 6, 6]
@@ -277,9 +303,8 @@ def test_normalize_case_c_witness():
 
 def test_normalize_case_d_witness():
     state = split_state([4, 8, 16, 32], [12])
-    dec = decompose(state)
-    assert grid_density(dec.p) == Fraction(15, 32) and grid_density(dec.q) == Fraction(1, 12)
-    norm = normalize(dec, state)
+    norm = normalize(state)
+    assert grid_density(norm.p) == Fraction(15, 32) and grid_density(norm.q) == Fraction(1, 12)
     assert norm.case == "d"
     assert norm.bp == state.b and norm.cp == state.c
     assert norm.y == Fraction(5, 6)
@@ -287,7 +312,7 @@ def test_normalize_case_d_witness():
 
 def test_normalize_case_none_when_no_leftover():
     state = split_state([2], [3])
-    norm = normalize(decompose(state), state)
+    norm = normalize(state)
     assert norm.case == "none"
     assert norm.bp == state.b and norm.cp == state.c
     assert norm.y == Fraction(5, 6)
@@ -298,19 +323,19 @@ def test_normalize_case_none_when_no_leftover():
 
 def test_certificate_worked_example_passes():
     ps = PseudoInstance((Fraction(24, 7), Fraction(32, 7), Fraction(960, 7)))
-    _, _, norm = run_pipeline(ps)
+    _, norm = run_pipeline(ps)
     assert certificate(norm, ps.density)
     assert norm.y == Fraction(5, 6)
     assert (norm.r, norm.s) == (0, 1)
 
 
 def test_certificate_empty_instance():
-    assert NormalizedState((), (), "none", 0, 0).y == 0
+    assert NormalizedState((), (), "none", 0, (), 0, ()).y == 0
 
 
 def test_certificate_case_d_chunk_counts():
     state = split_state([4, 8, 16, 32], [12])
-    norm = normalize(decompose(state), state)
+    norm = normalize(state)
     assert certificate(norm, Fraction(53, 96))
     assert (norm.r, norm.s) == (0, 0)
     assert norm.y == Fraction(5, 6)
@@ -319,7 +344,7 @@ def test_certificate_case_d_chunk_counts():
 def test_certificate_skips_assertions_above_budget():
     # density 1 > 7/12: y may exceed 1 and nothing should raise
     state = split_state([2, 4, 8, 8], [3])
-    norm = normalize(decompose(state), state)
+    norm = normalize(state)
     assert not certificate(norm, Fraction(2))
     assert norm.y > 1
 
@@ -327,7 +352,7 @@ def test_certificate_skips_assertions_above_budget():
 def test_certificate_violation_on_fabricated_state():
     # y > 1 with a claimed density within budget must raise, not report
     state = split_state([2, 2], [3])
-    norm = normalize(decompose(state), state)
+    norm = normalize(state)
     assert norm.y > 1
     with pytest.raises(CertificateViolation):
         certificate(norm, Fraction(1, 2))
@@ -338,7 +363,7 @@ def test_certificate_violation_on_fabricated_state():
 def test_certificate_theorem_on_exact_budget_splits(seed, parts):
     rng = random.Random(seed)
     ps = pseudo_with_density(Fraction(7, 12), parts, rng)
-    state, dec, norm = run_pipeline(ps)
+    state, norm = run_pipeline(ps)
     assert certificate(norm, ps.density)
     assert norm.y <= 1
     assert (norm.r, norm.s) in GENERAL_RS
@@ -355,7 +380,7 @@ def test_pipeline_keeps_periods_within_factor_two_below_origin(seed, parts):
     if total / parts > Fraction(1, 2):
         parts = max(parts, 2)
     ps = pseudo_with_density(total, parts, rng)
-    state, dec, norm = run_pipeline(ps)
+    state, norm = run_pipeline(ps)
     certificate(norm, ps.density)
     for period, job in norm.bp + norm.cp:
         assert period <= ps.periods[job] < 2 * period

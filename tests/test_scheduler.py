@@ -21,8 +21,8 @@ from bamboo.model import (
     ScheduleEntry,
     schedule_from_obj,
 )
-from bamboo.reduction import ReductionConfig, bgt_to_pseudo, scaled
-from bamboo.rounding import NormalizedState, decompose, normalize, split_23
+from bamboo.reduction import ReductionConfig, bgt_to_pseudo
+from bamboo.rounding import NormalizedState, normalize, split_23
 from bamboo.scheduler import (
     ChainInstance,
     NotAChain,
@@ -99,7 +99,7 @@ def schedule_sides(sides):
     # one side is a chain for schedule_chain; two are B' and C' for interleave
     if len(sides) == 1:
         return schedule_chain(ChainInstance(sides[0]))
-    return interleave(NormalizedState(*sides, "none", 0, 0))
+    return interleave(NormalizedState(*sides, "none", 0, (), 0, ()))
 
 
 @pytest.mark.parametrize(
@@ -224,8 +224,7 @@ def test_schedule_chain_is_collision_free_and_window_true(data):
 
 def norm_of(periods):
     ps = PseudoInstance(tuple(Fraction(p) for p in periods))
-    state = split_23(floors(ps))
-    return normalize(decompose(state), state)
+    return normalize(split_23(floors(ps)))
 
 
 def test_interleave_worked_example():
@@ -270,7 +269,7 @@ def test_interleave_matches_reference_on_every_small_state():
             pairs = sorted((p, i) for i, p in enumerate(periods))
             bp = tuple(pair for pair in pairs if pair[0] % 3)
             cp = tuple(pair for pair in pairs if pair[0] % 3 == 0)
-            norm = NormalizedState(bp=bp, cp=cp, case="none", r=0, s=0)
+            norm = NormalizedState(bp=bp, cp=cp, case="none", r=0, p=(), s=0, q=())
             assert _outcome(interleave, norm) == _outcome(reference_interleave, norm), periods
             states += 1
     assert states == 3003
@@ -294,7 +293,7 @@ def test_solve_single_bamboo():
     sol = solve(BgtInstance.from_values(["1"]))
     assert entry_triples(sol.schedule) == [(0, 1, 1)]
     assert sol.height_bound == 1 and sol.guarantee == 1
-    assert scaled(sol.instance, sol.config).periods() == (Fraction(12, 7),)
+    assert sol.garden.periods() == (Fraction(12, 7),)
     assert sol.rounded is None and sol.normalized is None
 
 
@@ -315,7 +314,7 @@ def test_solve_density_is_the_reduced_density(rates):
     # equal the sum of reciprocal periods of the reduction, in both configs
     inst = BgtInstance(tuple(sorted(rates, reverse=True)))
     for cfg in (ReductionConfig(), ReductionConfig(Fraction(2), "sum")):
-        assert solve(inst, cfg).density == bgt_to_pseudo(inst, cfg).density
+        assert solve(inst, cfg).garden.density == bgt_to_pseudo(inst, cfg).density
 
 
 @given(st.integers(min_value=0, max_value=10**9))
@@ -337,7 +336,7 @@ def test_solve_verifies_and_meets_guarantee(seed):
         # integer rates stay int inside, per-job peaks included; every
         # reported value is a Fraction
         assert all(type(v) is int for v in report.peaks)
-        reported = [sol.lower_bound, sol.guarantee, sol.height_bound, sol.density]
+        reported = [sol.lower_bound, sol.guarantee, sol.height_bound, sol.garden.density]
         reported += [report.analytic_max, report.ratio]
         if sol.normalized is not None:
             reported.append(sol.normalized.y)
@@ -387,18 +386,17 @@ def test_solve_matches_reference_stage_by_stage(rates, config_index):
     ref_pairs = reference_as_pairs(ref)
     assert solution_to_obj(got, include_trace=True) == solution_to_obj(ref_pairs, include_trace=True)
     assert got.schedule.entries == ref.schedule.entries
-    for name in ("lower_bound", "height_bound", "guarantee", "config", "instance", "density", "rounded", "certified"):
+    for name in ("lower_bound", "height_bound", "guarantee", "garden", "rounded", "certified"):
         assert getattr(got, name) == getattr(ref_pairs, name), name
+    assert got.garden.config == config
     assert (got.split is None) == (ref.split is None)
     if ref.split is not None:
         assert got.split == ref_pairs.split
-        assert got.decomposition == ref_pairs.decomposition
         assert got.normalized == ref_pairs.normalized
         norm = got.normalized
         assert norm.y == ref.normalized.y and type(norm.y) is Fraction
         assert norm.y_sixths == 6 * norm.y
     else:
-        assert got.decomposition is ref.decomposition is None
         assert got.normalized is ref.normalized is None
 
 
@@ -430,7 +428,7 @@ def test_views_the_benchmark_reads():
     instance = BgtInstance.from_values(["4", "3", "0.1"])
     state = split_23(floors(bgt_to_pseudo(instance)))
     assert (len(state.b), len(state.c)) == (2, 1)
-    assert normalize(decompose(state), state).case == "b"
+    assert normalize(state).case == "b"
     sol = solve(instance)
     entries = sol.schedule.entries
     assert entries == (ScheduleEntry(0, 2, 2), ScheduleEntry(1, 1, 4), ScheduleEntry(2, 3, 128))
