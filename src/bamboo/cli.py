@@ -15,7 +15,7 @@ from . import model, oracle, reduction, scheduler, verifier
 from .model import InvalidInstance
 from .oracle import StateSpaceTooLarge
 from .reduction import PeriodBelowTwo, ReductionConfig
-from .rounding import CertificateViolation, Pairs
+from .rounding import CertificateViolation, Pairs, certificate, normalize, specialize_instance, split_23
 
 
 def _over_digit_limit(exc: ValueError) -> bool:
@@ -113,15 +113,18 @@ def _jp_list(pairs: Pairs) -> list[dict]:
 
 
 def trace_to_obj(sol: scheduler.Solution) -> dict:
-    """The `--explain` trace, rendered from the stage values `solve` kept."""
-    head = {"lower_bound": str(sol.lower_bound), "factor": str(sol.garden.config.factor)}
-    if sol.garden.n == 1:
+    """The `--explain` trace: the stages of `solve`, built again from the
+    scaled garden it decided on, on the same path and the same floors."""
+    garden = sol.garden
+    head = {"lower_bound": str(sol.lower_bound), "factor": str(garden.config.factor)}
+    if garden.n == 1:
         return {"path": "single-bamboo", **head}
-    head["pseudo_periods"] = [str(p) for p in sol.garden.periods()]
-    head["density"] = str(sol.garden.density)
-    if sol.rounded is not None:
-        return {**head, "path": "power-of-two", "rounded": _jp_list(sol.rounded)}
-    split, norm = sol.split, sol.normalized
+    head["pseudo_periods"] = [str(p) for p in garden.periods()]
+    head["density"] = str(garden.density)
+    if garden.config.factor == 2:
+        return {**head, "path": "power-of-two", "rounded": _jp_list(specialize_instance(garden.floors(), 2))}
+    split = split_23(garden.floors())
+    norm = normalize(split)
     return {
         **head,
         "path": "two-three",
@@ -137,7 +140,7 @@ def trace_to_obj(sol: scheduler.Solution) -> dict:
         "b_prime": _jp_list(norm.bp),
         "c_prime": _jp_list(norm.cp),
         "y": str(norm.y),
-        "certificate_checked": sol.certified,
+        "certificate_checked": certificate(norm, garden.density),
     }
 
 

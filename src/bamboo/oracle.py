@@ -43,10 +43,10 @@ Periods reduce exactly (`_reduce`): when exactly k - 1 jobs have the least
 period k, they fill k - 1 of every k days, and the other jobs share every
 k-th day at floor(p/k). The search runs on the reduced vector, whose state
 space is far smaller, and `pinwheel_feasible` expands its witness back. At
-k = 2 this is the halving of Holte et al. (1989), `_halve`, and density is
-first tested on the halved vector, ahead of the state-space cap: an
-overdense vector stays overdense halved (1/floor(q/2) >= 2/q), and
-(2, 3, M) is refuted at every M.
+k = 2 this is the halving of Holte et al. (1989). `pinwheel_feasible` tests
+density on the reduced vector, ahead of the state-space cap: a step keeps
+an overdense vector overdense (1/floor(q/k) >= k/q), so (2, 3, M) and
+(3, 3, 5, M) are refuted at every M.
 
 `bgt_opt` turns that decision procedure into the exact trimming optimum.
 It scales the garden to integers and searches the finite grid of heights
@@ -85,19 +85,20 @@ class PinwheelResult:
 
 def pinwheel_feasible(periods: Sequence[int], cap: int = DEFAULT_STATE_CAP) -> PinwheelResult:
     """Decide integral pinwheel schedulability, with a cyclic witness when
-    feasible. Density above 1, of the halved periods, refutes first; the
-    cap bounds the state space of the full periods; the search runs on the
-    reduced periods (`_reduce`), and its witness is expanded back."""
+    feasible. The periods reduce first (`_reduce`), and density above 1 of
+    the reduced periods refutes; the cap bounds the state space of the full
+    periods, since the witness is expanded back to them; the search runs on
+    the reduced periods."""
     ps = [int_period(p) for p in periods]
     if not ps:
         raise InvalidInstance("need at least one job")
-    if _overdense(_halve(ps)):
+    qs, ks = _reduce(ps)
+    if _overdense(qs):
         return PinwheelResult(False, None)
     refusal = _too_large(ps, cap)
     if refusal is not None:
         raise refusal
-    qs, ks = _reduce(ps)
-    lasso = None if _overdense(qs) else _lasso(qs)
+    lasso = _lasso(qs)
     if lasso is None:
         return PinwheelResult(False, None)
     # the job ids in period order: each step of the reduction takes the
@@ -124,7 +125,9 @@ def _halve(ps: Sequence[int]) -> list[int]:
     result has a schedule iff `ps` has: the 2-job takes every other day and
     the rest share the days between at the halved periods, and conversely
     no two days a 2-job leaves free are adjacent, so k steps between free
-    days span at least 2k days (Holte et al., 1989)."""
+    days span at least 2k days (Holte et al., 1989). Its one caller is
+    `bgt_opt`'s bisection: along the grid of heights the halved vectors
+    are overdense on a prefix, which the reduced ones need not be."""
     qs = sorted(ps)
     while len(qs) > 1 and qs[0] == 2:
         qs = [q // 2 for q in qs[1:]]

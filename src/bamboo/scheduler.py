@@ -20,8 +20,9 @@ order; they become the schedule's int columns
 (`PeriodicSchedule.of_columns`, which sorts them by job and is the one
 check of job ids); no `ScheduleEntry` is built.
 
-`solve` keeps each stage's value as a typed field of its `Solution`; only
-the CLI renders them, for `--explain`. Its output checks raise
+`solve` keeps its stage values as locals, so they are freed when it
+returns: its `Solution` holds the answer and the scaled garden, from which
+`--explain` builds the same stages again. Its output checks raise
 `CertificateViolation`, so `python -O` cannot strip them.
 """
 
@@ -37,7 +38,6 @@ from .rounding import (
     CertificateViolation,
     NormalizedState,
     Pairs,
-    SpecializedState,
     _cut,
     _grid_weight,
     _runs,
@@ -200,24 +200,16 @@ class Solution:
     analytic max height actually reached, and the promised ceiling
     guarantee = factor * L (equal to L itself for a single bamboo).
 
-    Stage values: the `garden` always, the `ScaledGarden` that every stage
-    decided on; `rounded` on the factor-2 path; `split`, `normalized` (with
-    r, P, s and Q) and `certified` (density <= 7/12, so the certificate
-    checks ran) on the two-grid path. Fields a path does not reach stay
-    None or False. Each stage holds its job lists (`rounded`, `split.b`,
-    `normalized.bp`, ...) as the sorted (period, job) int pairs it built.
-    `ChainInstance` checks the chain rules of the lists and `schedule`
-    their job ids, and `normalized.y` is derived from B' and C'."""
+    `garden` is the `ScaledGarden` that every stage decided on. The stages
+    are a pure function of it, so they are not kept: `specialize_instance`,
+    or `split_23`, `normalize` and `certificate`, on `garden.floors()` build
+    them again, as `--explain` does."""
 
     schedule: PeriodicSchedule
     lower_bound: Fraction
     height_bound: Fraction
     guarantee: Fraction
     garden: ScaledGarden
-    rounded: Pairs | None = None
-    split: SpecializedState | None = None
-    normalized: NormalizedState | None = None
-    certified: bool = False
 
 
 def solve(instance: BgtInstance, config: ReductionConfig | None = None) -> Solution:
@@ -235,18 +227,14 @@ def solve(instance: BgtInstance, config: ReductionConfig | None = None) -> Solut
     garden = scaled(instance, config)
     bound = garden.lower_bound
     guarantee = bound if instance.n == 1 else garden.config.factor * bound
-    rounded = split = norm = None
-    certified = False
 
     if instance.n == 1:
         schedule = PeriodicSchedule.of_columns((0,), (1,), (1,))
     elif garden.config.factor == 2:
-        rounded = specialize_instance(garden.floors(), 2)
-        schedule = schedule_chain(ChainInstance(rounded))
+        schedule = schedule_chain(ChainInstance(specialize_instance(garden.floors(), 2)))
     else:
-        split = split_23(garden.floors())
-        norm = normalize(split)
-        certified = certificate(norm, garden.density)
+        norm = normalize(split_23(garden.floors()))
+        certificate(norm, garden.density)
         schedule = interleave(norm)
 
     if not schedule.covers(instance.n):
@@ -258,14 +246,4 @@ def solve(instance: BgtInstance, config: ReductionConfig | None = None) -> Solut
     height = Fraction(max(schedule.peaks(garden.rates)), garden.scale)
     if height > guarantee:
         raise CertificateViolation(f"max height {height} exceeds the guarantee {guarantee}")
-    return Solution(
-        schedule=schedule,
-        lower_bound=bound,
-        height_bound=height,
-        guarantee=guarantee,
-        garden=garden,
-        rounded=rounded,
-        split=split,
-        normalized=norm,
-        certified=certified,
-    )
+    return Solution(schedule, bound, height, guarantee, garden)

@@ -27,6 +27,10 @@ from bamboo.rounding import (
     Pairs,
     SpecializedState,
     UnroundablePeriod,
+    certificate,
+    normalize,
+    specialize_instance,
+    split_23,
 )
 from bamboo.scheduler import ChainInstance, NotAChain, Overdense, schedule_chain
 from bamboo.verifier import (
@@ -96,6 +100,21 @@ def floors(pseudo: PseudoInstance) -> list[int]:
     """floor(p_i) for every period in job-id order, what `split_23` and
     `specialize_instance` take to build their sorted (period, job) pairs."""
     return [math.floor(p) for p in pseudo.periods]
+
+
+def stages(sol) -> tuple:
+    """The stage values of a solution, built again from its garden on the
+    path `solve` took, as `--explain` builds them: (rounded, split,
+    normalized, certified), None or False where the path does not reach.
+    They compare with a `reference_as_pairs` solution's fields."""
+    garden = sol.garden
+    if garden.n == 1:
+        return None, None, None, False
+    if garden.config.factor == 2:
+        return specialize_instance(garden.floors(), 2), None, None, False
+    split = split_23(garden.floors())
+    norm = normalize(split)
+    return None, split, norm, certificate(norm, garden.density)
 
 
 def _is_power_of_two(m: int) -> bool:
@@ -401,8 +420,8 @@ def reference_interleave(norm: NormalizedState) -> PeriodicSchedule:
 # ------------------------------------------------------ oracle references
 #
 # The first exhaustive search, kept as it was but for where density
-# refutes (on the halved periods, ahead of the cap), what it searches and
-# the order of its moves. It is a lasso DFS that memoizes every dead state
+# refutes (ahead of the cap: on the reduced periods for the search, on the
+# halved ones for the optimum), what it searches and the order of its moves. It is a lasso DFS that memoizes every dead state
 # and canonicalizes each successor by sorting its blocks, and an optimum
 # that tries every candidate height in increasing order.
 # It searches the reduced periods: while the least period k is held by
@@ -418,22 +437,7 @@ def reference_interleave(norm: NormalizedState) -> PeriodicSchedule:
 # refusal messages included.
 
 
-def reference_pinwheel_feasible(periods: Sequence[int], cap: int = DEFAULT_STATE_CAP) -> PinwheelResult:
-    ps: list[int] = []
-    for p in periods:
-        if not isinstance(p, int) or isinstance(p, bool) or p < 1:
-            raise InvalidInstance(f"period {p!r} is not a positive integer")
-        ps.append(p)
-    if not ps:
-        raise InvalidInstance("need at least one job")
-    # density refutes ahead of the cap, taken after each period-2 job is
-    # dropped and the other periods floor-halved (an exact reduction)
-    halved = sorted(ps)
-    while len(halved) > 1 and min(halved) == 2:
-        halved.remove(2)
-        halved = [p // 2 for p in halved]
-    if density(halved) > 1:
-        return PinwheelResult(False, None)
+def _ref_check_cap(ps: Sequence[int], cap: int) -> None:
     space = 1
     for p in ps:
         space *= p + 1
@@ -442,6 +446,15 @@ def reference_pinwheel_feasible(periods: Sequence[int], cap: int = DEFAULT_STATE
                 f"state space of {'x'.join(str(q + 1) for q in ps)} exceeds the cap of {cap}"
             )
 
+
+def reference_pinwheel_feasible(periods: Sequence[int], cap: int = DEFAULT_STATE_CAP) -> PinwheelResult:
+    ps: list[int] = []
+    for p in periods:
+        if not isinstance(p, int) or isinstance(p, bool) or p < 1:
+            raise InvalidInstance(f"period {p!r} is not a positive integer")
+        ps.append(p)
+    if not ps:
+        raise InvalidInstance("need at least one job")
     # the reduction: jobs in period order, and the groups taken out
     order = sorted(range(len(ps)), key=lambda i: (ps[i], i))
     cps = [ps[i] for i in order]
@@ -450,8 +463,11 @@ def reference_pinwheel_feasible(periods: Sequence[int], cap: int = DEFAULT_STATE
         k = cps[0]
         groups.append(order[: k - 1])
         order, cps = order[k - 1 :], [p // k for p in cps[k - 1 :]]
+    # density of the reduced periods refutes ahead of the cap; the cap
+    # bounds the full periods, to which the witness is expanded back
     if density(cps) > 1:
         return PinwheelResult(False, None)
+    _ref_check_cap(ps, cap)
 
     # canonical arrangement: positions sorted by period; the slice holding
     # each equal-period block keeps its deadlines sorted
@@ -541,6 +557,15 @@ def reference_bgt_opt(instance: BgtInstance, cap: int = DEFAULT_STATE_CAP) -> Fr
             continue
         if density(periods) > 1:
             continue
+        # density refutes ahead of the cap, taken after each period-2 job is
+        # dropped and the other periods floor-halved (an exact reduction)
+        halved = sorted(periods)
+        while len(halved) > 1 and min(halved) == 2:
+            halved.remove(2)
+            halved = [p // 2 for p in halved]
+        if density(halved) > 1:
+            continue
+        _ref_check_cap(periods, cap)
         if reference_pinwheel_feasible(periods, cap).feasible:
             return v
     raise RuntimeError("no candidate up to the pipeline guarantee was feasible; this cannot happen")

@@ -26,9 +26,11 @@ recompute the values with `golden_digest()`, `golden_verify_digest()`,
 say why in the change log.
 """
 
+import collections
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import math
 import random
@@ -36,13 +38,13 @@ from fractions import Fraction
 
 import pytest
 
-from bamboo.cli import main, solution_to_obj
+from bamboo.cli import main, solution_to_obj, trace_to_obj
 from bamboo.model import BgtInstance
 from bamboo.oracle import StateSpaceTooLarge, bgt_opt
 from bamboo.reduction import ReductionConfig, bgt_to_pseudo, scaled
-from bamboo.scheduler import solve
+from bamboo.scheduler import ChainInstance, interleave, schedule_chain, solve
 from bamboo.verifier import evaluate
-from helpers import tampered
+from helpers import stages, tampered
 
 SIZES = (1, 2, 3, 5, 8, 50, 200)
 RATE_MAXES = (100, 10**6)
@@ -193,6 +195,29 @@ def test_solve_output_matches_golden_digest():
 
 def test_solve_trace_matches_golden_digest():
     assert golden_digest(include_trace=True) == GOLDEN_TRACE_SHA256
+
+
+def test_stages_built_again_from_the_garden_are_the_ones_solve_scheduled():
+    # `Solution` keeps no stage values: `--explain` builds them again from
+    # `sol.garden` on the path `solve` took. Scheduled, they must give back
+    # the schedule `solve` returned, so the trace cannot drift from it
+    paths = collections.Counter()
+    for instance in itertools.chain(corpus(), rational_corpus()):
+        for config in CONFIGS:
+            sol = solve(instance, config)
+            rounded, _, norm, _ = stages(sol)
+            path = trace_to_obj(sol)["path"]
+            paths[path] += 1
+            if sol.garden.n == 1:
+                assert path == "single-bamboo"
+                assert (sol.schedule.jobs, sol.schedule.offsets, sol.schedule.cycles) == ((0,), (1,), (1,))
+            elif rounded is not None:
+                assert path == "power-of-two"
+                assert schedule_chain(ChainInstance(rounded)) == sol.schedule
+            else:
+                assert path == "two-three"
+                assert interleave(norm) == sol.schedule
+    assert paths == {"single-bamboo": 20, "power-of-two": 56, "two-three": 56}
 
 
 def test_verify_output_matches_golden_digest():

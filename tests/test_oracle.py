@@ -254,17 +254,31 @@ def test_two_three_m_is_refuted_without_search(monkeypatch):
     assert calls == []
 
 
+def test_reduced_density_refutes_ahead_of_the_cap(monkeypatch):
+    # reduced at k = 3, (3, 3, 5, M) is (1, M // 3) and (3, 3, 4, 12) is
+    # (1, 4), both of density above 1; 4 x 4 x 6 x 1,000,001 and
+    # 4 x 4 x 5 x 13 states are over the caps, yet density refutes first
+    calls = count_lasso_calls(monkeypatch)
+    assert pinwheel_feasible([3, 3, 5, 10**6]) == oracle.PinwheelResult(False, None)
+    assert pinwheel_feasible([3, 3, 4, 12], 50) == oracle.PinwheelResult(False, None)
+    assert calls == []
+
+
 def test_density_refutes_a_prefix_of_every_small_grid():
     # the two facts bgt_opt's one density bisection rests on, on every sorted
     # vector with n <= 5 and periods <= 16: overdense stays overdense halved,
     # and raising one period (the last of its block, which keeps the vector
-    # sorted) never makes the halved vector overdense
-    raises = 0
+    # sorted) never makes the halved vector overdense; and the fact that
+    # lets pinwheel_feasible test the reduced vector alone: overdense halved
+    # is overdense reduced
+    raises = refuted_both = 0
     for n in range(1, 6):
         for ps in itertools.combinations_with_replacement(range(1, 17), n):
             refuted = _overdense(_halve(ps))
             assert refuted or not _overdense(ps), ps
             if refuted:
+                assert _overdense(_reduce(ps)[0]), ps
+                refuted_both += 1
                 continue
             for i in range(n):
                 if i + 1 == n or ps[i] != ps[i + 1]:
@@ -272,6 +286,7 @@ def test_density_refutes_a_prefix_of_every_small_grid():
                     assert not _overdense(_halve(raised)), (ps, i)
                     raises += 1
     assert raises == 46_525
+    assert refuted_both == 7_853
 
 
 def test_bgt_opt_searches_less_when_halving_decides(monkeypatch):

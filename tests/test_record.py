@@ -14,6 +14,7 @@ from bamboo import model, oracle, reduction, rounding, scheduler, verifier
 from bamboo.model import BgtInstance, InvalidInstance, JobPeriod, PeriodicSchedule, PseudoInstance, ScheduleEntry
 from bamboo.oracle import PinwheelResult
 from bamboo.reduction import ReductionConfig
+from bamboo.rounding import normalize, split_23
 from bamboo.scheduler import ChainInstance, NotAChain, Overdense, Solution, solve
 from bamboo.verifier import Collision
 
@@ -89,8 +90,11 @@ def test_positional_keyword_and_default_arguments():
 
     sol = solve(BgtInstance((4, 3, Fraction(1, 10))))
     assert Solution(**{name: getattr(sol, name) for name in Solution._fields}) == sol
-    plain = Solution(*(getattr(sol, name) for name in Solution._fields[:5]))
-    assert [getattr(plain, name) for name in Solution._fields[5:]] == [None, None, None, False]
+    assert Solution(*(getattr(sol, name) for name in Solution._fields)) == sol
+    # the defaults are checked on PinwheelResult and ReductionConfig above:
+    # every field of a Solution is required
+    with pytest.raises(TypeError, match=r"__init__\(\) missing 1 required positional argument: 'garden'"):
+        Solution(*(getattr(sol, name) for name in Solution._fields[:4]))
 
 
 def test_post_init_refusals_keep_their_messages():
@@ -111,7 +115,7 @@ def test_post_init_refusals_keep_their_messages():
 
 def test_cached_views_are_built_once():
     sol = solve(BgtInstance((4, 3, Fraction(1, 10))))
-    state = sol.normalized
+    state = normalize(split_23(sol.garden.floors()))
     assert state.y is state.y
     assert state.y == Fraction(state.y_sixths, 6)
     assert sol.schedule.entries is sol.schedule.entries

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from bamboo.cli import solution_to_obj
+from bamboo.cli import solution_to_obj, trace_to_obj
 from bamboo.model import (
     BgtInstance,
     InvalidInstance,
@@ -33,7 +33,15 @@ from bamboo.scheduler import (
     solve,
 )
 from bamboo.verifier import evaluate
-from helpers import floors, random_instance, reference_as_pairs, reference_interleave, reference_solve, serves
+from helpers import (
+    floors,
+    random_instance,
+    reference_as_pairs,
+    reference_interleave,
+    reference_solve,
+    serves,
+    stages,
+)
 
 
 def chain(*periods):
@@ -284,9 +292,10 @@ def test_solve_worked_example():
     assert sol.guarantee == Fraction(96, 7)
     assert sol.height_bound == Fraction(64, 5)
     assert entry_triples(sol.schedule) == [(0, 2, 2), (1, 1, 4), (2, 3, 128)]
-    assert sol.normalized.case == "b"
-    assert sol.normalized.y == Fraction(5, 6)
-    assert sol.rounded is None and sol.certified
+    rounded, _, norm, certified = stages(sol)
+    assert norm.case == "b"
+    assert norm.y == Fraction(5, 6)
+    assert rounded is None and certified
 
 
 def test_solve_single_bamboo():
@@ -294,15 +303,19 @@ def test_solve_single_bamboo():
     assert entry_triples(sol.schedule) == [(0, 1, 1)]
     assert sol.height_bound == 1 and sol.guarantee == 1
     assert sol.garden.periods() == (Fraction(12, 7),)
-    assert sol.rounded is None and sol.normalized is None
+    rounded, _, norm, _ = stages(sol)
+    assert rounded is None and norm is None
+    assert trace_to_obj(sol) == {"path": "single-bamboo", "lower_bound": "1", "factor": "12/7"}
 
 
 def test_solve_factor_two_pipeline():
     sol = solve(BgtInstance.from_values([1, 1]), ReductionConfig(Fraction(2), "sum"))
     assert entry_triples(sol.schedule) == [(0, 1, 4), (1, 2, 4)]
     assert sol.height_bound == 4 == 2 * 2
-    assert sol.rounded == ((4, 0), (4, 1))
-    assert sol.normalized is None
+    rounded, _, norm, _ = stages(sol)
+    assert rounded == ((4, 0), (4, 1))
+    assert norm is None
+    assert trace_to_obj(sol)["path"] == "power-of-two"
 
 
 @given(st.lists(st.builds(Fraction, st.integers(1, 10**6), st.integers(1, 10**6)), min_size=1, max_size=8))
@@ -338,8 +351,9 @@ def test_solve_verifies_and_meets_guarantee(seed):
         assert all(type(v) is int for v in report.peaks)
         reported = [sol.lower_bound, sol.guarantee, sol.height_bound, sol.garden.density]
         reported += [report.analytic_max, report.ratio]
-        if sol.normalized is not None:
-            reported.append(sol.normalized.y)
+        norm = stages(sol)[2]
+        if norm is not None:
+            reported.append(norm.y)
         assert all(type(v) is Fraction for v in reported)
 
 
@@ -386,24 +400,25 @@ def test_solve_matches_reference_stage_by_stage(rates, config_index):
     ref_pairs = reference_as_pairs(ref)
     assert solution_to_obj(got, include_trace=True) == solution_to_obj(ref_pairs, include_trace=True)
     assert got.schedule.entries == ref.schedule.entries
-    for name in ("lower_bound", "height_bound", "guarantee", "garden", "rounded", "certified"):
+    for name in ("lower_bound", "height_bound", "guarantee", "garden"):
         assert getattr(got, name) == getattr(ref_pairs, name), name
     assert got.garden.config == config
-    assert (got.split is None) == (ref.split is None)
+    rounded, split, norm, certified = stages(got)
+    assert rounded == ref_pairs.rounded and certified == ref_pairs.certified
+    assert (split is None) == (ref.split is None)
     if ref.split is not None:
-        assert got.split == ref_pairs.split
-        assert got.normalized == ref_pairs.normalized
-        norm = got.normalized
+        assert split == ref_pairs.split
+        assert norm == ref_pairs.normalized
         assert norm.y == ref.normalized.y and type(norm.y) is Fraction
         assert norm.y_sixths == 6 * norm.y
     else:
-        assert got.normalized is ref.normalized is None
+        assert norm is ref.normalized is None
 
 
 def test_reference_examples_reach_both_empty_sides():
     # the examples above really cover the one-sided interleave branches
     for rates, side in (([1, 1], "bp"), ([3, 1, 1], "bp"), ([3, 3, 3, 1], "cp")):
-        norm = solve(BgtInstance.from_values(rates)).normalized
+        norm = stages(solve(BgtInstance.from_values(rates)))[2]
         assert getattr(norm, side) == ()
         assert norm.bp + norm.cp
 
